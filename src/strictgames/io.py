@@ -37,7 +37,8 @@ def game_from_json_dict(data: object) -> BimatrixGame:
     if missing:
         raise FormatError(f"missing fields: {sorted(missing)}")
     rows, cols = data["rows"], data["cols"]
-    if not isinstance(rows, int) or not isinstance(cols, int) or rows < 1 or cols < 1:
+    # bool is a subclass of int, so true would otherwise read as 1
+    if type(rows) is not int or type(cols) is not int or rows < 1 or cols < 1:
         raise FormatError("rows and cols must be positive integers")
 
     def matrix(name: str) -> list[list[Fraction]]:
@@ -61,7 +62,7 @@ def dumps_game(game: BimatrixGame) -> str:
 def loads_game(text: str) -> BimatrixGame:
     try:
         data = json.loads(text)
-    except json.JSONDecodeError as e:
+    except ValueError as e:  # malformed JSON or an overlong integer literal
         raise FormatError(f"invalid JSON: {e}") from e
     return game_from_json_dict(data)
 

@@ -18,7 +18,8 @@ from .errors import FormatError
 
 Rational = Fraction
 
-_RATIONAL_RE = re.compile(r"^[+-]?\d+(?:/(\d+))?$")
+# ASCII digits only: \d would also accept other scripts' decimal digits
+_RATIONAL_RE = re.compile(r"[+-]?[0-9]+(?:/([0-9]+))?")
 
 #: Default bound for integer weights when sampling random mixtures.
 DEFAULT_WEIGHT_BOUND = 64
@@ -27,7 +28,8 @@ DEFAULT_WEIGHT_BOUND = 64
 def parse_rational(value: int | str) -> Fraction:
     """Parse a JSON payoff entry: an integer or a string ``"n/d"`` with d > 0.
 
-    Anything else (floats, exponents, negative or zero denominators) is
+    Anything else (floats, exponents, negative or zero denominators,
+    non-ASCII digits, literals too long for Python's integer conversion) is
     rejected with :class:`FormatError` so that file round-trips stay exact.
     """
     if isinstance(value, bool):
@@ -35,12 +37,15 @@ def parse_rational(value: int | str) -> Fraction:
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, str):
-        m = _RATIONAL_RE.match(value)
+        m = _RATIONAL_RE.fullmatch(value)
         if m is None:
             raise FormatError(f"not a rational literal: {value!r}")
-        if m.group(1) is not None and int(m.group(1)) == 0:
+        if m.group(1) is not None and not m.group(1).strip("0"):
             raise FormatError(f"zero denominator: {value!r}")
-        return Fraction(value)
+        try:
+            return Fraction(value)
+        except ValueError as e:  # more digits than int() converts
+            raise FormatError(f"rational literal too long: {e}") from e
     raise FormatError(f"not a rational literal: {value!r}")
 
 

@@ -1,10 +1,16 @@
 """Exact game solving: minimax by simplex and a support-enumeration oracle.
 
 The minimax path shifts the row payoff matrix positive, reduces the value
-problem to a standard-form linear program, and runs a dense simplex over
-rationals with Bland's anti-cycling pivot rule, so every solve terminates
-and both players' optimal strategies come out of one tableau (primal
-solution and dual prices).  The support-enumeration oracle independently
+problem to a standard-form linear program over integers, and runs a dense
+fraction-free simplex on a compact tableau, so both players' optimal
+strategies come out of one tableau (primal solution and dual prices).  The
+entering variable follows Dantzig's most-negative rule; after a run of
+``DEGENERATE_RUN_LIMIT`` degenerate pivots Bland's smallest-label rule
+takes over until the objective moves again, so every solve terminates (a
+nondegenerate pivot raises the objective, and Bland's rule never cycles).
+The value is unique; when the optimal strategy set is not a single point,
+the returned strategy is whichever optimum the pivots reach and may change
+between versions.  The support-enumeration oracle independently
 finds all equilibria of small bimatrix games by solving the indifference
 system of every equal-size support pair; it is complete for nondegenerate
 games and is used to cross-validate the LP path and the claim that
@@ -29,6 +35,10 @@ from .games import (
 from .rational import format_rational
 
 DEFAULT_MAX_DIM = 5
+
+#: Consecutive degenerate pivots after which the simplex switches from
+#: Dantzig's entering rule to Bland's until the next nondegenerate pivot.
+DEGENERATE_RUN_LIMIT = 8
 
 
 @dataclass(frozen=True)
@@ -88,11 +98,31 @@ class _Simplex:
     data and b >= 0.
 
     The slack basis is immediately feasible, so no phase-one is needed.
-    Entering variable: smallest index with negative reduced cost; leaving:
-    minimum ratio, ties broken by smallest basic variable index (Bland).
-    The tableau is kept fraction-free by integer pivoting: every update
-    divides exactly by the previous pivot, so entries stay integers (minor
-    values) and the basic columns all hold the current divisor.
+
+    Tableau: compact (Tucker) form, one column per nonbasic variable plus
+    the right-hand side, with ``nonbasic`` and ``basis`` holding variable
+    labels (structural ``0..n-1``, slack ``n+i`` for row ``i``).  It is kept
+    fraction-free by integer pivoting (Bareiss): every entry is the true
+    tableau entry times the common divisor ``div``, and each update divides
+    exactly by the previous pivot, so entries stay integers.  A pivot at
+    ``(r, c)`` with pivot ``p`` and divisor ``d`` maps every other column
+    entry to ``(p*v - f*w) // d``, leaves row ``r`` as it is, and turns
+    column ``c`` into the leaving variable's column: ``-a_ic`` in the other
+    rows, ``d`` in row ``r`` and ``-obj_c`` in the objective row.
+
+    Entering variable: Dantzig's rule, the most negative reduced cost, ties
+    to the smallest variable label.  After ``DEGENERATE_RUN_LIMIT``
+    consecutive degenerate pivots (the leaving row's right-hand side is 0),
+    Bland's rule takes over, the smallest label with negative reduced cost,
+    until the next nondegenerate pivot.  Leaving variable: minimum ratio,
+    ties broken by the smallest basic label.
+
+    Termination: a nondegenerate pivot strictly raises the objective, so no
+    basis repeats across nondegenerate pivots, and there are finitely many
+    bases.  Between two nondegenerate pivots the objective is constant;
+    Dantzig's rule runs for at most ``DEGENERATE_RUN_LIMIT`` of those
+    pivots, then Bland's rule, which never cycles from any starting basis
+    (Bland 1977), so every degenerate run ends.
     """
 
     def __init__(
@@ -103,19 +133,20 @@ class _Simplex:
     ) -> None:
         self.m = len(a)
         self.n = len(c)
-        self.rows = [list(ai) for ai in a]
-        for i, row in enumerate(self.rows):
-            row.extend(int(k == i) for k in range(self.m))
-            row.append(b[i])
-        self.obj = [-cj for cj in c] + [0] * (self.m + 1)
+        self.rows = [list(ai) + [bi] for ai, bi in zip(a, b)]
+        self.obj = [-cj for cj in c] + [0]
+        self.nonbasic = list(range(self.n))
         self.basis = [self.n + i for i in range(self.m)]
         self.div = 1
 
-    def _entering(self) -> int | None:
-        for j in range(self.n + self.m):
-            if self.obj[j] < 0:
-                return j
-        return None
+    def _entering(self, bland: bool) -> int | None:
+        """Column of the entering variable, or None at an optimum."""
+        negative = [col for col, cost in enumerate(self.obj[:-1]) if cost < 0]
+        if not negative:
+            return None
+        if bland:
+            return min(negative, key=self.nonbasic.__getitem__)
+        return min(negative, key=lambda col: (self.obj[col], self.nonbasic[col]))
 
     def _leaving(self, col: int) -> int:
         # ratios compared by cross-multiplication; coefficients are positive
@@ -139,79 +170,99 @@ class _Simplex:
         return best_row
 
     def _pivot(self, row: int, col: int) -> None:
-        pivot = self.rows[row][col]
         prow = self.rows[row]
+        pivot = prow[col]
         d = self.div
-        for i in range(self.m):
+        for i, old in enumerate(self.rows):
             if i != row:
-                old = self.rows[i]
                 f = old[col]
-                self.rows[i] = [
-                    (pivot * v - f * w) // d for v, w in zip(old, prow)
-                ]
+                new = [(pivot * v - f * w) // d for v, w in zip(old, prow)]
+                new[col] = -f
+                self.rows[i] = new
         f = self.obj[col]
         self.obj = [(pivot * v - f * w) // d for v, w in zip(self.obj, prow)]
+        self.obj[col] = -f
+        prow[col] = d
         self.div = pivot
-        self.basis[row] = col
+        self.basis[row], self.nonbasic[col] = self.nonbasic[col], self.basis[row]
 
-    def solve(self) -> tuple[Fraction, list[Fraction], list[Fraction]]:
-        """Optimal value, primal solution, and dual prices."""
+    def solve(self) -> tuple[int, int, list[int], list[int]]:
+        """Optimum as integer numerators over the final divisor ``div``:
+        ``(div, objective, primal, dual)``, where the optimal objective is
+        ``objective / div``, variable ``j`` is ``primal[j] / div`` and the
+        dual price of row ``i`` is ``dual[i] / div``.
+        """
+        run = 0
         while True:
-            col = self._entering()
+            col = self._entering(bland=run >= DEGENERATE_RUN_LIMIT)
             if col is None:
                 break
-            self._pivot(self._leaving(col), col)
-        primal = [Fraction(0)] * self.n
+            row = self._leaving(col)
+            run = run + 1 if self.rows[row][-1] == 0 else 0
+            self._pivot(row, col)
+        primal = [0] * self.n
         for i, var in enumerate(self.basis):
             if var < self.n:
-                primal[var] = Fraction(self.rows[i][-1], self.div)
-        dual = [Fraction(self.obj[self.n + i], self.div) for i in range(self.m)]
-        return Fraction(self.obj[-1], self.div), primal, dual
+                primal[var] = self.rows[i][-1]
+        dual = [0] * self.m
+        for col, var in enumerate(self.nonbasic):
+            if var >= self.n:
+                dual[var - self.n] = self.obj[col]
+        return self.div, self.obj[-1], primal, dual
 
 
 def _check_zero_sum(game: BimatrixGame) -> None:
-    for i in range(game.rows):
-        for j in range(game.cols):
-            if game.u1[i][j] + game.u2[i][j] != 0:
-                raise NotZeroSum(
-                    f"u1 + u2 is {game.u1[i][j] + game.u2[i][j]} at cell ({i}, {j})"
-                )
+    # Fractions are in lowest terms, so u1 == -u2 compares the parts
+    for i, (row1, row2) in enumerate(zip(game.u1, game.u2)):
+        for j, (a, b) in enumerate(zip(row1, row2)):
+            if a.numerator != -b.numerator or a.denominator != b.denominator:
+                raise NotZeroSum(f"u1 + u2 is {a + b} at cell ({i}, {j})")
 
 
 def minimax_solve(game: BimatrixGame) -> MinimaxSolution:
     """Exact minimax value and optimal strategies of a zero-sum game.
 
     The row matrix is shifted by ``1 - min`` when its minimum is <= 0 and
-    scaled to integers, the positive-matrix value LP is solved once, and
-    the column player's optimum is read off the dual prices.  Guarantee
-    inequalities are re-verified exactly before returning.
+    scaled to the smallest proportional integer matrix, the positive-matrix
+    value LP is solved once, and the column player's optimum is read off
+    the dual prices.  Guarantee inequalities are re-verified exactly, in
+    integers, on the original matrix before returning.
+
+    The value is unique.  When the optimal strategy set is not a single
+    point, which optimal strategy is returned depends on the pivoting rule
+    and may change between versions.
     """
     _check_zero_sum(game)
-    v = game.u1
     m, n = game.rows, game.cols
-    min_entry = min(min(row) for row in v)
-    shift = 1 - min_entry if min_entry <= 0 else Fraction(0)
-    # scaling a positive matrix scales its value and keeps optima unchanged,
-    # so the LP can run on integers
-    scale = 1
+    den, v = game.scaled_matrix(1)  # u1 == v / den
+    low = min(min(row) for row in v)
+    # lift/den is the shift; scaling a positive matrix scales its value and
+    # keeps optima unchanged, so the LP runs on (v + lift) / g in integers
+    lift = den - low if low <= 0 else 0
+    g = den
     for row in v:
         for entry in row:
-            scale = math.lcm(scale, (entry + shift).denominator)
-    a = [
-        [int((v[i][j] + shift) * scale) for j in range(n)] for i in range(m)
-    ]
+            g = math.gcd(g, entry + lift)
+    a = [[(entry + lift) // g for entry in row] for row in v]
 
-    total, q, p = _Simplex(a, [1] * m, [1] * n).solve()
-    value_scaled = 1 / total
-    y = MixedStrategy(tuple(qj * value_scaled for qj in q))
-    x = MixedStrategy(tuple(pi * value_scaled for pi in p))
-    value = value_scaled / scale - shift
+    div, total, q, p = _Simplex(a, [1] * m, [1] * n).solve()
+    # the LP optimum total/div is the reciprocal of the value of a
+    y = MixedStrategy(tuple(Fraction(qj, total) for qj in q))
+    x = MixedStrategy(tuple(Fraction(pi, total) for pi in p))
+    value = Fraction(div * g - lift * total, den * total)
 
+    # sum_i x_i u1_ij >= value, cross-multiplied by the positive
+    # denominators of x, u1 and value; likewise for y
+    num, vden = value.numerator, value.denominator
+    dx, wx = x._scaled
+    bound = num * dx * den
     for j in range(n):
-        if sum(x[i] * v[i][j] for i in range(m)) < value:
+        if sum(wi * v[i][j] for i, wi in enumerate(wx) if wi) * vden < bound:
             raise AssertionError("row guarantee certificate failed")
-    for i in range(m):
-        if sum(v[i][j] * y[j] for j in range(n)) > value:
+    dy, wy = y._scaled
+    bound = num * dy * den
+    for row in v:
+        if sum(vij * wj for vij, wj in zip(row, wy) if wj) * vden > bound:
             raise AssertionError("column guarantee certificate failed")
     return MinimaxSolution(value=value, row_strategy=x, col_strategy=y)
 

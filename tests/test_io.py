@@ -3,6 +3,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from strictgames.cli import run_cli
 from strictgames.errors import FormatError
 from strictgames.games import new_game
 from strictgames.generators import Family, GenSpec, gen
@@ -23,7 +24,12 @@ def test_parse_rational_forms():
 
 
 @pytest.mark.parametrize(
-    "bad", ["1.5", "1e3", "1/-2", "1/0", " 1/2", "", "a", 1.5, None, True]
+    "bad",
+    [
+        "1.5", "1e3", "1/-2", "1/0", " 1/2", "", "a", 1.5, None, True,
+        # Arabic-Indic digits are Unicode decimal digits but not ASCII
+        "\u0661", "1/\u0662", "\u0661/2", "1/2\n", "1/00",
+    ],
 )
 def test_parse_rational_rejects(bad):
     with pytest.raises(FormatError):
@@ -69,6 +75,29 @@ def test_reject_malformed(mutate):
     mutate(d)
     with pytest.raises(FormatError):
         game_from_json_dict(d)
+
+
+@pytest.mark.parametrize("key", ["rows", "cols"])
+def test_reject_boolean_dimensions(key):
+    d = game_to_json_dict(new_game([[1]], [[-1]]))
+    d[key] = True
+    with pytest.raises(FormatError):
+        game_from_json_dict(d)
+
+
+def test_reject_overlong_literals(tmp_path, capsys):
+    digits = "1" * 5000  # above Python's int string-conversion limit
+    for bad in [digits, f"-{digits}", f"1/{digits}"]:
+        with pytest.raises(FormatError):
+            parse_rational(bad)
+    for entry in [f'"{digits}"', digits]:
+        text = f'{{"rows": 1, "cols": 1, "u1": [[{entry}]], "u2": [[0]]}}'
+        with pytest.raises(FormatError):
+            loads_game(text)
+        path = tmp_path / "long.json"
+        path.write_text(text, encoding="utf-8")
+        assert run_cli(["check", str(path)]) == 2
+        assert "error" in capsys.readouterr().err
 
 
 def test_reject_non_object():

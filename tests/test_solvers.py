@@ -2,7 +2,10 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+from strictgames import solvers
 from strictgames.detection import AffineTransform, detect_affine, to_zero_sum
 from strictgames.errors import NotZeroSum, TooLarge
 from strictgames.games import new_game
@@ -19,6 +22,15 @@ PRISONERS = new_game([[3, 0], [5, 1]], [[3, 5], [0, 1]])
 
 def zero_sum(v1):
     return new_game(v1, [[-v for v in row] for row in v1])
+
+
+def assert_guarantees(v1, x, y, value):
+    """x secures at least ``value`` and y concedes at most ``value``, exactly."""
+    m, n = len(v1), len(v1[0])
+    for j in range(n):
+        assert sum(x[i] * v1[i][j] for i in range(m)) >= value
+    for i in range(m):
+        assert sum(v1[i][j] * y[j] for j in range(n)) <= value
 
 
 def test_minimax_matching_pennies():
@@ -77,6 +89,104 @@ def test_minimax_affine_equivariance():
             )
         for i in range(m):
             assert sum(v1[i][j] * scaled.col_strategy[j] for j in range(n)) <= base.value
+
+
+# Two equilibria share the row mixture (1/2, 1/2) and differ in the column
+# mixture, so the optimum is a segment and the pivoting rule decides which
+# point of it is returned.
+NON_UNIQUE = [[2, 1, -2, 1], [-2, -1, 2, 3]]
+
+
+def solve_with_run_limit(monkeypatch, game, limit):
+    monkeypatch.setattr(solvers, "DEGENERATE_RUN_LIMIT", limit)
+    return minimax_solve(game)
+
+
+def test_minimax_non_unique_optimum(monkeypatch):
+    g = zero_sum(NON_UNIQUE)
+    eqs = support_enumeration(g)
+    assert len({eq.y.probs for eq in eqs}) == 2
+    for limit in (0, solvers.DEGENERATE_RUN_LIMIT):
+        s = solve_with_run_limit(monkeypatch, g, limit)
+        assert s.value == 0
+        assert_guarantees(NON_UNIQUE, s.row_strategy, s.col_strategy, s.value)
+        for eq in eqs:
+            assert eq.payoffs[0] == s.value
+
+
+def test_minimax_degenerate_fallback(monkeypatch):
+    # entries in [-2, 2] tie many ratio tests; under Dantzig's rule this
+    # game has a run of degenerate pivots long enough for Bland to take over
+    rng = random.Random(71)
+    v1 = [[rng.randint(-2, 2) for _ in range(12)] for _ in range(12)]
+    g = zero_sum(v1)
+    rules, degenerate = [], []
+    entering, pivot = solvers._Simplex._entering, solvers._Simplex._pivot
+
+    def recording_entering(self, bland):
+        rules.append(bland)
+        col = entering(self, bland)
+        costs = self.obj[:-1]
+        if col is not None:
+            # Dantzig enters a most negative cost, Bland the smallest label
+            candidates = [lab for lab, c in zip(self.nonbasic, costs) if c < 0]
+            if bland:
+                assert self.nonbasic[col] == min(candidates)
+            else:
+                assert costs[col] == min(costs)
+        return col
+
+    def recording_pivot(self, row, col):
+        degenerate.append(self.rows[row][-1] == 0)
+        pivot(self, row, col)
+
+    monkeypatch.setattr(solvers._Simplex, "_entering", recording_entering)
+    monkeypatch.setattr(solvers._Simplex, "_pivot", recording_pivot)
+    default = minimax_solve(g)
+    assert True in rules and False in rules
+    # Bland's rule is used exactly when the last DEGENERATE_RUN_LIMIT or
+    # more pivots were all degenerate
+    run = 0
+    for bland, stalled in zip(rules, degenerate):
+        assert bland == (run >= solvers.DEGENERATE_RUN_LIMIT)
+        run = run + 1 if stalled else 0
+    rules.clear()
+    bland = solve_with_run_limit(monkeypatch, g, 0)
+    assert rules and all(rules)
+    assert bland.value == default.value
+    for s in (default, bland):
+        assert_guarantees(v1, s.row_strategy, s.col_strategy, s.value)
+
+
+@st.composite
+def distinct_entry_matrices(draw):
+    m, n = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    values = draw(
+        st.lists(st.integers(-30, 30), min_size=m * n, max_size=m * n, unique=True)
+    )
+    return [values[i * n:(i + 1) * n] for i in range(m)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    distinct_entry_matrices(),
+    st.fractions(min_value=F(1, 8), max_value=8),
+    st.fractions(min_value=-10, max_value=10),
+)
+def test_minimax_property_distinct_entries(v1, alpha, beta):
+    g = zero_sum(v1)
+    eqs = support_enumeration(g)
+    assume(len(eqs) > 0)
+    base = minimax_solve(g)
+    for eq in eqs:
+        assert eq.payoffs[0] == base.value
+    scaled_matrix = [[alpha * v - beta for v in row] for row in v1]
+    scaled = minimax_solve(zero_sum(scaled_matrix))
+    assert scaled.value == alpha * base.value - beta
+    assert_guarantees(
+        scaled_matrix, base.row_strategy, base.col_strategy, scaled.value
+    )
+    assert_guarantees(v1, scaled.row_strategy, scaled.col_strategy, base.value)
 
 
 def test_support_enumeration_matching_pennies():
