@@ -3,9 +3,11 @@
 Each cell of the (family, size, seed) grid generates one game, times
 affine detection, then times the normalize-plus-minimax path when the game
 is adversarial and the support-enumeration oracle when the game is small
-enough.  Whenever both solution paths ran, the record's agreement flag
-re-checks exactly that every enumerated equilibrium's row payoff matches
-the LP value mapped back through the detected transform.  Records are
+enough.  Whenever both solution paths ran and enumeration found an
+equilibrium, the record's agreement flag re-checks exactly that every
+enumerated equilibrium's row payoff matches the LP value mapped back
+through the detected transform; otherwise nothing was compared and the
+flag is None, never a default pass.  Records are
 emitted in deterministic grid order; only the timing fields vary run to
 run.
 """
@@ -30,7 +32,7 @@ class BenchRecord:
     detect_ns: int
     lp_ns: int | None
     enum_ns: int | None
-    agree: bool
+    agree: bool | None
 
 
 CSV_COLUMNS = ("family", "rows", "cols", "seed", "detect_ns", "lp_ns", "enum_ns", "agree")
@@ -59,8 +61,8 @@ def run_cell(
         equilibria = support_enumeration(game, max_enum_dim)
         enum_ns = time.perf_counter_ns() - t0
 
-    agree = True
-    if solution is not None and equilibria is not None:
+    agree = None
+    if solution is not None and equilibria:
         t = result.transform
         expected_u1 = (solution.value + t.beta) / t.alpha
         agree = all(e.payoffs[0] == expected_u1 for e in equilibria)
@@ -105,6 +107,6 @@ def write_csv(path: str, records: list[BenchRecord]) -> None:
                     r.detect_ns,
                     "" if r.lp_ns is None else r.lp_ns,
                     "" if r.enum_ns is None else r.enum_ns,
-                    "true" if r.agree else "false",
+                    "" if r.agree is None else str(r.agree).lower(),
                 ]
             )

@@ -123,7 +123,7 @@ def _cmd_bench(args) -> int:
     _emit(
         {
             "cells": len(records),
-            "agreements": sum(r.agree for r in records),
+            "agreements": sum(r.agree is True for r in records),
             "out": args.out,
         }
     )

@@ -46,10 +46,6 @@ class AffineTransform:
         if self.alpha <= 0:
             raise AlphaNonpositiveError(f"alpha must be > 0, got {self.alpha}")
 
-    def apply(self, value: Fraction) -> Fraction:
-        """The second payoff this transform predicts for a first payoff."""
-        return -self.alpha * value + self.beta
-
 
 @dataclass(frozen=True)
 class AffineMismatch:
@@ -161,17 +157,54 @@ def pure_ordinal_competitive(game: BimatrixGame) -> bool | OrdinalViolation:
     return True
 
 
-def _solve_anchor_pair(
-    game: BimatrixGame, p1: Cell, p2: Cell
-) -> tuple[Fraction, Fraction]:
-    """The unique (alpha, beta) with u2 = -alpha*u1 + beta on both anchors."""
-    a1 = game.u1[p1[0]][p1[1]]
-    a2 = game.u1[p2[0]][p2[1]]
-    b1 = game.u2[p1[0]][p1[1]]
-    b2 = game.u2[p2[0]][p2[1]]
-    alpha = -(b1 - b2) / (a1 - a2)
-    beta = b1 + alpha * a1
-    return alpha, beta
+def _fit_affine(
+    labels: list,
+    a: list[Fraction],
+    b: list[Fraction],
+    anchors: tuple | None = None,
+) -> DetectionResult:
+    """Fit ``b == -alpha*a + beta`` with alpha > 0 through every point.
+
+    Point ``k`` is ``(a[k], b[k])``, named ``labels[k]`` in witnesses.  When
+    ``a`` is constant the fit exists exactly when ``b`` is constant too, and
+    the canonical (alpha=1, beta=b0+a0) is reported.  Otherwise the unique
+    candidate is solved from the two ``anchors`` (by default the first
+    point and the first with a different ``a``), rejected if alpha <= 0,
+    and verified at every point.
+    """
+    distinct = next((k for k, v in enumerate(a) if v != a[0]), None)
+    if distinct is None:
+        off = next((k for k, v in enumerate(b) if v != b[0]), None)
+        if off is None:
+            return DetectionResult.degenerate(
+                AffineTransform(Fraction(1), b[0] + a[0])
+            )
+        # a ties every pair, so any two points with different b break the
+        # biconditional; orient sigma toward the larger b.
+        sigma, tau = (0, off) if b[0] > b[off] else (off, 0)
+        return DetectionResult.not_adversarial(
+            OrdinalViolation(labels[sigma], labels[tau])
+        )
+
+    if anchors is None:
+        p, q = 0, distinct
+    else:
+        p, q = labels.index(anchors[0]), labels.index(anchors[1])
+        if a[p] == a[q]:
+            raise ValueError("anchor cells must have distinct u1 values")
+    alpha = -(b[p] - b[q]) / (a[p] - a[q])
+    beta = b[p] + alpha * a[p]
+    if alpha <= 0:
+        return DetectionResult.not_adversarial(
+            AlphaNonpositive((labels[p], labels[q]), alpha, beta)
+        )
+    for label, x, actual in zip(labels, a, b):
+        expected = -alpha * x + beta
+        if expected != actual:
+            return DetectionResult.not_adversarial(
+                AffineMismatch(label, expected, actual)
+            )
+    return DetectionResult.adversarial(AffineTransform(alpha, beta))
 
 
 def detect_affine(
@@ -188,48 +221,12 @@ def detect_affine(
     extends to all mixed profiles by linearity of expectation, so this
     decides the mixed extension, not just the pure game.
     """
-    cells = game.cells()
-    first = cells[0]
-    u1_first = game.u1[first[0]][first[1]]
-    distinct = next(
-        (c for c in cells if game.u1[c[0]][c[1]] != u1_first), None
+    return _fit_affine(
+        game.cells(),
+        [v for row in game.u1 for v in row],
+        [v for row in game.u2 for v in row],
+        anchors,
     )
-
-    if distinct is None:
-        u2_first = game.u2[first[0]][first[1]]
-        off = next(
-            (c for c in cells if game.u2[c[0]][c[1]] != u2_first), None
-        )
-        if off is None:
-            return DetectionResult.degenerate(
-                AffineTransform(Fraction(1), u2_first + u1_first)
-            )
-        # u1 ties every pair, so any two cells with different u2 break the
-        # biconditional; orient sigma toward the larger u2.
-        sigma, tau = (
-            (first, off) if game.u2[first[0]][first[1]] > game.u2[off[0]][off[1]]
-            else (off, first)
-        )
-        return DetectionResult.not_adversarial(OrdinalViolation(sigma, tau))
-
-    if anchors is None:
-        anchors = (first, distinct)
-    elif game.u1[anchors[0][0]][anchors[0][1]] == game.u1[anchors[1][0]][anchors[1][1]]:
-        raise ValueError("anchor cells must have distinct u1 values")
-
-    alpha, beta = _solve_anchor_pair(game, anchors[0], anchors[1])
-    if alpha <= 0:
-        return DetectionResult.not_adversarial(
-            AlphaNonpositive(anchors, alpha, beta)
-        )
-    for cell in cells:
-        expected = -alpha * game.u1[cell[0]][cell[1]] + beta
-        actual = game.u2[cell[0]][cell[1]]
-        if expected != actual:
-            return DetectionResult.not_adversarial(
-                AffineMismatch(cell, expected, actual)
-            )
-    return DetectionResult.adversarial(AffineTransform(alpha, beta))
 
 
 def is_adversarial(game: BimatrixGame) -> bool:
@@ -251,25 +248,12 @@ def three_profile_compatibility(
     in that case.
     """
     profiles = (p1, p2, p3)
-    e1 = [expected_utility(game, 1, p) for p in profiles]
-    e2 = [expected_utility(game, 2, p) for p in profiles]
-
-    pair = next(
-        ((k, l) for k in range(3) for l in range(k + 1, 3) if e1[k] != e1[l]),
-        None,
+    result = _fit_affine(
+        [0, 1, 2],
+        [expected_utility(game, 1, p) for p in profiles],
+        [expected_utility(game, 2, p) for p in profiles],
     )
-    if pair is None:
-        if e2[0] == e2[1] == e2[2]:
-            return AffineTransform(Fraction(1), e2[0] + e1[0])
-        return None
-    k, l = pair
-    alpha = -(e2[k] - e2[l]) / (e1[k] - e1[l])
-    if alpha <= 0:
-        return None
-    beta = e2[k] + alpha * e1[k]
-    if all(e2[m] == -alpha * e1[m] + beta for m in range(3)):
-        return AffineTransform(alpha, beta)
-    return None
+    return result.transform if result.is_adversarial else None
 
 
 def _violates(game: BimatrixGame, sigma: MixedProfile, tau: MixedProfile) -> bool:

@@ -68,7 +68,7 @@ class BimatrixGame:
             for row in matrix:
                 for v in row:
                     den = math.lcm(den, v.denominator)
-            ints = [[int(v * den) for v in row] for row in matrix]
+            ints = [[v.numerator * (den // v.denominator) for v in row] for row in matrix]
             cached = (den, ints)
             self._scaled[player] = cached
         return cached

@@ -12,9 +12,11 @@ The value is unique; when the optimal strategy set is not a single point,
 the returned strategy is whichever optimum the pivots reach and may change
 between versions.  The support-enumeration oracle independently
 finds all equilibria of small bimatrix games by solving the indifference
-system of every equal-size support pair; it is complete for nondegenerate
-games and is used to cross-validate the LP path and the claim that
-normalizing a strictly competitive game preserves its equilibria.
+system of every equal-size support pair on the same fraction-free pivot,
+so one integer elimination does all exact linear algebra here; it is
+complete for nondegenerate games and is used to cross-validate the LP path
+and the claim that normalizing a strictly competitive game preserves its
+equilibria.
 """
 
 from __future__ import annotations
@@ -26,12 +28,7 @@ from itertools import combinations
 
 from .detection import AffineTransform, to_zero_sum
 from .errors import NotZeroSum, TooLarge
-from .games import (
-    BimatrixGame,
-    MixedProfile,
-    MixedStrategy,
-    expected_utility,
-)
+from .games import BimatrixGame, MixedStrategy
 from .rational import format_rational
 
 DEFAULT_MAX_DIM = 5
@@ -95,7 +92,8 @@ class EquilibriumSet:
 
 class _Simplex:
     """Exact simplex for max c*v subject to A v <= b, v >= 0, with integer
-    data and b >= 0.
+    data and b >= 0; :meth:`solve_square` reuses its pivot to solve a
+    square system A v = b.
 
     The slack basis is immediately feasible, so no phase-one is needed.
 
@@ -109,6 +107,15 @@ class _Simplex:
     entry to ``(p*v - f*w) // d``, leaves row ``r`` as it is, and turns
     column ``c`` into the leaving variable's column: ``-a_ic`` in the other
     rows, ``d`` in row ``r`` and ``-obj_c`` in the objective row.
+
+    Exact division: by Cramer's rule each true entry is a determinant of
+    the current basis matrix with one column replaced by an original
+    column, divided by the basis determinant, and ``div`` is that basis
+    determinant, so every stored entry is the determinant of an integer
+    matrix.  The update forms ``p*v - f*w == d * new`` (Sylvester's
+    identity), so ``// d`` divides exactly.  This needs each pivot to be
+    nonzero, not positive: the LP's ratio test pivots on positive entries,
+    ``solve_square`` on any nonzero one, which may leave ``div`` negative.
 
     Entering variable: Dantzig's rule, the most negative reduced cost, ties
     to the smallest variable label.  After ``DEGENERATE_RUN_LIMIT``
@@ -200,15 +207,39 @@ class _Simplex:
             row = self._leaving(col)
             run = run + 1 if self.rows[row][-1] == 0 else 0
             self._pivot(row, col)
-        primal = [0] * self.n
-        for i, var in enumerate(self.basis):
-            if var < self.n:
-                primal[var] = self.rows[i][-1]
         dual = [0] * self.m
         for col, var in enumerate(self.nonbasic):
             if var >= self.n:
                 dual[var - self.n] = self.obj[col]
-        return self.div, self.obj[-1], primal, dual
+        return self.div, self.obj[-1], self._primal(), dual
+
+    def solve_square(self) -> tuple[int, list[int]] | None:
+        """Solve the square system ``A v = b``: ``(div, primal)`` with
+        ``v_j = primal[j] / div``, or None when ``A`` is singular.
+
+        Each structural variable in turn enters the basis on the first
+        slack row with a nonzero entry in its column; the objective and the
+        sign of ``b`` play no part.  When no slack row has one, the column
+        lies in the span of the structural columns already basic, so ``A``
+        is singular.  Afterwards every slack is nonbasic, that is zero.
+        """
+        # column ``col`` still holds structural variable ``col``: the pivots
+        # so far only replaced the columns before it
+        for col in range(self.n):
+            for row, var in enumerate(self.basis):
+                if var >= self.n and self.rows[row][col]:
+                    break
+            else:
+                return None
+            self._pivot(row, col)
+        return self.div, self._primal()
+
+    def _primal(self) -> list[int]:
+        primal = [0] * self.n
+        for i, var in enumerate(self.basis):
+            if var < self.n:
+                primal[var] = self.rows[i][-1]
+        return primal
 
 
 def _check_zero_sum(game: BimatrixGame) -> None:
@@ -267,109 +298,84 @@ def minimax_solve(game: BimatrixGame) -> MinimaxSolution:
     return MinimaxSolution(value=value, row_strategy=x, col_strategy=y)
 
 
-def _solve_linear(
-    a: list[list[Fraction]], b: list[Fraction]
-) -> list[Fraction] | None:
-    """Solve a square system exactly; None when the matrix is singular."""
-    n = len(a)
-    m = [list(row) + [rhs] for row, rhs in zip(a, b)]
-    for col in range(n):
-        pivot_row = next(
-            (r for r in range(col, n) if m[r][col] != 0), None
-        )
-        if pivot_row is None:
-            return None
-        m[col], m[pivot_row] = m[pivot_row], m[col]
-        inv = 1 / m[col][col]
-        m[col] = [v * inv for v in m[col]]
-        for r in range(n):
-            if r != col and m[r][col] != 0:
-                f = m[r][col]
-                m[r] = [v - f * w for v, w in zip(m[r], m[col])]
-    return [m[r][-1] for r in range(n)]
-
-
 def support_enumeration(
     game: BimatrixGame, max_dim: int = DEFAULT_MAX_DIM
 ) -> EquilibriumSet:
     """All equilibria found by equal-size support enumeration.
 
-    For each support pair the two indifference systems are solved exactly;
-    candidates must put strictly positive weight on their support and
-    survive the exact best-response inequalities.  Singular systems are
-    skipped, so completeness is claimed only for nondegenerate games.
+    For each support pair the two indifference systems are solved exactly
+    by :meth:`_Simplex.solve_square`, the same fraction-free pivot as the
+    LP; candidates must put strictly positive weight on their support and
+    survive the exact best-response inequalities, all checked in integers.
+    Singular systems are skipped, so completeness is claimed only for
+    nondegenerate games.
     """
     if game.rows > max_dim or game.cols > max_dim:
         raise TooLarge(
             f"{game.rows}x{game.cols} exceeds the enumeration cap {max_dim}"
         )
     m, n = game.rows, game.cols
+    den1, v1 = game.scaled_matrix(1)
+    den2, v2 = game.scaled_matrix(2)
+    v2t = [list(col) for col in zip(*v2)]  # the column player's own rows
     found = []
     for k in range(1, min(m, n) + 1):
         for rows_sup in combinations(range(m), k):
             for cols_sup in combinations(range(n), k):
-                eq = _try_support(game, rows_sup, cols_sup)
-                if eq is not None:
-                    found.append(eq)
+                y = _indifference(v1, rows_sup, cols_sup)
+                if y is None:
+                    continue
+                x = _indifference(v2t, cols_sup, rows_sup)
+                if x is None:
+                    continue
+                # at the equilibrium each player earns the indifference value
+                payoffs = (Fraction(y[1], y[2] * den1), Fraction(x[1], x[2] * den2))
+                found.append(
+                    Equilibrium(
+                        _strategy(m, rows_sup, x), _strategy(n, cols_sup, y), payoffs
+                    )
+                )
     return EquilibriumSet(tuple(found))
 
 
-def _try_support(
-    game: BimatrixGame,
-    rows_sup: tuple[int, ...],
-    cols_sup: tuple[int, ...],
-) -> Equilibrium | None:
-    k = len(rows_sup)
-    one = Fraction(1)
-    zero = Fraction(0)
+def _indifference(
+    payoff: list[list[int]], own: tuple[int, ...], other: tuple[int, ...]
+) -> tuple[list[int], int, int] | None:
+    """The opponent mix on ``other`` that leaves the owner of ``payoff``
+    indifferent over ``own`` and no better off elsewhere.
 
-    # column strategy y and v1 from the row player's indifference over rows_sup
-    a = [
-        [game.u1[i][j] for j in cols_sup] + [-one]
-        for i in rows_sup
-    ]
-    a.append([one] * k + [zero])
-    sol = _solve_linear(a, [zero] * k + [one])
-    if sol is None:
+    ``payoff[a][b]`` is the owner's integer payoff when own action ``a``
+    meets opponent action ``b``.  Returns ``(weights, value, div)``: the
+    opponent plays ``other[t]`` with probability ``weights[t] / div`` and
+    the owner earns ``value / div`` in ``payoff``'s units, with ``div > 0``.
+    None when the system is singular, a weight is not positive, or some own
+    action earns more than ``value / div``.
+    """
+    k = len(own)
+    a = [[payoff[i][j] for j in other] + [-1] for i in own]
+    a.append([1] * k + [0])
+    solved = _Simplex(a, [0] * k + [1], [0] * (k + 1)).solve_square()
+    if solved is None:
         return None
-    y_sup, v1 = sol[:k], sol[k]
-
-    # row strategy x and v2 from the column player's indifference over cols_sup
-    a = [
-        [game.u2[i][j] for i in rows_sup] + [-one]
-        for j in cols_sup
-    ]
-    a.append([one] * k + [zero])
-    sol = _solve_linear(a, [zero] * k + [one])
-    if sol is None:
+    div, (*weights, value) = solved
+    if div < 0:
+        div, value, weights = -div, -value, [-w for w in weights]
+    if any(w <= 0 for w in weights):
         return None
-    x_sup, v2 = sol[:k], sol[k]
-
-    if any(p <= 0 for p in x_sup) or any(p <= 0 for p in y_sup):
-        return None
-
-    x = [zero] * game.rows
-    for i, p in zip(rows_sup, x_sup):
-        x[i] = p
-    y = [zero] * game.cols
-    for j, p in zip(cols_sup, y_sup):
-        y[j] = p
-
-    for i in range(game.rows):
-        if sum(game.u1[i][j] * y[j] for j in cols_sup) > v1:
+    for row in payoff:
+        if sum(row[j] * w for j, w in zip(other, weights)) > value:
             return None
-    for j in range(game.cols):
-        if sum(game.u2[i][j] * x[i] for i in rows_sup) > v2:
-            return None
+    return weights, value, div
 
-    xs = MixedStrategy(tuple(x))
-    ys = MixedStrategy(tuple(y))
-    profile = MixedProfile(xs, ys)
-    payoffs = (
-        expected_utility(game, 1, profile),
-        expected_utility(game, 2, profile),
-    )
-    return Equilibrium(xs, ys, payoffs)
+
+def _strategy(
+    size: int, support: tuple[int, ...], mix: tuple[list[int], int, int]
+) -> MixedStrategy:
+    weights, _, div = mix
+    probs = [Fraction(0)] * size
+    for i, w in zip(support, weights):
+        probs[i] = Fraction(w, div)
+    return MixedStrategy(tuple(probs))
 
 
 def equilibrium_invariance_check(

@@ -260,7 +260,7 @@ def test_criterion_9_bench_sanity(tmp_path):
 
     records = run_bench([Family.DISGUISED_ZERO_SUM], lp_sizes, seeds)
     records += run_bench(families[1:], small_sizes, seeds)
-    agreements = sum(r.agree for r in records)
+    compared = [r.agree for r in records if r.agree is not None]
     ran_50 = any(r.rows == 50 and r.lp_ns is not None for r in records)
 
     def stable(rs):
@@ -276,11 +276,15 @@ def test_criterion_9_bench_sanity(tmp_path):
         "family,rows,cols,seed,detect_ns,lp_ns,enum_ns,agree"
     )
 
-    ok = agreements == len(records) and ran_50 and deterministic and produced
+    # the disguised cells up to the enumeration cap (2x2, 3x3, 5x5 for two
+    # seeds) are the only ones where both paths run; the rest compare nothing
+    ok = compared == [True] * 6 and ran_50 and deterministic and produced
     _report(
         9,
         "bench sanity",
         ok,
-        f"{agreements}/{len(records)} agreement flags, LP ran at 50x50: {ran_50}, "
+        f"{compared.count(True)}/{len(compared)} compared cells agree "
+        f"({len(records) - len(compared)} of {len(records)} compare nothing), "
+        f"LP ran at 50x50: {ran_50}, "
         f"grid deterministic: {deterministic}, CSV artifact written: {produced}",
     )

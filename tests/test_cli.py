@@ -148,11 +148,15 @@ def test_bench_csv(tmp_path, capsys):
     summary = json.loads(capsys.readouterr().out)
     assert code == 0
     assert summary["cells"] == 8
-    assert summary["agreements"] == 8
+    # only the disguised cells run both paths; the uniform ones compare nothing
+    assert summary["agreements"] == 4
     with open(out_path, newline="") as fh:
         rows = list(csv.DictReader(fh))
     assert len(rows) == 8
-    assert all(r["agree"] == "true" for r in rows)
+    assert all(
+        r["agree"] == ("true" if r["family"] == "disguised-zero-sum" else "")
+        for r in rows
+    )
     assert all(r["detect_ns"].isdigit() for r in rows)
     # uniform games are not adversarial, so the LP column stays empty
     assert all(r["lp_ns"] == "" for r in rows if r["family"] == "uniform")

@@ -213,6 +213,64 @@ def test_support_enumeration_single_cell():
     assert eqs.equilibria[0].payoffs == (F(2), F(9))
 
 
+def test_support_enumeration_skips_singular_system(monkeypatch):
+    # matching pennies with row 0 duplicated: the indifference system over
+    # rows {0, 1} has two equal rows, so that support pair is skipped
+    u1 = [[1, -1], [1, -1], [-1, 1]]
+    g = zero_sum(u1)
+    solved = []
+    solve_square = solvers._Simplex.solve_square
+
+    def recording_solve_square(self):
+        result = solve_square(self)
+        solved.append(result)
+        return result
+
+    monkeypatch.setattr(solvers._Simplex, "solve_square", recording_solve_square)
+    eqs = support_enumeration(g)
+    assert solved.count(None) == 1
+    half = F(1, 2)
+    assert [(e.x.probs, e.y.probs, e.payoffs) for e in eqs] == [
+        ((half, F(0), half), (half, half), (F(0), F(0))),
+        ((F(0), half, half), (half, half), (F(0), F(0))),
+    ]
+
+
+@st.composite
+def small_bimatrices(draw):
+    m, n = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    matrix = st.lists(
+        st.lists(st.integers(-6, 6), min_size=n, max_size=n), min_size=m, max_size=m
+    )
+    return draw(matrix), draw(matrix)
+
+
+positive_scale = st.fractions(min_value=F(1, 9), max_value=9, max_denominator=9)
+offset = st.fractions(min_value=-9, max_value=9, max_denominator=9)
+
+
+@settings(max_examples=80, deadline=None)
+@given(small_bimatrices(), positive_scale, offset, positive_scale, offset)
+def test_support_enumeration_invariant_under_positive_affine_maps(
+    matrices, a1, b1, a2, b2
+):
+    # a positive affine map of one player's payoffs keeps every best
+    # response, and maps each indifference system to an equivalent one
+    u1, u2 = matrices
+    base = support_enumeration(new_game(u1, u2))
+    mapped = support_enumeration(
+        new_game(
+            [[a1 * v + b1 for v in row] for row in u1],
+            [[a2 * v + b2 for v in row] for row in u2],
+        )
+    )
+    assert mapped.strategy_set() == base.strategy_set()
+    assert len(mapped) == len(base)
+    for e, f in zip(base, mapped):
+        assert (f.x, f.y) == (e.x, e.y)
+        assert f.payoffs == (a1 * e.payoffs[0] + b1, a2 * e.payoffs[1] + b2)
+
+
 def test_support_enumeration_too_large():
     v1 = [[0] * 6 for _ in range(6)]
     with pytest.raises(TooLarge):
