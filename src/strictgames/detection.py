@@ -22,12 +22,11 @@ from .games import (
     Cell,
     MixedProfile,
     expected_utility,
-    new_game,
     pure_profile,
     random_strategy,
     uniform_strategy,
 )
-from .rational import format_rational
+from .rational import common_denominator, format_rational
 
 
 @dataclass(frozen=True)
@@ -148,36 +147,34 @@ def pure_ordinal_competitive(game: BimatrixGame) -> bool | OrdinalViolation:
     mixed extension is adversarial.
     """
     cells = game.cells()
+    a, b = game.num1, game.num2  # one positive denominator per matrix
     for sigma in cells:
         for tau in cells:
-            ge1 = game.u1[sigma[0]][sigma[1]] >= game.u1[tau[0]][tau[1]]
-            le2 = game.u2[sigma[0]][sigma[1]] <= game.u2[tau[0]][tau[1]]
+            ge1 = a[sigma[0]][sigma[1]] >= a[tau[0]][tau[1]]
+            le2 = b[sigma[0]][sigma[1]] <= b[tau[0]][tau[1]]
             if ge1 != le2:
                 return OrdinalViolation(sigma, tau)
     return True
 
 
 def _fit_affine(
-    labels: list,
-    a: list[Fraction],
-    b: list[Fraction],
-    anchors: tuple | None = None,
+    labels: list, a: list, da: int, b: list, db: int, anchors: tuple | None = None
 ) -> DetectionResult:
     """Fit ``b == -alpha*a + beta`` with alpha > 0 through every point.
 
-    Point ``k`` is ``(a[k], b[k])``, named ``labels[k]`` in witnesses.  When
-    ``a`` is constant the fit exists exactly when ``b`` is constant too, and
-    the canonical (alpha=1, beta=b0+a0) is reported.  Otherwise the unique
-    candidate is solved from the two ``anchors`` (by default the first
-    point and the first with a different ``a``), rejected if alpha <= 0,
-    and verified at every point.
+    Point ``k`` is ``(a[k]/da, b[k]/db)``, ``da, db > 0``, named ``labels[k]``
+    in witnesses.  When ``a`` is constant the fit exists exactly when ``b``
+    is constant too, and the canonical (alpha=1, beta=b0+a0) is reported.
+    Otherwise the candidate is the line through the two ``anchors`` (by
+    default the first point and the first with a different ``a``), rejected
+    if alpha <= 0, and checked at every point by integer cross-multiplication.
     """
     distinct = next((k for k, v in enumerate(a) if v != a[0]), None)
     if distinct is None:
         off = next((k for k, v in enumerate(b) if v != b[0]), None)
         if off is None:
             return DetectionResult.degenerate(
-                AffineTransform(Fraction(1), b[0] + a[0])
+                AffineTransform(Fraction(1), Fraction(b[0], db) + Fraction(a[0], da))
             )
         # a ties every pair, so any two points with different b break the
         # biconditional; orient sigma toward the larger b.
@@ -192,17 +189,18 @@ def _fit_affine(
         p, q = labels.index(anchors[0]), labels.index(anchors[1])
         if a[p] == a[q]:
             raise ValueError("anchor cells must have distinct u1 values")
-    alpha = -(b[p] - b[q]) / (a[p] - a[q])
-    beta = b[p] + alpha * a[p]
+    a_p, b_p = a[p], b[p]
+    run, rise = a[q] - a_p, b[q] - b_p
+    alpha = Fraction(-rise * da, run * db)
+    beta = Fraction(b_p, db) + alpha * Fraction(a_p, da)
     if alpha <= 0:
         return DetectionResult.not_adversarial(
             AlphaNonpositive((labels[p], labels[q]), alpha, beta)
         )
-    for label, x, actual in zip(labels, a, b):
-        expected = -alpha * x + beta
-        if expected != actual:
+    for label, x, y in zip(labels, a, b):
+        if (y - b_p) * run != rise * (x - a_p):
             return DetectionResult.not_adversarial(
-                AffineMismatch(label, expected, actual)
+                AffineMismatch(label, -alpha * Fraction(x, da) + beta, Fraction(y, db))
             )
     return DetectionResult.adversarial(AffineTransform(alpha, beta))
 
@@ -221,12 +219,9 @@ def detect_affine(
     extends to all mixed profiles by linearity of expectation, so this
     decides the mixed extension, not just the pure game.
     """
-    return _fit_affine(
-        game.cells(),
-        [v for row in game.u1 for v in row],
-        [v for row in game.u2 for v in row],
-        anchors,
-    )
+    a = [v for row in game.num1 for v in row]
+    b = [v for row in game.num2 for v in row]
+    return _fit_affine(game.cells(), a, game.den1, b, game.den2, anchors)
 
 
 def is_adversarial(game: BimatrixGame) -> bool:
@@ -248,11 +243,9 @@ def three_profile_compatibility(
     in that case.
     """
     profiles = (p1, p2, p3)
-    result = _fit_affine(
-        [0, 1, 2],
-        [expected_utility(game, 1, p) for p in profiles],
-        [expected_utility(game, 2, p) for p in profiles],
-    )
+    a, da = common_denominator(expected_utility(game, 1, p) for p in profiles)
+    b, db = common_denominator(expected_utility(game, 2, p) for p in profiles)
+    result = _fit_affine([0, 1, 2], a, da, b, db)
     return result.transform if result.is_adversarial else None
 
 
@@ -306,7 +299,9 @@ def to_zero_sum(game: BimatrixGame, t: AffineTransform) -> BimatrixGame:
     """
     if t.alpha <= 0:
         raise AlphaNonpositiveError(f"alpha must be > 0, got {t.alpha}")
-    v1 = tuple(
-        tuple(t.alpha * entry - t.beta for entry in row) for row in game.u1
-    )
-    return new_game(v1, game.u2)
+    # with alpha = p/q, beta = r/s and u1 = v/den, alpha*u1 - beta is
+    # (p*s*v - r*q*den) / (q*s*den), which BimatrixGame reduces once
+    (p, q), (r, s) = t.alpha.as_integer_ratio(), t.beta.as_integer_ratio()
+    slope, shift, den = p * s, r * q * game.den1, q * s * game.den1
+    v1 = [[slope * v - shift for v in row] for row in game.num1]
+    return BimatrixGame(v1, den, game.num2, game.den2)

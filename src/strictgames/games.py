@@ -3,127 +3,145 @@
 A game holds two equally shaped payoff matrices of rationals, one per
 player.  Mixed strategies are exact points of the probability simplex over
 one player's actions, and expected utility is the exact bilinear double sum
-over the product of the two simplices.  Everything here is immutable and
-pure, so values can be shared freely across threads.
+over the product of the two simplices.  Both are stored as integers over a
+positive common denominator in lowest terms, with read-only ``Fraction``
+views.  Everything here is immutable and pure, so values can be shared
+freely across threads.
 """
 
 from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 
 from .errors import DimensionMismatch, EmptyGame, ShapeMismatch, WeightOutOfRange
-from .rational import DEFAULT_WEIGHT_BOUND, random_simplex_point, random_weight
+from .rational import DEFAULT_WEIGHT_BOUND, common_denominator
+from .rational import random_simplex_point, random_weight
 
 Matrix = tuple[tuple[Fraction, ...], ...]
 
+IntMatrix = tuple[tuple[int, ...], ...]
+
 Cell = tuple[int, int]
-
-
-def _freeze_matrix(rows: object) -> Matrix:
-    out = []
-    for row in rows:  # type: ignore[attr-defined]
-        out.append(tuple(Fraction(entry) for entry in row))
-    return tuple(out)
 
 
 @dataclass(frozen=True)
 class BimatrixGame:
     """Two payoff matrices over the same finite action sets.
 
-    ``u1[i][j]`` is the row player's payoff and ``u2[i][j]`` the column
-    player's payoff when row action ``i`` meets column action ``j``.
+    When row action ``i`` meets column action ``j`` the row player's payoff
+    is ``u1[i][j] == num1[i][j] / den1`` and the column player's
+    ``u2[i][j] == num2[i][j] / den2``, each denominator positive and reduced
+    with its matrix on construction; ``u1`` and ``u2`` are built on access.
     """
 
-    u1: Matrix
-    u2: Matrix
-    _scaled: dict = field(
-        default_factory=dict, init=False, repr=False, compare=False
-    )
+    num1: IntMatrix
+    den1: int
+    num2: IntMatrix
+    den2: int
+
+    def __post_init__(self) -> None:
+        for num, den in (("num1", "den1"), ("num2", "den2")):
+            rows, d = getattr(self, num), getattr(self, den)
+            g = math.gcd(d, *(v for row in rows for v in row))
+            object.__setattr__(self, num, tuple(tuple(v // g for v in r) for r in rows))
+            object.__setattr__(self, den, d // g)
+
+    @property
+    def u1(self) -> Matrix:
+        return tuple(tuple(Fraction(v, self.den1) for v in row) for row in self.num1)
+
+    @property
+    def u2(self) -> Matrix:
+        return tuple(tuple(Fraction(v, self.den2) for v in row) for row in self.num2)
 
     @property
     def rows(self) -> int:
-        return len(self.u1)
+        return len(self.num1)
 
     @property
     def cols(self) -> int:
-        return len(self.u1[0])
+        return len(self.num1[0])
 
     def cells(self) -> list[Cell]:
         """All pure profiles in row-major order."""
         return [(i, j) for i in range(self.rows) for j in range(self.cols)]
 
-    def scaled_matrix(self, player: int) -> tuple[int, list[list[int]]]:
-        """The player's matrix as (common denominator, integer entries).
-
-        Memoized; lets expected utility accumulate in plain integers.
-        """
-        cached = self._scaled.get(player)
-        if cached is None:
-            matrix = self.u1 if player == 1 else self.u2
-            den = 1
-            for row in matrix:
-                for v in row:
-                    den = math.lcm(den, v.denominator)
-            ints = [[v.numerator * (den // v.denominator) for v in row] for row in matrix]
-            cached = (den, ints)
-            self._scaled[player] = cached
-        return cached
-
 
 def new_game(u1: object, u2: object) -> BimatrixGame:
-    """Validate and freeze two payoff matrices into a game.
+    """Validate two matrices of ``Fraction``-convertible payoffs into a game.
 
     Raises :class:`EmptyGame` if either dimension is zero and
     :class:`ShapeMismatch` if the matrices are not equally shaped.
     """
-    m1 = _freeze_matrix(u1)
-    m2 = _freeze_matrix(u2)
+    m1 = [list(row) for row in u1]  # type: ignore[attr-defined]
+    m2 = [list(row) for row in u2]  # type: ignore[attr-defined]
     if len(m1) == 0 or len(m2) == 0 or any(len(r) == 0 for r in m1 + m2):
         raise EmptyGame("payoff matrices must be nonempty")
     if len({len(r) for r in m1} | {len(r) for r in m2}) != 1 or len(m1) != len(m2):
         raise ShapeMismatch(
             f"u1 is {len(m1)}x{len(m1[0])}, u2 is {len(m2)}x{len(m2[0])}"
         )
-    return BimatrixGame(m1, m2)
+    cols = len(m1[0])
+    stored = []
+    for m in (m1, m2):
+        num, den = common_denominator(v for row in m for v in row)
+        stored += [[num[k : k + cols] for k in range(0, len(num), cols)], den]
+    return BimatrixGame(*stored)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class MixedStrategy:
-    """An exact point of the probability simplex over one player's actions."""
+    """An exact point of the probability simplex over one player's actions.
 
-    probs: tuple[Fraction, ...]
+    Action ``k`` has probability ``weights[k] / den``: nonnegative integer
+    weights in lowest terms over their sum.  ``MixedStrategy(probs)`` takes
+    probabilities summing to exactly 1, :meth:`from_weights` integer
+    weights; ``probs``, indexing and iteration are ``Fraction`` views.
+    """
 
-    def __post_init__(self) -> None:
-        probs = tuple(
-            p if type(p) is Fraction else Fraction(p) for p in self.probs
-        )
-        object.__setattr__(self, "probs", probs)
-        den = 1
-        for p in probs:
-            den = math.lcm(den, p.denominator)
-        weights = tuple(p.numerator * (den // p.denominator) for p in probs)
-        if any(w < 0 for w in weights):
-            raise ValueError("probabilities must be nonnegative")
+    weights: tuple[int, ...]
+    den: int
+
+    def __init__(self, probs) -> None:
+        weights, den = common_denominator(probs)
         if sum(weights) != den:
             raise ValueError("probabilities must sum to exactly 1")
-        # integer weights over a common denominator, for fast exact sums
-        object.__setattr__(self, "_scaled", (den, weights))
+        self._store(tuple(weights))
+
+    @classmethod
+    def from_weights(cls, weights) -> MixedStrategy:
+        """The strategy proportional to integer ``weights``."""
+        self = object.__new__(cls)
+        self._store(tuple(weights))
+        return self
+
+    def _store(self, weights: tuple[int, ...]) -> None:
+        g = math.gcd(*weights)  # 0 when every weight is 0
+        if not g or min(weights) < 0:
+            raise ValueError("weights must be nonnegative and not all zero")
+        if g > 1:
+            weights = tuple(w // g for w in weights)
+        object.__setattr__(self, "weights", weights)
+        object.__setattr__(self, "den", sum(weights))
+
+    @property
+    def probs(self) -> tuple[Fraction, ...]:
+        return tuple(Fraction(w, self.den) for w in self.weights)
 
     def __len__(self) -> int:
-        return len(self.probs)
+        return len(self.weights)
 
     def __getitem__(self, i: int) -> Fraction:
-        return self.probs[i]
+        return Fraction(self.weights[i], self.den)
 
     def __iter__(self):
         return iter(self.probs)
 
     def support(self) -> tuple[int, ...]:
-        return tuple(i for i, p in enumerate(self.probs) if p > 0)
+        return tuple(i for i, w in enumerate(self.weights) if w > 0)
 
 
 @dataclass(frozen=True)
@@ -134,15 +152,13 @@ class MixedProfile:
     y: MixedStrategy
 
 
-@lru_cache(maxsize=None)
 def pure_strategy(i: int, n: int) -> MixedStrategy:
-    """Point mass on action ``i`` out of ``n`` (memoized)."""
-    return MixedStrategy(tuple(Fraction(int(k == i)) for k in range(n)))
+    """Point mass on action ``i`` out of ``n``."""
+    return MixedStrategy.from_weights(int(k == i) for k in range(n))
 
 
-@lru_cache(maxsize=None)
 def uniform_strategy(n: int) -> MixedStrategy:
-    return MixedStrategy((Fraction(1, n),) * n)
+    return MixedStrategy.from_weights((1,) * n)
 
 
 def pure_profile(cell: Cell, game: BimatrixGame) -> MixedProfile:
@@ -157,7 +173,7 @@ def uniform_profile(game: BimatrixGame) -> MixedProfile:
 def random_strategy(
     rng: random.Random, n: int, max_weight: int = DEFAULT_WEIGHT_BOUND
 ) -> MixedStrategy:
-    return MixedStrategy(random_simplex_point(rng, n, max_weight))
+    return MixedStrategy.from_weights(random_simplex_point(rng, n, max_weight))
 
 
 def random_profile(
@@ -185,9 +201,8 @@ def expected_utility(game: BimatrixGame, player: int, p: MixedProfile) -> Fracti
     if player not in (1, 2):
         raise ValueError("player must be 1 or 2")
     _check_profile(game, p)
-    den_u, matrix = game.scaled_matrix(player)
-    den_x, wx = p.x._scaled
-    den_y, wy = p.y._scaled
+    matrix, den_u = (game.num1, game.den1) if player == 1 else (game.num2, game.den2)
+    wx, wy = p.x.weights, p.y.weights
     total = 0
     for i, wi in enumerate(wx):
         if wi:
@@ -197,7 +212,7 @@ def expected_utility(game: BimatrixGame, player: int, p: MixedProfile) -> Fracti
                 if vj:
                     row_sum += vj * row[j]
             total += wi * row_sum
-    return Fraction(total, den_x * den_y * den_u)
+    return Fraction(total, p.x.den * p.y.den * den_u)
 
 
 def mix(p: MixedStrategy, q: MixedStrategy, w: Fraction) -> MixedStrategy:
@@ -210,8 +225,11 @@ def mix(p: MixedStrategy, q: MixedStrategy, w: Fraction) -> MixedStrategy:
         raise WeightOutOfRange(f"weight {w} outside [0, 1]")
     if len(p) != len(q):
         raise DimensionMismatch(f"strategy lengths {len(p)} and {len(q)} differ")
-    cw = 1 - w
-    return MixedStrategy(tuple(w * a + cw * b for a, b in zip(p.probs, q.probs)))
+    # w*a/dp + (1-w)*b/dq over the common denominator Q*dp*dq, w == P/Q
+    wp, wq = w.numerator * q.den, (w.denominator - w.numerator) * p.den
+    return MixedStrategy.from_weights(
+        wp * a + wq * b for a, b in zip(p.weights, q.weights)
+    )
 
 
 def verify_bilinearity(game: BimatrixGame, samples: int, seed: int) -> bool:

@@ -1,15 +1,17 @@
 """Exact rational arithmetic helpers.
 
-All payoffs, probabilities, and solver pivots in this package are
-``fractions.Fraction`` values: arbitrary precision, always in lowest terms
-with a positive denominator, so every equality check in the package is
-bit-exact.  This module adds the strict text format used by the JSON
-interfaces ("n/d" with d > 0, or a plain integer) and the seeded samplers
-for bounded-denominator random weights.
+Payoffs and probabilities are stored as arbitrary-precision integers over
+a positive common denominator in lowest terms, and the solvers pivot on
+integers, so every equality check in the package is bit-exact;
+``fractions.Fraction`` appears only in views, certificates, witnesses and
+JSON.  This module adds the conversion to a common denominator, the strict
+text format of the JSON interfaces ("n/d" with d > 0, or a plain integer)
+and the seeded samplers for bounded-denominator random weights.
 """
 
 from __future__ import annotations
 
+import math
 import random
 import re
 from fractions import Fraction
@@ -23,6 +25,14 @@ _RATIONAL_RE = re.compile(r"[+-]?[0-9]+(?:/([0-9]+))?")
 
 #: Default bound for integer weights when sampling random mixtures.
 DEFAULT_WEIGHT_BOUND = 64
+
+
+def common_denominator(values) -> tuple[list[int], int]:
+    """Rationals as integer numerators over their least common denominator,
+    which is in lowest terms with them."""
+    fracs = [v if isinstance(v, (int, Fraction)) else Fraction(v) for v in values]
+    den = math.lcm(*(v.denominator for v in fracs))
+    return [v.numerator * (den // v.denominator) for v in fracs], den
 
 
 def parse_rational(value: int | str) -> Fraction:
@@ -70,14 +80,9 @@ def random_open_weight(
 
 def random_simplex_point(
     rng: random.Random, n: int, max_weight: int = DEFAULT_WEIGHT_BOUND
-) -> tuple[Fraction, ...]:
-    """Exact probabilities from integer weights in [0, max_weight].
-
-    Weights are redrawn if they are all zero, so the result always sums to
-    exactly 1 without a separate normalization pass.
-    """
+) -> list[int]:
+    """Integer weights in [0, max_weight], redrawn until not all zero."""
     while True:
         weights = [rng.randint(0, max_weight) for _ in range(n)]
-        total = sum(weights)
-        if total > 0:
-            return tuple(Fraction(w, total) for w in weights)
+        if any(weights):
+            return weights

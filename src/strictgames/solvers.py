@@ -243,11 +243,12 @@ class _Simplex:
 
 
 def _check_zero_sum(game: BimatrixGame) -> None:
-    # Fractions are in lowest terms, so u1 == -u2 compares the parts
-    for i, (row1, row2) in enumerate(zip(game.u1, game.u2)):
+    d1, d2 = game.den1, game.den2
+    for i, (row1, row2) in enumerate(zip(game.num1, game.num2)):
         for j, (a, b) in enumerate(zip(row1, row2)):
-            if a.numerator != -b.numerator or a.denominator != b.denominator:
-                raise NotZeroSum(f"u1 + u2 is {a + b} at cell ({i}, {j})")
+            if a * d2 + b * d1:
+                total = Fraction(a, d1) + Fraction(b, d2)
+                raise NotZeroSum(f"u1 + u2 is {total} at cell ({i}, {j})")
 
 
 def minimax_solve(game: BimatrixGame) -> MinimaxSolution:
@@ -265,7 +266,7 @@ def minimax_solve(game: BimatrixGame) -> MinimaxSolution:
     """
     _check_zero_sum(game)
     m, n = game.rows, game.cols
-    den, v = game.scaled_matrix(1)  # u1 == v / den
+    den, v = game.den1, game.num1  # u1 == v / den
     low = min(min(row) for row in v)
     # lift/den is the shift; scaling a positive matrix scales its value and
     # keeps optima unchanged, so the LP runs on (v + lift) / g in integers
@@ -277,23 +278,22 @@ def minimax_solve(game: BimatrixGame) -> MinimaxSolution:
     a = [[(entry + lift) // g for entry in row] for row in v]
 
     div, total, q, p = _Simplex(a, [1] * m, [1] * n).solve()
-    # the LP optimum total/div is the reciprocal of the value of a
-    y = MixedStrategy(tuple(Fraction(qj, total) for qj in q))
-    x = MixedStrategy(tuple(Fraction(pi, total) for pi in p))
+    # the LP optimum total/div is the reciprocal of the value of a, and the
+    # primal and dual optima both sum to total
+    y = MixedStrategy.from_weights(q)
+    x = MixedStrategy.from_weights(p)
     value = Fraction(div * g - lift * total, den * total)
 
     # sum_i x_i u1_ij >= value, cross-multiplied by the positive
     # denominators of x, u1 and value; likewise for y
     num, vden = value.numerator, value.denominator
-    dx, wx = x._scaled
-    bound = num * dx * den
+    bound = num * x.den * den
     for j in range(n):
-        if sum(wi * v[i][j] for i, wi in enumerate(wx) if wi) * vden < bound:
+        if sum(wi * v[i][j] for i, wi in enumerate(x.weights) if wi) * vden < bound:
             raise AssertionError("row guarantee certificate failed")
-    dy, wy = y._scaled
-    bound = num * dy * den
+    bound = num * y.den * den
     for row in v:
-        if sum(vij * wj for vij, wj in zip(row, wy) if wj) * vden > bound:
+        if sum(vij * wj for vij, wj in zip(row, y.weights) if wj) * vden > bound:
             raise AssertionError("column guarantee certificate failed")
     return MinimaxSolution(value=value, row_strategy=x, col_strategy=y)
 
@@ -315,41 +315,32 @@ def support_enumeration(
             f"{game.rows}x{game.cols} exceeds the enumeration cap {max_dim}"
         )
     m, n = game.rows, game.cols
-    den1, v1 = game.scaled_matrix(1)
-    den2, v2 = game.scaled_matrix(2)
-    v2t = [list(col) for col in zip(*v2)]  # the column player's own rows
+    v2t = list(zip(*game.num2))  # the column player's own rows
     found = []
     for k in range(1, min(m, n) + 1):
         for rows_sup in combinations(range(m), k):
             for cols_sup in combinations(range(n), k):
-                y = _indifference(v1, rows_sup, cols_sup)
+                y = _indifference(game.num1, game.den1, rows_sup, cols_sup)
                 if y is None:
                     continue
-                x = _indifference(v2t, cols_sup, rows_sup)
+                x = _indifference(v2t, game.den2, cols_sup, rows_sup)
                 if x is None:
                     continue
                 # at the equilibrium each player earns the indifference value
-                payoffs = (Fraction(y[1], y[2] * den1), Fraction(x[1], x[2] * den2))
-                found.append(
-                    Equilibrium(
-                        _strategy(m, rows_sup, x), _strategy(n, cols_sup, y), payoffs
-                    )
-                )
+                found.append(Equilibrium(x[0], y[0], (y[1], x[1])))
     return EquilibriumSet(tuple(found))
 
 
 def _indifference(
-    payoff: list[list[int]], own: tuple[int, ...], other: tuple[int, ...]
-) -> tuple[list[int], int, int] | None:
+    payoff: list[list[int]], den: int, own: tuple[int, ...], other: tuple[int, ...]
+) -> tuple[MixedStrategy, Fraction] | None:
     """The opponent mix on ``other`` that leaves the owner of ``payoff``
     indifferent over ``own`` and no better off elsewhere.
 
-    ``payoff[a][b]`` is the owner's integer payoff when own action ``a``
-    meets opponent action ``b``.  Returns ``(weights, value, div)``: the
-    opponent plays ``other[t]`` with probability ``weights[t] / div`` and
-    the owner earns ``value / div`` in ``payoff``'s units, with ``div > 0``.
-    None when the system is singular, a weight is not positive, or some own
-    action earns more than ``value / div``.
+    ``payoff[a][b] / den`` is the owner's payoff when own action ``a``
+    meets opponent action ``b``.  Returns the opponent's strategy and the
+    owner's payoff against it.  None when the system is singular, a weight
+    is not positive, or some own action earns more than that payoff.
     """
     k = len(own)
     a = [[payoff[i][j] for j in other] + [-1] for i in own]
@@ -357,6 +348,8 @@ def _indifference(
     solved = _Simplex(a, [0] * k + [1], [0] * (k + 1)).solve_square()
     if solved is None:
         return None
+    # the opponent plays other[t] with probability weights[t] / div (the
+    # weights sum to div, the last equation) for a payoff of value / div
     div, (*weights, value) = solved
     if div < 0:
         div, value, weights = -div, -value, [-w for w in weights]
@@ -365,17 +358,9 @@ def _indifference(
     for row in payoff:
         if sum(row[j] * w for j, w in zip(other, weights)) > value:
             return None
-    return weights, value, div
-
-
-def _strategy(
-    size: int, support: tuple[int, ...], mix: tuple[list[int], int, int]
-) -> MixedStrategy:
-    weights, _, div = mix
-    probs = [Fraction(0)] * size
-    for i, w in zip(support, weights):
-        probs[i] = Fraction(w, div)
-    return MixedStrategy(tuple(probs))
+    full = dict(zip(other, weights))
+    mix = MixedStrategy.from_weights(full.get(j, 0) for j in range(len(payoff[0])))
+    return mix, Fraction(value, div * den)
 
 
 def equilibrium_invariance_check(
@@ -386,18 +371,18 @@ def equilibrium_invariance_check(
     Enumerates equilibria of the game and of its zero-sum normalization,
     requires the two strategy sets to be identical, and checks that each
     original row payoff is recovered exactly from the normalized one via
-    ``u1 = (v1 + beta) / alpha``.
+    ``u1 = (v1 + beta) / alpha``.  When neither enumeration finds an
+    equilibrium (only a degenerate game allows that) nothing is compared,
+    and it returns True trivially; callers counting agreements must check.
     """
     original = support_enumeration(game, max_dim)
     normalized_game = to_zero_sum(game, t)
     normalized = support_enumeration(normalized_game, max_dim)
-    if original.strategy_set() != normalized.strategy_set():
+    by_strategies = {(e.x, e.y): e for e in normalized.equilibria}
+    if by_strategies.keys() != {(e.x, e.y) for e in original.equilibria}:
         return False
-    by_strategies = {
-        (e.x.probs, e.y.probs): e for e in normalized.equilibria
-    }
     for e in original.equilibria:
-        z = by_strategies[(e.x.probs, e.y.probs)]
+        z = by_strategies[(e.x, e.y)]
         if e.payoffs[0] != (z.payoffs[0] + t.beta) / t.alpha:
             return False
     return True

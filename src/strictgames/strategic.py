@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .games import BimatrixGame
-from .rational import format_rational
+from .rational import common_denominator, format_rational
 
 
 @dataclass(frozen=True)
@@ -40,15 +40,19 @@ class MvDecomposition:
         }
 
     def verifies(self, game: BimatrixGame) -> bool:
-        """Re-check the defining cell equations exactly."""
+        """Re-check the defining cell equations exactly, in integers."""
         if self.lambda1 <= 0 or self.lambda2 <= 0:
             return False
-        for i in range(game.rows):
-            for j in range(game.cols):
-                lhs = self.lambda1 * game.u1[i][j] + self.lambda2 * game.u2[i][j]
-                if lhs != self.row_offsets[i] + self.col_offsets[j]:
-                    return False
-        return True
+        # lambda_k*u_k == (lambda_k/den_k)*num_k: all over one denominator
+        factors = (self.lambda1 / game.den1, self.lambda2 / game.den2)
+        offsets = self.row_offsets + self.col_offsets
+        (k1, k2, *r), _ = common_denominator(factors + offsets)
+        c = r[game.rows :]
+        return all(
+            k1 * a + k2 * b == r[i] + c[j]
+            for i, (row1, row2) in enumerate(zip(game.num1, game.num2))
+            for j, (a, b) in enumerate(zip(row1, row2))
+        )
 
 
 def strategically_zero_sum_detect(game: BimatrixGame) -> MvDecomposition | None:
@@ -62,40 +66,33 @@ def strategically_zero_sum_detect(game: BimatrixGame) -> MvDecomposition | None:
     and be positive.  When no cell constrains lambda2, lambda2 = 1 is the
     canonical representative.
     """
-    lam2: Fraction | None = None
+    a, b = game.num1, game.num2
+    fp = fq = 0  # first forcing cell: lambda2 == -(fp/den1) / (fq/den2)
     for i in range(1, game.rows):
         for j in range(1, game.cols):
-            p = (
-                game.u1[i][j] - game.u1[i][0] - game.u1[0][j] + game.u1[0][0]
-            )
-            q = (
-                game.u2[i][j] - game.u2[i][0] - game.u2[0][j] + game.u2[0][0]
-            )
+            p = a[i][j] - a[i][0] - a[0][j] + a[0][0]
+            q = b[i][j] - b[i][0] - b[0][j] + b[0][0]
             if q == 0:
                 if p != 0:
                     return None
-                continue
-            forced = -p / q
-            if lam2 is None:
-                lam2 = forced
-            elif lam2 != forced:
+            elif fq == 0:
+                fp, fq = p, q
+            elif p * fq != fp * q:
                 return None
-    if lam2 is None:
-        lam2 = Fraction(1)
+    lam2 = Fraction(-fp * game.den2, fq * game.den1) if fq else Fraction(1)
     if lam2 <= 0:
         return None
 
-    m = [
-        [game.u1[i][j] + lam2 * game.u2[i][j] for j in range(game.cols)]
-        for i in range(game.rows)
-    ]
-    col_offsets = tuple(m[0][j] for j in range(game.cols))
-    row_offsets = tuple(m[i][0] - m[0][0] for i in range(game.rows))
+    # M == (k1*num1 + k2*num2) / den; only row 0 and column 0 are needed
+    (k1, k2), den = common_denominator((Fraction(1, game.den1), lam2 / game.den2))
+    m0 = [k1 * v1 + k2 * v2 for v1, v2 in zip(a[0], b[0])]
     decomposition = MvDecomposition(
         lambda1=Fraction(1),
         lambda2=lam2,
-        row_offsets=row_offsets,
-        col_offsets=col_offsets,
+        row_offsets=tuple(
+            Fraction(k1 * r1[0] + k2 * r2[0] - m0[0], den) for r1, r2 in zip(a, b)
+        ),
+        col_offsets=tuple(Fraction(v, den) for v in m0),
     )
     if not decomposition.verifies(game):
         return None

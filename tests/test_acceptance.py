@@ -114,8 +114,9 @@ def test_criterion_3_normalization_identity(disguised_1000):
     exact = 0
     for game, _ in disguised_1000:
         z = to_zero_sum(game, detect_affine(game).transform)
+        u1, u2 = z.u1, z.u2  # each read builds the Fraction view
         if all(
-            z.u1[i][j] + z.u2[i][j] == 0
+            u1[i][j] + u2[i][j] == 0
             for i in range(z.rows)
             for j in range(z.cols)
         ):
@@ -133,11 +134,12 @@ def test_criterion_4_anchor_independence():
     consistent = 0
     for game, planted in games:
         cells = game.cells()
+        u1 = game.u1
         pairs = [
             (c1, c2)
             for idx, c1 in enumerate(cells)
             for c2 in cells[idx + 1 :]
-            if game.u1[c1[0]][c1[1]] != game.u1[c2[0]][c2[1]]
+            if u1[c1[0]][c1[1]] != u1[c2[0]][c2[1]]
         ]
         results = {
             (r.status, r.transform)
@@ -202,28 +204,47 @@ def test_criterion_6_axiom_audit():
 
 
 def test_criterion_7_solver_cross_validation(disguised_1000):
-    lp_checked = lp_agree = 0
+    # a game whose enumeration finds no equilibrium compares nothing, so it
+    # counts as unchecked, never as agreeing
+    lp_checked = lp_agree = lp_unchecked = 0
     for game, _ in disguised_1000:
         if game.rows > 5 or game.cols > 5:
             continue
         z = to_zero_sum(game, detect_affine(game).transform)
         value = minimax_solve(z).value
+        equilibria = support_enumeration(z)
+        if not equilibria:
+            lp_unchecked += 1
+            continue
         lp_checked += 1
-        if all(eq.payoffs[0] == value for eq in support_enumeration(z)):
+        if all(eq.payoffs[0] == value for eq in equilibria):
             lp_agree += 1
 
-    invariance = 0
+    inv_checked = inv_agree = inv_unchecked = inv_trivial = 0
     for game, planted in _disguised_batch(200, seed_base=70_000, min_dim=2, max_dim=4):
-        if equilibrium_invariance_check(game, planted):
-            invariance += 1
+        holds = equilibrium_invariance_check(game, planted)
+        if support_enumeration(game):
+            inv_checked += 1
+            inv_agree += holds
+        else:  # True then only says the normalized game has none either
+            inv_unchecked += 1
+            inv_trivial += holds
 
-    ok = lp_checked > 0 and lp_agree == lp_checked and invariance == 200
+    ok = (
+        lp_checked > 0
+        and lp_agree == lp_checked
+        and inv_checked > 0
+        and inv_agree == inv_checked
+        and inv_trivial == inv_unchecked
+    )
     _report(
         7,
         "solver cross-validation",
         ok,
         f"LP value equals every enumerated equilibrium payoff on {lp_agree}/{lp_checked} "
-        f"normalized games <= 5x5; equilibrium invariance {invariance}/200",
+        f"normalized games <= 5x5 ({lp_unchecked} unchecked: no equilibrium found); "
+        f"equilibrium invariance on {inv_agree}/{inv_checked} games "
+        f"({inv_unchecked} unchecked: no equilibrium found)",
     )
 
 

@@ -64,9 +64,8 @@ def test_normalize_writes_zero_sum(game_file, tmp_path, capsys):
     code = run_cli(["normalize", game_file(DISGUISED_VALUE), "--out", str(out_path)])
     assert code == 0
     z = load_game(str(out_path))
-    assert all(
-        z.u1[i][j] + z.u2[i][j] == 0 for i in range(z.rows) for j in range(z.cols)
-    )
+    u1, u2 = z.u1, z.u2
+    assert all(u1[i][j] + u2[i][j] == 0 for i in range(z.rows) for j in range(z.cols))
     capsys.readouterr()
 
 

@@ -157,10 +157,11 @@ def test_find_mixed_violation_prisoners():
 
 def test_to_zero_sum_disguised():
     z = to_zero_sum(DISGUISED, AffineTransform(F(2), F(3)))
-    assert z.u1 == ((F(-1), F(-5)), (F(-5), F(-1)))
+    u1, u2 = z.u1, z.u2
+    assert u1 == ((F(-1), F(-5)), (F(-5), F(-1)))
     for i in range(z.rows):
         for j in range(z.cols):
-            assert z.u1[i][j] + z.u2[i][j] == 0
+            assert u1[i][j] + u2[i][j] == 0
 
 
 def test_to_zero_sum_identity():
@@ -202,10 +203,11 @@ def test_round_trip_recovery(seed, alpha, beta):
 
 def all_anchor_pairs(game):
     cells = game.cells()
+    u1 = game.u1
     return [
         (c1, c2)
         for c1, c2 in combinations(cells, 2)
-        if game.u1[c1[0]][c1[1]] != game.u1[c2[0]][c2[1]]
+        if u1[c1[0]][c1[1]] != u1[c2[0]][c2[1]]
     ]
 
 

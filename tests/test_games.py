@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction as F
 
@@ -114,6 +115,9 @@ def test_strategy_invariants():
         MixedStrategy((F(1, 2), F(1, 4)))
     with pytest.raises(ValueError):
         MixedStrategy((F(3, 2), F(-1, 2)))
+    for weights in [(0, 0), (), (3, -1)]:
+        with pytest.raises(ValueError):
+            MixedStrategy.from_weights(weights)
 
 
 def test_verify_bilinearity_matching_pennies():
@@ -164,6 +168,32 @@ def test_simplex_closure_of_mix(n, seed):
     out = mix(p, q, w)
     assert sum(out.probs) == 1
     assert all(v >= 0 for v in out.probs)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(st.integers(0, 30), min_size=1, max_size=6).filter(any),
+    st.data(),
+    st.integers(1, 6),
+)
+def test_strategy_canonical_form(p_weights, data, scale):
+    """One simplex point built from Fractions, from unreduced integer
+    weights and through ``mix`` is one value with one hash."""
+    n = len(p_weights)
+    q_weights = data.draw(st.lists(st.integers(0, 30), min_size=n, max_size=n).filter(any))
+    w = data.draw(st.fractions(min_value=0, max_value=1, max_denominator=24))
+    p = MixedStrategy.from_weights(p_weights)
+    q = MixedStrategy.from_weights(q_weights)
+    point = [w * a + (1 - w) * b for a, b in zip(p.probs, q.probs)]
+    den = math.lcm(*(v.denominator for v in point)) * scale
+    built = [
+        MixedStrategy(point),
+        MixedStrategy.from_weights(int(v * den) for v in point),
+        mix(p, q, w),
+    ]
+    assert built[0] == built[1] == built[2]
+    assert hash(built[0]) == hash(built[1]) == hash(built[2])
+    assert built[0].probs == tuple(point)
 
 
 @settings(max_examples=50, deadline=None)

@@ -56,6 +56,16 @@ def test_round_trip_generated():
                            seed=rng.randint(0, 10**6))
             g = gen(spec)
             assert loads_game(dumps_game(g)) == g
+    # rational entries, each player with its own denominators
+    for _ in range(20):
+        rows, cols = rng.randint(1, 5), rng.randint(1, 5)
+        u1, u2 = (
+            [[F(rng.randint(-99, 99), rng.randint(1, d)) for _ in range(cols)] for _ in range(rows)]
+            for d in (rng.randint(1, 12), rng.randint(1, 12))
+        )
+        g = new_game(u1, u2)
+        assert (g.u1, g.u2) == (tuple(map(tuple, u1)), tuple(map(tuple, u2)))
+        assert loads_game(dumps_game(g)) == g
 
 
 @pytest.mark.parametrize(
