@@ -15,6 +15,8 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
+from itertools import chain
 
 from .errors import DimensionMismatch, EmptyGame, ShapeMismatch, WeightOutOfRange
 from .rational import DEFAULT_WEIGHT_BOUND, common_denominator
@@ -34,7 +36,8 @@ class BimatrixGame:
     When row action ``i`` meets column action ``j`` the row player's payoff
     is ``u1[i][j] == num1[i][j] / den1`` and the column player's
     ``u2[i][j] == num2[i][j] / den2``, each denominator positive and reduced
-    with its matrix on construction; ``u1`` and ``u2`` are built on access.
+    with its matrix on construction; ``u1`` and ``u2`` are built on first
+    access and kept.
     """
 
     num1: IntMatrix
@@ -44,16 +47,18 @@ class BimatrixGame:
 
     def __post_init__(self) -> None:
         for num, den in (("num1", "den1"), ("num2", "den2")):
-            rows, d = getattr(self, num), getattr(self, den)
-            g = math.gcd(d, *(v for row in rows for v in row))
-            object.__setattr__(self, num, tuple(tuple(v // g for v in r) for r in rows))
-            object.__setattr__(self, den, d // g)
+            rows, d = tuple(map(tuple, getattr(self, num))), getattr(self, den)
+            g = math.gcd(d, *chain.from_iterable(rows))
+            if g > 1:
+                rows, d = tuple(tuple(v // g for v in r) for r in rows), d // g
+            object.__setattr__(self, num, rows)
+            object.__setattr__(self, den, d)
 
-    @property
+    @cached_property
     def u1(self) -> Matrix:
         return tuple(tuple(Fraction(v, self.den1) for v in row) for row in self.num1)
 
-    @property
+    @cached_property
     def u2(self) -> Matrix:
         return tuple(tuple(Fraction(v, self.den2) for v in row) for row in self.num2)
 
@@ -99,7 +104,8 @@ class MixedStrategy:
     Action ``k`` has probability ``weights[k] / den``: nonnegative integer
     weights in lowest terms over their sum.  ``MixedStrategy(probs)`` takes
     probabilities summing to exactly 1, :meth:`from_weights` integer
-    weights; ``probs``, indexing and iteration are ``Fraction`` views.
+    weights; ``probs`` (built on first access and kept), indexing and
+    iteration are ``Fraction`` views.
     """
 
     weights: tuple[int, ...]
@@ -127,7 +133,7 @@ class MixedStrategy:
         object.__setattr__(self, "weights", weights)
         object.__setattr__(self, "den", sum(weights))
 
-    @property
+    @cached_property
     def probs(self) -> tuple[Fraction, ...]:
         return tuple(Fraction(w, self.den) for w in self.weights)
 

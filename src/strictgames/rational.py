@@ -5,8 +5,9 @@ a positive common denominator in lowest terms, and the solvers pivot on
 integers, so every equality check in the package is bit-exact;
 ``fractions.Fraction`` appears only in views, certificates, witnesses and
 JSON.  This module adds the conversion to a common denominator, the strict
-text format of the JSON interfaces ("n/d" with d > 0, or a plain integer)
-and the seeded samplers for bounded-denominator random weights.
+text format of the JSON interfaces ("n/d" with d > 0, or a plain integer),
+parsed straight to a pair of integers, and the seeded samplers for
+bounded-denominator random weights.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from .errors import FormatError
 Rational = Fraction
 
 # ASCII digits only: \d would also accept other scripts' decimal digits
-_RATIONAL_RE = re.compile(r"[+-]?[0-9]+(?:/([0-9]+))?")
+_RATIONAL_RE = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?")
 
 #: Default bound for integer weights when sampling random mixtures.
 DEFAULT_WEIGHT_BOUND = 64
@@ -35,28 +36,36 @@ def common_denominator(values) -> tuple[list[int], int]:
     return [v.numerator * (den // v.denominator) for v in fracs], den
 
 
-def parse_rational(value: int | str) -> Fraction:
-    """Parse a JSON payoff entry: an integer or a string ``"n/d"`` with d > 0.
+def parse_literal(value: int | str) -> tuple[int, int]:
+    """A JSON payoff entry as ``(numerator, denominator)``, not reduced.
 
-    Anything else (floats, exponents, negative or zero denominators,
-    non-ASCII digits, literals too long for Python's integer conversion) is
-    rejected with :class:`FormatError` so that file round-trips stay exact.
+    The entry is an integer or a string ``"n/d"`` with d > 0.  Anything else
+    (booleans, floats, exponents, negative or zero denominators, non-ASCII
+    digits, literals too long for Python's integer conversion) is rejected
+    with :class:`FormatError` so that file round-trips stay exact.
     """
     if isinstance(value, bool):
         raise FormatError(f"not a rational literal: {value!r}")
     if isinstance(value, int):
-        return Fraction(value)
+        return int(value), 1
     if isinstance(value, str):
         m = _RATIONAL_RE.fullmatch(value)
         if m is None:
             raise FormatError(f"not a rational literal: {value!r}")
-        if m.group(1) is not None and not m.group(1).strip("0"):
-            raise FormatError(f"zero denominator: {value!r}")
+        num, den = m.groups()
         try:
-            return Fraction(value)
+            pair = int(num), 1 if den is None else int(den)
         except ValueError as e:  # more digits than int() converts
             raise FormatError(f"rational literal too long: {e}") from e
+        if not pair[1]:
+            raise FormatError(f"zero denominator: {value!r}")
+        return pair
     raise FormatError(f"not a rational literal: {value!r}")
+
+
+def parse_rational(value: int | str) -> Fraction:
+    """Parse a JSON payoff entry as a ``Fraction``; see :func:`parse_literal`."""
+    return Fraction(*parse_literal(value))
 
 
 def format_rational(q: Fraction) -> str:

@@ -31,6 +31,10 @@ def test_new_game_matching_pennies():
     g = MATCHING_PENNIES
     assert (g.rows, g.cols) == (2, 2)
     assert g.u1[0][0] == 1 and g.u2[0][0] == -1
+    # each view is built once; equality and hashing still compare the integers
+    assert g.u1 is g.u1 and g.u2 is g.u2
+    fresh = new_game([[1, -1], [-1, 1]], [[-1, 1], [1, -1]])
+    assert fresh == g and hash(fresh) == hash(g)
 
 
 def test_new_game_single_cell():
@@ -194,6 +198,8 @@ def test_strategy_canonical_form(p_weights, data, scale):
     assert built[0] == built[1] == built[2]
     assert hash(built[0]) == hash(built[1]) == hash(built[2])
     assert built[0].probs == tuple(point)
+    assert built[0].probs is built[0].probs
+    assert built[0] == built[1] and hash(built[0]) == hash(built[1])
 
 
 @settings(max_examples=50, deadline=None)

@@ -1,3 +1,4 @@
+import json
 import random
 from fractions import Fraction as F
 
@@ -28,7 +29,7 @@ def test_parse_rational_forms():
     [
         "1.5", "1e3", "1/-2", "1/0", " 1/2", "", "a", 1.5, None, True,
         # Arabic-Indic digits are Unicode decimal digits but not ASCII
-        "\u0661", "1/\u0662", "\u0661/2", "1/2\n", "1/00",
+        "\u0661", "1/\u0662", "\u0661/2", "1/2\n", "1/00", "-", "1/", "1_000",
     ],
 )
 def test_parse_rational_rejects(bad):
@@ -108,6 +109,24 @@ def test_reject_overlong_literals(tmp_path, capsys):
         path.write_text(text, encoding="utf-8")
         assert run_cli(["check", str(path)]) == 2
         assert "error" in capsys.readouterr().err
+
+
+def test_reject_unbounded_common_denominator(tmp_path, capsys):
+    """Coprime denominators would multiply into a huge common denominator;
+    past 4300 digits, like one overlong literal, the file is refused."""
+    rng = random.Random(40)
+    u1 = [[f"1/{rng.randrange(10**29, 10**30) | 1}" for _ in range(40)] for _ in range(40)]
+    text = json.dumps({"rows": 40, "cols": 40, "u1": u1, "u2": [[0] * 40] * 40})
+    with pytest.raises(FormatError, match="common denominator"):
+        loads_game(text)
+    path = tmp_path / "coprime.json"
+    path.write_text(text, encoding="utf-8")
+    assert run_cli(["check", str(path)]) == 2
+    assert "error" in capsys.readouterr().err
+    # one literal may still use a denominator of the full 4300 digits
+    widest = f'"1/{"9" * 4300}"'
+    g = loads_game(f'{{"rows": 1, "cols": 1, "u1": [[{widest}]], "u2": [[0]]}}')
+    assert g.den1 == 10**4300 - 1
 
 
 def test_reject_non_object():
