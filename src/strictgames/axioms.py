@@ -12,28 +12,37 @@ by constructing explicit witnesses rather than by search.
 
 MS4 and MS5 have preconditions that random draws may miss; those samples
 are counted as vacuous, separately from failures.
+
+The audit runs on integers: a strategy is a list of integer weights over
+their sum, and a utility a pair ``(n, d)``, d > 0, worth ``n / (d * den)``
+for the lens's game denominator, compared by cross-multiplication.  Axiom
+``k`` draws from ``random.Random(seed * 8 + k)`` in a fixed order, through
+samplers that consume it exactly as ``randint`` and ``choice`` do; adding,
+dropping or reordering a draw changes reports.
 """
 
 from __future__ import annotations
 
 import enum
 import random
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
+from functools import cached_property
+from operator import mul
 
-from .games import (
-    BimatrixGame,
-    MixedProfile,
-    MixedStrategy,
-    expected_utility,
-    mix,
-    pure_strategy,
-    random_profile,
-    random_strategy,
-)
-from .rational import random_open_weight, random_weight
+from .games import BimatrixGame, IntMatrix, MixedProfile
+from .games import _check_profile, _mix_weights, _row_sums
+from .rational import _below, random_open_weight, random_simplex_point, random_weight
 
 AXIOM_NAMES = ("MS1", "MS2", "MS3", "MS4", "MS5")
+
+Weights = list[int]
+Profile = tuple[Weights, Weights]
+#: ``(n, d)``, d > 0: a utility ``n / (d * den)``, or a weight ``n / d``.
+Pair = tuple[int, int]
+#: ``(v, d)``: weights ``s`` of the varied coordinate are worth ``(v @ s, d * sum(s))``.
+Side = tuple[list[int], int]
+_VACUOUS = "vacuous"  # a sample whose precondition did not fire
 
 
 class Lens(enum.Enum):
@@ -45,15 +54,45 @@ class Lens(enum.Enum):
 
 @dataclass(frozen=True)
 class InducedPreference:
-    """Profile preference represented by a bilinear utility of the game."""
+    """Profile preference represented by a bilinear utility of the game:
+    ``x @ M @ y / (dx * dy * den)`` for weights ``x``, ``y`` with sums ``dx``,
+    ``dy``, the lens matrix ``M`` (``-num1`` or ``num2``) and its ``den``."""
 
     game: BimatrixGame
     lens: Lens
 
-    def utility(self, p: MixedProfile) -> Fraction:
+    @cached_property
+    def _lens(self) -> tuple[IntMatrix, IntMatrix, int]:
+        """``M``, its transpose, and ``den``."""
+        g = self.game
         if self.lens is Lens.NEG_U1:
-            return -expected_utility(self.game, 1, p)
-        return expected_utility(self.game, 2, p)
+            m, den = tuple(tuple(-v for v in row) for row in g.num1), g.den1
+        else:
+            m, den = g.num2, g.den2
+        return m, tuple(zip(*m)), den
+
+    def _strategy(self, rng: random.Random, i: int) -> Weights:
+        return random_simplex_point(rng, len(self._lens[i - 1]))
+
+    def _profile(self, rng: random.Random) -> Profile:
+        m, mt, _ = self._lens
+        return random_simplex_point(rng, len(m)), random_simplex_point(rng, len(mt))
+
+    def _side(self, prof: Profile, i: int) -> Side:
+        """What coordinate ``i`` of ``prof`` meets: the row sums ``M @ y``
+        (i == 1) or column sums ``x @ M`` (i == 2), over the other sum."""
+        other = prof[2 - i]
+        return _row_sums(self._lens[i - 1], other), sum(other)
+
+    def _value(self, prof: Profile) -> Pair:
+        return _at(self._side(prof, 1), prof[0])
+
+    def _show(self, u: Pair) -> Fraction:
+        return Fraction(u[0], u[1] * self._lens[2])
+
+    def utility(self, p: MixedProfile) -> Fraction:
+        _check_profile(self.game, p)
+        return self._show(self._value((p.x.weights, p.y.weights)))
 
     def precedes(self, sigma: MixedProfile, tau: MixedProfile) -> bool:
         """Whether sigma is weakly dispreferred to tau."""
@@ -68,15 +107,6 @@ class AxiomStats:
     failures: int
     first_counterexample: str | None = None
 
-    def to_json_dict(self) -> dict:
-        return {
-            "samples": self.samples,
-            "checked": self.checked,
-            "vacuous": self.vacuous,
-            "failures": self.failures,
-            "first_counterexample": self.first_counterexample,
-        }
-
 
 @dataclass(frozen=True)
 class AxiomReport:
@@ -90,47 +120,33 @@ class AxiomReport:
         return all(s.failures == 0 for s in self.axioms.values())
 
     def to_json_dict(self) -> dict:
-        return {
-            "lens": self.lens.value,
-            "samples": self.samples,
-            "seed": self.seed,
-            "overall_pass": self.overall_pass,
-            "axioms": {k: v.to_json_dict() for k, v in self.axioms.items()},
-        }
+        out = asdict(self)
+        return {**out, "lens": self.lens.value, "overall_pass": self.overall_pass}
 
 
-class _Tally:
-    def __init__(self) -> None:
-        self.checked = 0
-        self.vacuous = 0
-        self.failures = 0
-        self.first: str | None = None
-
-    def ok(self) -> None:
-        self.checked += 1
-
-    def skip(self) -> None:
-        self.vacuous += 1
-
-    def fail(self, description: str) -> None:
-        self.checked += 1
-        self.failures += 1
-        if self.first is None:
-            self.first = description
-
-    def stats(self, samples: int) -> AxiomStats:
-        return AxiomStats(samples, self.checked, self.vacuous, self.failures, self.first)
+def _at(side: Side, s: Weights) -> Pair:
+    """The utility of strategy weights ``s`` against ``side``."""
+    v, d = side
+    return sum(map(mul, v, s)), d * sum(s)
 
 
-def _with_coord(profile: MixedProfile, i: int, s: MixedStrategy) -> MixedProfile:
-    """The profile with coordinate ``i`` replaced by strategy ``s``."""
-    if i == 1:
-        return MixedProfile(s, profile.y)
-    return MixedProfile(profile.x, s)
+def _diff(a: Pair, b: Pair) -> int:
+    """An integer with the sign of ``a - b``."""
+    return a[0] * b[1] - b[0] * a[1]
 
 
-def _coord(profile: MixedProfile, i: int) -> MixedStrategy:
-    return profile.x if i == 1 else profile.y
+def _coordinate(rng: random.Random) -> int:
+    """Draws what ``rng.choice((1, 2))`` draws."""
+    return 1 + _below(rng, 2)
+
+
+def _ms4_weights(up: Pair, uq: Pair, urp: Pair) -> tuple[Pair, Pair]:
+    """:func:`ms4_witness` on pairs: with the values A < B < C over one
+    denominator, ``(2C - A - B) / 2(C - A)`` and ``(C - B) / 2(C - A)``."""
+    a = up[0] * uq[1] * urp[1]
+    b = uq[0] * up[1] * urp[1]
+    c = urp[0] * up[1] * uq[1]
+    return (2 * c - a - b, 2 * (c - a)), (c - b, 2 * (c - a))
 
 
 def ms4_witness(
@@ -144,156 +160,132 @@ def ms4_witness(
     """
     if not up < uq < urp:
         raise ValueError("requires up < uq < urp")
-    t1 = (up + uq) / 2
-    t2 = (uq + urp) / 2
-    alpha = (urp - t1) / (urp - up)
-    beta = (urp - t2) / (urp - up)
-    return alpha, beta
+    pairs = ((v.numerator, v.denominator) for v in (up, uq, urp))
+    return tuple(Fraction(*w) for w in _ms4_weights(*pairs))
 
 
-def _audit_ms1(pref: InducedPreference, rng: random.Random, samples: int) -> _Tally:
-    t = _Tally()
-    g = pref.game
-    for _ in range(samples):
-        tri = [random_profile(rng, g) for _ in range(3)]
-        a, b, c = (pref.utility(p) for p in tri)
-        if not (a <= b or b <= a):
-            t.fail(f"totality broken at {a} vs {b}")
-            continue
-        if a <= b <= c and not a <= c:
-            t.fail(f"transitivity broken at ({a}, {b}, {c})")
-            continue
-        t.ok()
-    return t
+def _ms1(pref: InducedPreference, rng: random.Random) -> str | None:
+    a, b, c = (pref._value(pref._profile(rng)) for _ in range(3))
+    show = pref._show
+    if not (_diff(a, b) <= 0 or _diff(b, a) <= 0):
+        return f"totality broken at {show(a)} vs {show(b)}"
+    if _diff(a, b) <= 0 and _diff(b, c) <= 0 and not _diff(a, c) <= 0:
+        return f"transitivity broken at ({show(a)}, {show(b)}, {show(c)})"
+    return None
 
 
-def _audit_ms2(pref: InducedPreference, rng: random.Random, samples: int) -> _Tally:
-    t = _Tally()
-    g = pref.game
-    for _ in range(samples):
-        p, q, r = (random_profile(rng, g) for _ in range(3))
-        i = rng.choice((1, 2))
-        a = random_weight(rng)
-        left = _with_coord(r, i, mix(_coord(p, i), _coord(q, i), a))
-        right = _with_coord(r, i, mix(_coord(q, i), _coord(p, i), 1 - a))
-        if pref.utility(left) == pref.utility(right):
-            t.ok()
-        else:
-            t.fail(f"commutativity broken at weight {a}, coordinate {i}")
-    return t
+def _ms2(pref: InducedPreference, rng: random.Random) -> str | None:
+    p, q, r = (pref._profile(rng) for _ in range(3))
+    i = _coordinate(rng)
+    a = random_weight(rng)
+    side, pi, qi = pref._side(r, i), p[i - 1], q[i - 1]
+    left = _at(side, _mix_weights(pi, qi, a))
+    right = _at(side, _mix_weights(qi, pi, (a[1] - a[0], a[1])))
+    if _diff(left, right) != 0:
+        return f"commutativity broken at weight {Fraction(*a)}, coordinate {i}"
+    return None
 
 
-def _audit_ms3(pref: InducedPreference, rng: random.Random, samples: int) -> _Tally:
-    t = _Tally()
-    g = pref.game
-    for _ in range(samples):
-        p, q, r = (random_profile(rng, g) for _ in range(3))
-        i = rng.choice((1, 2))
-        a = random_weight(rng)
-        b = random_weight(rng)
-        pi, qi = _coord(p, i), _coord(q, i)
-        left = _with_coord(r, i, mix(mix(pi, qi, a), qi, b))
-        right = _with_coord(r, i, mix(pi, qi, a * b))
-        if pref.utility(left) == pref.utility(right):
-            t.ok()
-        else:
-            t.fail(f"distributivity broken at weights ({a}, {b}), coordinate {i}")
-    return t
+def _ms3(pref: InducedPreference, rng: random.Random) -> str | None:
+    p, q, r = (pref._profile(rng) for _ in range(3))
+    i = _coordinate(rng)
+    a = random_weight(rng)
+    b = random_weight(rng)
+    side, pi, qi = pref._side(r, i), p[i - 1], q[i - 1]
+    left = _at(side, _mix_weights(_mix_weights(pi, qi, a), qi, b))
+    right = _at(side, _mix_weights(pi, qi, (a[0] * b[0], a[1] * b[1])))
+    if _diff(left, right) != 0:
+        return (
+            f"distributivity broken at weights ({Fraction(*a)}, "
+            f"{Fraction(*b)}), coordinate {i}"
+        )
+    return None
 
 
-def _audit_ms4(pref: InducedPreference, rng: random.Random, samples: int) -> _Tally:
-    t = _Tally()
-    g = pref.game
-    for _ in range(samples):
-        p = random_profile(rng, g)
-        q = random_profile(rng, g)
-        i = rng.choice((1, 2))
-        ri = random_strategy(rng, g.rows if i == 1 else g.cols)
-        up = pref.utility(p)
-        uq = pref.utility(q)
-        urp = pref.utility(_with_coord(p, i, ri))
-        if up < uq < urp:
-            base, top = _coord(p, i), ri
-        elif urp < uq < up:
-            # the premise fires with the roles of p_i and r_i exchanged
-            base, top = ri, _coord(p, i)
-            p = _with_coord(p, i, ri)
-            up, urp = urp, up
-        else:
-            t.skip()
-            continue
-        alpha, beta = ms4_witness(up, uq, urp)
-        low = pref.utility(_with_coord(p, i, mix(base, top, alpha)))
-        high = pref.utility(_with_coord(p, i, mix(base, top, beta)))
-        if 0 < alpha < 1 and 0 < beta < 1 and low < uq < high:
-            t.ok()
-        else:
-            t.fail(f"solvability witness failed at ({up}, {uq}, {urp})")
-    return t
-
-
-def _indifferent_strategy(
-    pref: InducedPreference, q: MixedProfile, j: int, target: Fraction
-) -> MixedStrategy | None:
-    """A strategy s with utility(s, q_{-j}) == target, or None if unreachable.
-
-    The utility is linear in the j-coordinate, so its range over the simplex
-    is the interval spanned by the pure strategies; any achievable target is
-    hit exactly by a two-point mixture.
-    """
-    n = pref.game.rows if j == 1 else pref.game.cols
-    values = [
-        pref.utility(_with_coord(q, j, pure_strategy(k, n))) for k in range(n)
-    ]
-    lo, hi = min(values), max(values)
-    if not lo <= target <= hi:
+def _ms4(pref: InducedPreference, rng: random.Random) -> str | None:
+    p = pref._profile(rng)
+    q = pref._profile(rng)
+    i = _coordinate(rng)
+    top = pref._strategy(rng, i)
+    side, base = pref._side(p, i), p[i - 1]
+    up, uq, urp = _at(side, base), pref._value(q), _at(side, top)
+    if _diff(urp, uq) < 0 < _diff(up, uq):
+        # the premise fires with the roles of p_i and r_i exchanged
+        base, top, up, urp = top, base, urp, up
+    elif not _diff(up, uq) < 0 < _diff(urp, uq):
+        return _VACUOUS
+    alpha, beta = _ms4_weights(up, uq, urp)
+    low = _at(side, _mix_weights(base, top, alpha))
+    high = _at(side, _mix_weights(base, top, beta))
+    if (
+        0 < alpha[0] < alpha[1]
+        and 0 < beta[0] < beta[1]
+        and _diff(low, uq) < 0 < _diff(high, uq)
+    ):
         return None
+    show = pref._show
+    return f"solvability witness failed at ({show(up)}, {show(uq)}, {show(urp)})"
+
+
+def _indifferent_strategy(side: Side, target: Pair) -> Weights | None:
+    """Weights worth ``target`` against ``side``, or None if unreachable:
+    the utility is linear, so its range is spanned by the pure strategies
+    (``k`` is worth ``v[k] / d``) and a two-point mixture hits any target."""
+    v, d = side
+    num, den = target
+    lo, hi = min(v), max(v)
+    if not lo * den <= num * d <= hi * den:
+        return None
+    s = [0] * len(v)
     if lo == hi:
-        return pure_strategy(0, n)
-    k_lo = values.index(lo)
-    k_hi = values.index(hi)
-    w = (hi - target) / (hi - lo)
-    return mix(pure_strategy(k_lo, n), pure_strategy(k_hi, n), w)
+        s[0] = 1
+    else:
+        # weight (hi - target) / (hi - lo) on the lowest pure strategy
+        s[v.index(lo)] = hi * den - num * d
+        s[v.index(hi)] = num * d - lo * den
+    return s
 
 
-def _audit_ms5(pref: InducedPreference, rng: random.Random, samples: int) -> _Tally:
-    t = _Tally()
-    g = pref.game
+def _ms5(pref: InducedPreference, rng: random.Random) -> str | None:
+    p = pref._profile(rng)
+    q = pref._profile(rng)
+    order = _diff(pref._value(p), pref._value(q))
+    if order == 0:
+        return _VACUOUS
+    if order > 0:
+        p, q = q, p
+    i = _coordinate(rng)
+    j = _coordinate(rng)
+    ri = pref._strategy(rng, i)
+    pside, qside = pref._side(p, i), pref._side(q, j)
+    sj = _indifferent_strategy(qside, _at(pside, ri))
+    if sj is None:
+        return _VACUOUS
+    a = random_open_weight(rng)
+    left = _at(pside, _mix_weights(p[i - 1], ri, a))
+    right = _at(qside, _mix_weights(q[j - 1], sj, a))
+    if _diff(left, right) >= 0:
+        return f"independence broken at weight {Fraction(*a)}, coordinates ({i}, {j})"
+    return None
+
+
+def _audit(
+    sample, pref: InducedPreference, rng: random.Random, samples: int
+) -> AxiomStats:
+    """Tally ``samples`` runs of ``sample``: None when the axiom held,
+    ``_VACUOUS`` when its premise did not fire, else the counterexample."""
+    checked = vacuous = failures = 0
+    first = None
     for _ in range(samples):
-        p = random_profile(rng, g)
-        q = random_profile(rng, g)
-        if pref.utility(p) == pref.utility(q):
-            t.skip()
+        outcome = sample(pref, rng)
+        if outcome is _VACUOUS:
+            vacuous += 1
             continue
-        if pref.utility(p) > pref.utility(q):
-            p, q = q, p
-        i = rng.choice((1, 2))
-        j = rng.choice((1, 2))
-        ri = random_strategy(rng, g.rows if i == 1 else g.cols)
-        target = pref.utility(_with_coord(p, i, ri))
-        sj = _indifferent_strategy(pref, q, j, target)
-        if sj is None:
-            t.skip()
-            continue
-        a = random_open_weight(rng)
-        left = _with_coord(p, i, mix(_coord(p, i), ri, a))
-        right = _with_coord(q, j, mix(_coord(q, j), sj, a))
-        if pref.utility(left) < pref.utility(right):
-            t.ok()
-        else:
-            t.fail(
-                f"independence broken at weight {a}, coordinates ({i}, {j})"
-            )
-    return t
-
-
-_AUDITORS = {
-    "MS1": _audit_ms1,
-    "MS2": _audit_ms2,
-    "MS3": _audit_ms3,
-    "MS4": _audit_ms4,
-    "MS5": _audit_ms5,
-}
+        checked += 1
+        if outcome is not None:
+            failures += 1
+            first = first or outcome
+    return AxiomStats(samples, checked, vacuous, failures, first)
 
 
 def audit_mixture_axioms(
@@ -303,8 +295,9 @@ def audit_mixture_axioms(
     if samples < 1:
         raise ValueError("samples must be >= 1")
     pref = InducedPreference(game, lens)
-    stats: dict[str, AxiomStats] = {}
-    for k, name in enumerate(AXIOM_NAMES):
-        rng = random.Random(seed * 8 + k)
-        stats[name] = _AUDITORS[name](pref, rng, samples).stats(samples)
+    auditors = (_ms1, _ms2, _ms3, _ms4, _ms5)
+    stats = {
+        name: _audit(sample, pref, random.Random(seed * 8 + k), samples)
+        for k, (name, sample) in enumerate(zip(AXIOM_NAMES, auditors))
+    }
     return AxiomReport(lens=lens, samples=samples, seed=seed, axioms=stats)

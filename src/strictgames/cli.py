@@ -12,6 +12,7 @@ verdict, 2 malformed input or bad arguments.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -30,6 +31,13 @@ def _emit(payload: dict) -> None:
     print(json.dumps(payload, sort_keys=True))
 
 
+def _write_game(out: str | None, game) -> None:
+    if out:
+        save_game(out, game)
+    else:
+        sys.stdout.write(dumps_game(game))
+
+
 def _cmd_check(args) -> int:
     result = detect_affine(load_game(args.file))
     _emit(result.to_json_dict())
@@ -42,11 +50,7 @@ def _cmd_normalize(args) -> int:
     if not result.is_adversarial:
         print("game is not adversarial; cannot normalize", file=sys.stderr)
         return 1
-    zero = to_zero_sum(game, result.transform)
-    if args.out:
-        save_game(args.out, zero)
-    else:
-        sys.stdout.write(dumps_game(zero))
+    _write_game(args.out, to_zero_sum(game, result.transform))
     return 0
 
 
@@ -59,16 +63,15 @@ def _cmd_solve(args) -> int:
         return 1
     t = result.transform
     solution = minimax_solve(to_zero_sum(game, t))
-    payload = {
-        "status": result.status,
-        "alpha": format_rational(t.alpha),
-        "beta": format_rational(t.beta),
-        "value": format_rational(solution.value),
-        "u1_value": format_rational((solution.value + t.beta) / t.alpha),
-        "row_strategy": [format_rational(p) for p in solution.row_strategy],
-        "col_strategy": [format_rational(p) for p in solution.col_strategy],
-    }
-    _emit(payload)
+    _emit(
+        {
+            "status": result.status,
+            "alpha": format_rational(t.alpha),
+            "beta": format_rational(t.beta),
+            "u1_value": format_rational((solution.value + t.beta) / t.alpha),
+            **solution.to_json_dict(),
+        }
+    )
     return 0
 
 
@@ -98,11 +101,7 @@ def _cmd_gen(args) -> int:
         seed=args.seed,
         value_bound=args.value_bound,
     )
-    game = gen(spec)
-    if args.out:
-        save_game(args.out, game)
-    else:
-        sys.stdout.write(dumps_game(game))
+    _write_game(args.out, gen(spec))
     return 0
 
 
@@ -181,10 +180,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_parser = functools.cache(build_parser)
+
+
 def run_cli(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as e:
         return e.code if isinstance(e.code, int) else 2
     try:

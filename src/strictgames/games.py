@@ -17,9 +17,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import chain
+from operator import mul
 
 from .errors import DimensionMismatch, EmptyGame, ShapeMismatch, WeightOutOfRange
-from .rational import DEFAULT_WEIGHT_BOUND, common_denominator
+from .rational import common_denominator
 from .rational import random_simplex_point, random_weight
 
 Matrix = tuple[tuple[Fraction, ...], ...]
@@ -176,19 +177,13 @@ def uniform_profile(game: BimatrixGame) -> MixedProfile:
     return MixedProfile(uniform_strategy(game.rows), uniform_strategy(game.cols))
 
 
-def random_strategy(
-    rng: random.Random, n: int, max_weight: int = DEFAULT_WEIGHT_BOUND
-) -> MixedStrategy:
-    return MixedStrategy.from_weights(random_simplex_point(rng, n, max_weight))
+def random_strategy(rng: random.Random, n: int) -> MixedStrategy:
+    return MixedStrategy.from_weights(random_simplex_point(rng, n))
 
 
-def random_profile(
-    rng: random.Random, game: BimatrixGame, max_weight: int = DEFAULT_WEIGHT_BOUND
-) -> MixedProfile:
-    return MixedProfile(
-        random_strategy(rng, game.rows, max_weight),
-        random_strategy(rng, game.cols, max_weight),
-    )
+def random_profile(rng: random.Random, game: BimatrixGame) -> MixedProfile:
+    x = random_strategy(rng, game.rows)
+    return MixedProfile(x, random_strategy(rng, game.cols))
 
 
 def _check_profile(game: BimatrixGame, p: MixedProfile) -> None:
@@ -196,6 +191,19 @@ def _check_profile(game: BimatrixGame, p: MixedProfile) -> None:
         raise DimensionMismatch(
             f"profile is {len(p.x)}x{len(p.y)}, game is {game.rows}x{game.cols}"
         )
+
+
+def _row_sums(matrix: IntMatrix, w) -> list[int]:
+    """``matrix @ w`` in integers, one dot product per row."""
+    return [sum(map(mul, row, w)) for row in matrix]
+
+
+def _mix_weights(p, q, w: tuple[int, int]) -> list[int]:
+    """Weights of ``w*p + (1-w)*q`` for integer weights ``p``, ``q`` (each
+    standing for itself over its sum) and ``w == P/Q``: ``P*dq*p +
+    (Q-P)*dp*q``, which sum to ``Q*dp*dq``; nothing is reduced."""
+    wp, wq = w[0] * sum(q), (w[1] - w[0]) * sum(p)
+    return [wp * a + wq * b for a, b in zip(p, q)]
 
 
 def expected_utility(game: BimatrixGame, player: int, p: MixedProfile) -> Fraction:
@@ -208,16 +216,7 @@ def expected_utility(game: BimatrixGame, player: int, p: MixedProfile) -> Fracti
         raise ValueError("player must be 1 or 2")
     _check_profile(game, p)
     matrix, den_u = (game.num1, game.den1) if player == 1 else (game.num2, game.den2)
-    wx, wy = p.x.weights, p.y.weights
-    total = 0
-    for i, wi in enumerate(wx):
-        if wi:
-            row = matrix[i]
-            row_sum = 0
-            for j, vj in enumerate(wy):
-                if vj:
-                    row_sum += vj * row[j]
-            total += wi * row_sum
+    total = sum(map(mul, p.x.weights, _row_sums(matrix, p.y.weights)))
     return Fraction(total, p.x.den * p.y.den * den_u)
 
 
@@ -231,10 +230,8 @@ def mix(p: MixedStrategy, q: MixedStrategy, w: Fraction) -> MixedStrategy:
         raise WeightOutOfRange(f"weight {w} outside [0, 1]")
     if len(p) != len(q):
         raise DimensionMismatch(f"strategy lengths {len(p)} and {len(q)} differ")
-    # w*a/dp + (1-w)*b/dq over the common denominator Q*dp*dq, w == P/Q
-    wp, wq = w.numerator * q.den, (w.denominator - w.numerator) * p.den
     return MixedStrategy.from_weights(
-        wp * a + wq * b for a, b in zip(p.weights, q.weights)
+        _mix_weights(p.weights, q.weights, w.as_integer_ratio())
     )
 
 
@@ -251,8 +248,8 @@ def verify_bilinearity(game: BimatrixGame, samples: int, seed: int) -> bool:
     for _ in range(samples):
         sigma = random_profile(rng, game)
         tau = random_profile(rng, game)
-        a = random_weight(rng)
-        b = random_weight(rng)
+        a = Fraction(*random_weight(rng))
+        b = Fraction(*random_weight(rng))
         mx = mix(sigma.x, tau.x, a)
         my = mix(sigma.y, tau.y, b)
         for player in (1, 2):

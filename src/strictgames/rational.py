@@ -7,7 +7,8 @@ integers, so every equality check in the package is bit-exact;
 JSON.  This module adds the conversion to a common denominator, the strict
 text format of the JSON interfaces ("n/d" with d > 0, or a plain integer),
 parsed straight to a pair of integers, and the seeded samplers for
-bounded-denominator random weights.
+bounded-denominator random weights, which return integers and consume a
+CPython ``random.Random`` exactly as ``randint``/``choice`` would.
 """
 
 from __future__ import annotations
@@ -24,8 +25,8 @@ Rational = Fraction
 # ASCII digits only: \d would also accept other scripts' decimal digits
 _RATIONAL_RE = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?")
 
-#: Default bound for integer weights when sampling random mixtures.
-DEFAULT_WEIGHT_BOUND = 64
+#: Largest integer weight, and largest denominator, of a random mixture.
+WEIGHT_BOUND = 64
 
 
 def common_denominator(values) -> tuple[list[int], int]:
@@ -73,25 +74,37 @@ def format_rational(q: Fraction) -> str:
     return f"{q.numerator}/{q.denominator}"
 
 
-def random_weight(rng: random.Random, max_den: int = DEFAULT_WEIGHT_BOUND) -> Fraction:
-    """A random dyadic rational in [0, 1] with denominator at most ``max_den``."""
-    den = 1 << rng.randint(0, max_den.bit_length() - 1)
-    return Fraction(rng.randint(0, den), den)
+def _below(rng: random.Random, n: int) -> int:
+    """``rng.randint(0, n - 1)`` as CPython 3.10 to 3.13 draw it (and ``choice``
+    of n items): ``getrandbits(n.bit_length())`` until below n, ``_randbelow``."""
+    if n < 1:
+        raise ValueError("empty range for a random draw")
+    while (r := rng.getrandbits(n.bit_length())) >= n:
+        pass
+    return r
 
 
-def random_open_weight(
-    rng: random.Random, max_den: int = DEFAULT_WEIGHT_BOUND
-) -> Fraction:
-    """A random dyadic rational strictly inside (0, 1)."""
-    den = 1 << rng.randint(1, max_den.bit_length() - 1)
-    return Fraction(rng.randint(1, den - 1), den)
+def random_weight(rng: random.Random) -> tuple[int, int]:
+    """A dyadic ``(num, den)`` in [0, 1] with den at most ``WEIGHT_BOUND``."""
+    den = 1 << _below(rng, WEIGHT_BOUND.bit_length())
+    return _below(rng, den + 1), den
 
 
-def random_simplex_point(
-    rng: random.Random, n: int, max_weight: int = DEFAULT_WEIGHT_BOUND
-) -> list[int]:
-    """Integer weights in [0, max_weight], redrawn until not all zero."""
+def random_open_weight(rng: random.Random) -> tuple[int, int]:
+    """A dyadic ``(num, den)`` strictly inside (0, 1)."""
+    den = 2 << _below(rng, WEIGHT_BOUND.bit_length() - 1)
+    return 1 + _below(rng, den - 1), den
+
+
+def random_simplex_point(rng: random.Random, n: int) -> list[int]:
+    """Integer weights in [0, WEIGHT_BOUND], redrawn until not all zero; each
+    is ``_below(rng, WEIGHT_BOUND + 1)``, inlined in this hot loop."""
+    k, bits = (WEIGHT_BOUND + 1).bit_length(), rng.getrandbits
     while True:
-        weights = [rng.randint(0, max_weight) for _ in range(n)]
+        weights = []
+        for _ in range(n):
+            while (r := bits(k)) > WEIGHT_BOUND:
+                pass
+            weights.append(r)
         if any(weights):
             return weights

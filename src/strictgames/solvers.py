@@ -28,7 +28,7 @@ from itertools import combinations
 
 from .detection import AffineTransform, to_zero_sum
 from .errors import NotZeroSum, TooLarge
-from .games import BimatrixGame, MixedStrategy
+from .games import BimatrixGame, MixedStrategy, _row_sums
 from .rational import format_rational
 
 DEFAULT_MAX_DIM = 5
@@ -287,14 +287,10 @@ def minimax_solve(game: BimatrixGame) -> MinimaxSolution:
     # sum_i x_i u1_ij >= value, cross-multiplied by the positive
     # denominators of x, u1 and value; likewise for y
     num, vden = value.numerator, value.denominator
-    bound = num * x.den * den
-    for j in range(n):
-        if sum(wi * v[i][j] for i, wi in enumerate(x.weights) if wi) * vden < bound:
-            raise AssertionError("row guarantee certificate failed")
-    bound = num * y.den * den
-    for row in v:
-        if sum(vij * wj for vij, wj in zip(row, y.weights) if wj) * vden > bound:
-            raise AssertionError("column guarantee certificate failed")
+    if any(s * vden < num * x.den * den for s in _row_sums(zip(*v), x.weights)):
+        raise AssertionError("row guarantee certificate failed")
+    if any(s * vden > num * y.den * den for s in _row_sums(v, y.weights)):
+        raise AssertionError("column guarantee certificate failed")
     return MinimaxSolution(value=value, row_strategy=x, col_strategy=y)
 
 

@@ -159,3 +159,22 @@ def test_bench_csv(tmp_path, capsys):
     assert all(r["detect_ns"].isdigit() for r in rows)
     # uniform games are not adversarial, so the LP column stays empty
     assert all(r["lp_ns"] == "" for r in rows if r["family"] == "uniform")
+
+
+def test_parser_reused_after_bad_arguments(game_file, capsys):
+    # the parser is built once per process, so a call that argparse rejects
+    # must leave nothing behind for the next call
+    path = game_file(DISGUISED_VALUE)
+    assert run_cli(["solve"]) == 2
+    assert "usage" in capsys.readouterr().err
+    assert run_cli(["solve", path]) == 0
+    assert json.loads(capsys.readouterr().out)["u1_value"] == "3/2"
+    assert run_cli(["audit-axioms", path, "--samples", "zero"]) == 2
+    capsys.readouterr()
+    assert run_cli(["audit-axioms", path, "--samples", "5"]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out["samples"] == 5 and out["seed"] == 0 and out["lens"] == "neg_u1"
+    assert run_cli(["gen", "--family", "uniform"]) == 2
+    capsys.readouterr()
+    assert run_cli(["check", path]) == 0
+    assert json.loads(capsys.readouterr().out)["alpha"] == "2/1"

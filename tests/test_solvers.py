@@ -189,6 +189,28 @@ def test_minimax_property_distinct_entries(v1, alpha, beta):
     assert_guarantees(v1, scaled.row_strategy, scaled.col_strategy, base.value)
 
 
+@st.composite
+def rational_matrices(draw):
+    m, n = draw(st.integers(1, 5)), draw(st.integers(1, 5))
+    entry = st.fractions(min_value=-20, max_value=20, max_denominator=12)
+    return [[draw(entry) for _ in range(n)] for _ in range(m)]
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    rational_matrices(),
+    st.fractions(min_value=F(1, 64), max_value=64),
+    st.fractions(min_value=-20, max_value=20),
+)
+def test_minimax_value_affine_equivariant(v1, a, b):
+    # the value of the zero-sum game with row matrix a*M + b, a > 0, is
+    # a*value(M) + b, exactly, ties and rational entries included
+    base = minimax_solve(zero_sum(v1))
+    moved = minimax_solve(zero_sum([[a * v + b for v in row] for row in v1]))
+    assert moved.value == a * base.value + b
+    assert_guarantees(v1, moved.row_strategy, moved.col_strategy, base.value)
+
+
 def test_support_enumeration_matching_pennies():
     eqs = support_enumeration(MATCHING_PENNIES)
     assert len(eqs) == 1
