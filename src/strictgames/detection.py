@@ -15,6 +15,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain, count
 
 from .errors import AlphaNonpositiveError
 from .games import (
@@ -158,17 +159,23 @@ def pure_ordinal_competitive(game: BimatrixGame) -> bool | OrdinalViolation:
 
 
 def _fit_affine(
-    labels: list, a: list, da: int, b: list, db: int, anchors: tuple | None = None
+    a: list, da: int, b: list, db: int, cols: int | None = None, anchors=None
 ) -> DetectionResult:
     """Fit ``b == -alpha*a + beta`` with alpha > 0 through every point.
 
-    Point ``k`` is ``(a[k]/da, b[k]/db)``, ``da, db > 0``, named ``labels[k]``
-    in witnesses.  When ``a`` is constant the fit exists exactly when ``b``
-    is constant too, and the canonical (alpha=1, beta=b0+a0) is reported.
-    Otherwise the candidate is the line through the two ``anchors`` (by
-    default the first point and the first with a different ``a``), rejected
-    if alpha <= 0, and checked at every point by integer cross-multiplication.
+    Point ``k`` is ``(a[k]/da, b[k]/db)``, ``da, db > 0``.  Only a witness
+    names a point: ``divmod(k, cols)``, its cell in a row-major matrix, or
+    ``k`` when ``cols`` is None.  When ``a`` is constant the fit exists
+    exactly when ``b`` is constant too, and the canonical (alpha=1,
+    beta=b0+a0) is reported.  Otherwise the candidate is the line through
+    the points at indices ``anchors`` (by default the first point and the
+    first with a different ``a``), rejected if alpha <= 0, and checked at
+    every point by integer cross-multiplication.
     """
+
+    def label(k: int):
+        return k if cols is None else divmod(k, cols)
+
     distinct = next((k for k, v in enumerate(a) if v != a[0]), None)
     if distinct is None:
         off = next((k for k, v in enumerate(b) if v != b[0]), None)
@@ -179,28 +186,23 @@ def _fit_affine(
         # a ties every pair, so any two points with different b break the
         # biconditional; orient sigma toward the larger b.
         sigma, tau = (0, off) if b[0] > b[off] else (off, 0)
-        return DetectionResult.not_adversarial(
-            OrdinalViolation(labels[sigma], labels[tau])
-        )
+        return DetectionResult.not_adversarial(OrdinalViolation(label(sigma), label(tau)))
 
-    if anchors is None:
-        p, q = 0, distinct
-    else:
-        p, q = labels.index(anchors[0]), labels.index(anchors[1])
-        if a[p] == a[q]:
-            raise ValueError("anchor cells must have distinct u1 values")
+    p, q = (0, distinct) if anchors is None else anchors
+    if a[p] == a[q]:
+        raise ValueError("anchor cells must have distinct u1 values")
     a_p, b_p = a[p], b[p]
     run, rise = a[q] - a_p, b[q] - b_p
     alpha = Fraction(-rise * da, run * db)
     beta = Fraction(b_p, db) + alpha * Fraction(a_p, da)
     if alpha <= 0:
         return DetectionResult.not_adversarial(
-            AlphaNonpositive((labels[p], labels[q]), alpha, beta)
+            AlphaNonpositive((label(p), label(q)), alpha, beta)
         )
-    for label, x, y in zip(labels, a, b):
+    for k, x, y in zip(count(), a, b):
         if (y - b_p) * run != rise * (x - a_p):
             return DetectionResult.not_adversarial(
-                AffineMismatch(label, -alpha * Fraction(x, da) + beta, Fraction(y, db))
+                AffineMismatch(label(k), -alpha * Fraction(x, da) + beta, Fraction(y, db))
             )
     return DetectionResult.adversarial(AffineTransform(alpha, beta))
 
@@ -217,11 +219,17 @@ def detect_affine(
     when given, mainly to exercise anchor independence), rejected if
     alpha <= 0, and verified on every cell.  An entrywise affine relation
     extends to all mixed profiles by linearity of expectation, so this
-    decides the mixed extension, not just the pure game.
+    decides the mixed extension, not just the pure game.  The scan runs on
+    the flat numerators and labels only a witness's cells; anchors outside
+    the game raise ``ValueError``.
     """
-    a = [v for row in game.num1 for v in row]
-    b = [v for row in game.num2 for v in row]
-    return _fit_affine(game.cells(), a, game.den1, b, game.den2, anchors)
+    rows, cols = game.rows, game.cols
+    if anchors is not None:
+        if not all(0 <= i < rows and 0 <= j < cols for i, j in anchors):
+            raise ValueError(f"anchor cells {anchors} must lie in the game")
+        anchors = tuple(i * cols + j for i, j in anchors)
+    a, b = list(chain.from_iterable(game.num1)), list(chain.from_iterable(game.num2))
+    return _fit_affine(a, game.den1, b, game.den2, cols, anchors)
 
 
 def is_adversarial(game: BimatrixGame) -> bool:
@@ -245,7 +253,7 @@ def three_profile_compatibility(
     profiles = (p1, p2, p3)
     a, da = common_denominator(expected_utility(game, 1, p) for p in profiles)
     b, db = common_denominator(expected_utility(game, 2, p) for p in profiles)
-    result = _fit_affine([0, 1, 2], a, da, b, db)
+    result = _fit_affine(a, da, b, db)
     return result.transform if result.is_adversarial else None
 
 

@@ -49,8 +49,7 @@ class BimatrixGame:
     def __post_init__(self) -> None:
         for num, den in (("num1", "den1"), ("num2", "den2")):
             rows, d = tuple(map(tuple, getattr(self, num))), getattr(self, den)
-            g = math.gcd(d, *chain.from_iterable(rows))
-            if g > 1:
+            if d > 1 and (g := math.gcd(d, *chain.from_iterable(rows))) > 1:
                 rows, d = tuple(tuple(v // g for v in r) for r in rows), d // g
             object.__setattr__(self, num, rows)
             object.__setattr__(self, den, d)

@@ -6,13 +6,16 @@ row-major ``u1`` and ``u2`` arrays whose entries are JSON integers or
 shapes, float entries, or malformed rationals raise :class:`FormatError`,
 and parse(serialize(g)) reproduces ``g`` bit-exactly.
 
-Entries are read straight into the integer core: a row of JSON integers is
-taken as it is, any other row is parsed entry by entry into integer pairs,
-and each matrix is scaled once to the least common denominator of its
-entries.  That denominator is bounded like a single literal: a file whose
-denominators multiply past 4,300 decimal digits is rejected.  Writing
-reduces each stored numerator against its matrix's denominator.  No
-``Fraction`` is built per entry in either direction.
+Entries are read straight into the integer core.  Each distinct string
+entry of a file is parsed once, on first sight, by a memo that lives for
+one load and is keyed by the string alone: ``1``, ``true`` and ``1.0`` hash
+alike, so a key by value would let a boolean or a float through.  Each
+matrix is scaled once to the least common denominator of its entries, one
+factor per distinct denominator, and that denominator is bounded like a
+single literal: a file whose denominators multiply past 4,300 decimal
+digits is rejected.  Writing formats each distinct stored numerator once,
+reduced against its matrix's denominator, in the layout of
+``json.dumps(..., indent=2)``.  No ``Fraction`` is built per entry.
 """
 
 from __future__ import annotations
@@ -29,59 +32,59 @@ from .rational import parse_literal
 _MAX_DENOMINATOR = 10**4300
 
 
-def _entries(num: IntMatrix, den: int) -> list[list[int | str]]:
-    if den == 1:
-        return [list(row) for row in num]
-    out = []
-    for row in num:
-        entries = []
-        for v in row:
-            g = math.gcd(v, den)
-            entries.append(v // g if g == den else f"{v // g}/{den // g}")
-        out.append(entries)
-    return out
+class _Memo(dict):
+    """``fn`` of each key, computed on the key's first lookup and kept."""
+
+    def __init__(self, fn) -> None:
+        self.fn = fn
+
+    def __missing__(self, key):
+        value = self[key] = self.fn(key)
+        return value
+
+
+def _entry(v: int, den: int) -> int | str:
+    g = math.gcd(v, den)
+    return v // g if g == den else f"{v // g}/{den // g}"
 
 
 def game_to_json_dict(game: BimatrixGame) -> dict:
     return {
         "rows": game.rows,
         "cols": game.cols,
-        "u1": _entries(game.num1, game.den1),
-        "u2": _entries(game.num2, game.den2),
+        "u1": [[_entry(v, game.den1) for v in row] for row in game.num1],
+        "u2": [[_entry(v, game.den2) for v in row] for row in game.num2],
     }
 
 
 def _matrix(
-    name: str, raw: object, rows: int, cols: int
+    name: str, raw: object, rows: int, cols: int, literals: _Memo
 ) -> tuple[list[list[int]], int]:
     """One payoff matrix as integer rows over their least common denominator."""
     if not isinstance(raw, list) or len(raw) != rows:
         raise FormatError(f"{name} must have exactly {rows} rows")
-    parsed = []
-    dens = set()
+    entries = set()
     for row in raw:
         if not isinstance(row, list) or len(row) != cols:
             raise FormatError(f"every row of {name} must have {cols} entries")
-        # bool is a subclass of int, so test the exact type
-        if all(type(v) is int for v in row):
-            parsed.append((row, None))
-        else:
-            nums, row_dens = zip(*map(parse_literal, row))
-            dens.update(row_dens)
-            parsed.append((nums, row_dens))
-    den = 1
+        # bool is a subclass of int, so test the exact types
+        kinds = set(map(type, row))
+        if not kinds <= {int, str}:
+            bad = next(v for v in row if type(v) is not int and type(v) is not str)
+            raise FormatError(f"not a rational literal: {bad!r}")
+        if str in kinds:
+            entries.update(row)
+    pairs = {v: literals[v] for v in entries if type(v) is str}
+    if not pairs:  # every entry is a JSON integer
+        return raw, 1
+    dens, den = {d for _, d in pairs.values()}, 1
     for d in dens:
         den = math.lcm(den, d)
         if den >= _MAX_DENOMINATOR:
             raise FormatError(f"common denominator of {name} exceeds 4300 digits")
-    out = []
-    for row, row_dens in parsed:
-        if row_dens is not None:
-            row = [v * (den // d) for v, d in zip(row, row_dens)]
-        elif den > 1:
-            row = [v * den for v in row]
-        out.append(row)
-    return out, den
+    factor = {d: den // d for d in dens}
+    scaled = {v: n * factor[d] for v, (n, d) in pairs.items()}
+    return [[scaled[v] if type(v) is str else v * den for v in row] for row in raw], den
 
 
 def game_from_json_dict(data: object) -> BimatrixGame:
@@ -94,19 +97,37 @@ def game_from_json_dict(data: object) -> BimatrixGame:
     # bool is a subclass of int, so true would otherwise read as 1
     if type(rows) is not int or type(cols) is not int or rows < 1 or cols < 1:
         raise FormatError("rows and cols must be positive integers")
+    literals = _Memo(parse_literal)  # string keys only
     return BimatrixGame(
-        *_matrix("u1", data["u1"], rows, cols), *_matrix("u2", data["u2"], rows, cols)
+        *_matrix("u1", data["u1"], rows, cols, literals),
+        *_matrix("u2", data["u2"], rows, cols, literals),
     )
 
 
+def _matrix_text(num: IntMatrix, den: int) -> str:
+    """A matrix as ``json.dumps(..., indent=2)`` lays it out one level deep."""
+
+    def literal(v: int) -> str:
+        e = _entry(v, den)
+        return f'"{e}"' if type(e) is str else str(e)  # "n/d" needs no escape
+
+    text = _Memo(literal)
+    rows = (",\n      ".join(map(text.__getitem__, row)) for row in num)
+    return "[\n    [\n      " + "\n    ],\n    [\n      ".join(rows) + "\n    ]\n  ]"
+
+
 def dumps_game(game: BimatrixGame) -> str:
-    return json.dumps(game_to_json_dict(game), indent=2) + "\n"
+    return (
+        f'{{\n  "rows": {game.rows},\n  "cols": {game.cols},\n'
+        f'  "u1": {_matrix_text(game.num1, game.den1)},\n'
+        f'  "u2": {_matrix_text(game.num2, game.den2)}\n}}\n'
+    )
 
 
 def loads_game(text: str) -> BimatrixGame:
     try:
         data = json.loads(text)
-    except ValueError as e:  # malformed JSON or an overlong integer literal
+    except (ValueError, RecursionError) as e:  # malformed, overlong or too deep
         raise FormatError(f"invalid JSON: {e}") from e
     return game_from_json_dict(data)
 

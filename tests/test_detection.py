@@ -91,6 +91,24 @@ def test_detect_alpha_nonpositive():
     assert r.witness.alpha == F(-1)
 
 
+@pytest.mark.parametrize(
+    "anchors",
+    [
+        ((2, 0), (0, 0)),  # row past the last
+        ((0, 0), (0, 3)),  # column past the last
+        ((-1, 0), (0, 1)),
+        ((0, 0), (1, 0)),  # both u1 = 1
+    ],
+)
+def test_detect_rejects_bad_anchors(anchors):
+    """Anchors are mapped to flat indices; a cell outside the 2x3 game, or
+    two cells with equal u1, is refused rather than read elsewhere."""
+    g = new_game([[1, 2, 3], [1, 5, 6]], [[-1, -2, -3], [-1, -5, -6]])
+    assert detect_affine(g, anchors=((0, 0), (1, 2))).is_adversarial
+    with pytest.raises(ValueError):
+        detect_affine(g, anchors=anchors)
+
+
 def test_is_adversarial():
     assert is_adversarial(MATCHING_PENNIES)
     assert is_adversarial(CONSTANT)

@@ -134,3 +134,65 @@ def test_reject_non_object():
         loads_game("[1, 2]")
     with pytest.raises(FormatError):
         loads_game("not json")
+
+
+def test_deeply_nested_file_is_malformed_input(tmp_path, capsys):
+    """json.loads raises RecursionError, not ValueError, past its nesting
+    limit; that is malformed input (exit 2), not a negative verdict."""
+    text = "[" * 100000 + "]" * 100000
+    with pytest.raises(FormatError):
+        loads_game(text)
+    path = tmp_path / "deep.json"
+    path.write_text(text, encoding="utf-8")
+    assert run_cli(["check", str(path)]) == 2
+    assert "error" in capsys.readouterr().err
+
+
+def game_text(u1: str, u2: str) -> str:
+    """A 1x3 game file with the given row texts."""
+    return f'{{"rows": 1, "cols": 3, "u1": [{u1}], "u2": [{u2}]}}'
+
+
+@pytest.mark.parametrize(
+    "row",
+    [
+        '["1", 1, true]', '["1/2", 1, true]', '[true, "1", 1]', '["1", true, "1"]',
+        '["1", 1, 1.0]', '["1/2", 1.0, 1]', '[1.0, "1", "1"]', '["1", 1, false]',
+        '["0", 0, false]', '["1", 1, null]', '["1", 1, [1]]', '["1", "1", {"1": 1}]',
+    ],
+)
+def test_reject_non_integers_beside_string_literals(row):
+    """A JSON integer, boolean or float never reaches the literal memo, so
+    1, true and 1.0 (equal and equally hashed) cannot share a parsed pair."""
+    for u1, u2 in ((row, "[0, 0, 0]"), ('["1", 1, "1/1"]', row)):
+        with pytest.raises(FormatError):
+            loads_game(game_text(u1, u2))
+
+
+def test_same_literal_scaled_per_matrix():
+    """One literal read in both matrices is scaled to each matrix's own
+    common denominator."""
+    g = loads_game(game_text('["1/2", "1/3", 1]', '["1/2", 1, "1/2"]'))
+    assert (g.num1, g.den1) == (((3, 2, 6),), 6)
+    assert (g.num2, g.den2) == (((1, 2, 1),), 2)
+    assert g.u1 == ((F(1, 2), F(1, 3), 1),) and g.u2 == ((F(1, 2), 1, F(1, 2)),)
+    g = loads_game(game_text('["5/4", "1/2", "2"]', '["1/2", "5/4", "1/6"]'))
+    assert (g.num1, g.den1) == (((5, 2, 8),), 4)
+    assert (g.num2, g.den2) == (((6, 15, 2),), 12)
+
+
+@pytest.mark.parametrize(
+    "u1, u2",
+    [
+        ('["1/2", "1/2", "1/0"]', "[0, 0, 0]"),
+        ('["1/2", "1/2", "1/2 "]', "[0, 0, 0]"),
+        ('["3", "3", "3.0"]', "[0, 0, 0]"),
+        ('["1/2", "1/2", "1/2"]', '["1/2", "1/2", "+1/-2"]'),
+        ('["7", 7, "7"]', '["7", "7", "\\u0667"]'),
+    ],
+)
+def test_reject_malformed_after_repeated_literal(u1, u2):
+    """A malformed literal is refused even after a valid one was read and
+    kept, in the same row, the same matrix or the other matrix."""
+    with pytest.raises(FormatError):
+        loads_game(game_text(u1, u2))

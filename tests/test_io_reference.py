@@ -120,6 +120,28 @@ def game_text(rows, cols, u1, u2):
     return f'{{"rows": {rows}, "cols": {cols}, "u1": {matrix(u1)}, "u2": {matrix(u2)}}}'
 
 
+
+@st.composite
+def pooled_game_texts(draw):
+    """A game file whose matrices each draw every entry from at most 4
+    distinct literals, some shared by both matrices, so that nearly every
+    entry repeats a literal already read, often at another matrix's common
+    denominator."""
+    rows, cols = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    dens = draw(st.lists(DENOMINATORS, min_size=1, max_size=3))
+    values = draw(st.lists(
+        st.builds(F, st.integers(-(10**20), 10**20), st.sampled_from(dens)),
+        min_size=1, max_size=6,
+    ))
+    literals = [draw(unreduced_literal(q)) for q in values]
+    matrices = []
+    for _ in range(2):
+        pool = draw(st.lists(st.sampled_from(literals), min_size=1, max_size=4))
+        matrices.append(
+            [[draw(st.sampled_from(pool)) for _ in range(cols)] for _ in range(rows)]
+        )
+    return game_text(rows, cols, *matrices)
+
 @settings(max_examples=200, deadline=None)
 @given(rational_games())
 def test_writer_matches_reference_bytes(game):
@@ -138,6 +160,12 @@ def test_reader_matches_reference_on_unreduced_text(game, data):
     text = game_text(game.rows, game.cols, u1, u2)
     assert loads_game(text) == ref_loads_game(text) == game
 
+
+
+@settings(max_examples=200, deadline=None)
+@given(pooled_game_texts())
+def test_reader_matches_reference_on_pooled_literals(text):
+    assert loads_game(text) == ref_loads_game(text)
 
 def test_reader_reads_hand_unreduced_entries():
     text = game_text(1, 3, [['"+6/012"', '"3/9"', '"-0/7"']], [["1", '"+2"', '"4/1"']])
