@@ -2,14 +2,14 @@
 
 Each cell of the (family, size, seed) grid generates one game, times
 affine detection, then times the normalize-plus-minimax path when the game
-is adversarial and the support-enumeration oracle when the game is small
-enough.  Whenever both solution paths ran and enumeration found an
-equilibrium, the record's agreement flag re-checks exactly that every
-enumerated equilibrium's row payoff matches the LP value mapped back
-through the detected transform; otherwise nothing was compared and the
-flag is None, never a default pass.  Records are
-emitted in deterministic grid order; only the timing fields vary run to
-run.
+is adversarial and the support-enumeration oracle unless the game exceeds
+``solvers.MAX_ENUM_DIM`` and enumeration raises :class:`TooLarge`, in
+which case ``enum_ns`` stays None.  Whenever both solution paths ran and
+enumeration found an equilibrium, the record's agreement flag re-checks
+exactly that every enumerated equilibrium's row payoff matches the LP
+value mapped back through the detected transform; otherwise nothing was
+compared and the flag is None, never a default pass.  Records are emitted
+in deterministic grid order; only the timing fields vary run to run.
 """
 
 from __future__ import annotations
@@ -19,8 +19,9 @@ import time
 from dataclasses import dataclass
 
 from .detection import detect_affine, to_zero_sum
+from .errors import TooLarge
 from .generators import Family, GenSpec, gen
-from .solvers import DEFAULT_MAX_DIM, minimax_solve, support_enumeration
+from .solvers import minimax_solve, support_enumeration
 
 
 @dataclass(frozen=True)
@@ -38,9 +39,7 @@ class BenchRecord:
 CSV_COLUMNS = ("family", "rows", "cols", "seed", "detect_ns", "lp_ns", "enum_ns", "agree")
 
 
-def run_cell(
-    family: Family, rows: int, cols: int, seed: int, max_enum_dim: int = DEFAULT_MAX_DIM
-) -> BenchRecord:
+def run_cell(family: Family, rows: int, cols: int, seed: int) -> BenchRecord:
     game = gen(GenSpec(family=family, rows=rows, cols=cols, seed=seed))
 
     t0 = time.perf_counter_ns()
@@ -56,10 +55,12 @@ def run_cell(
 
     enum_ns = None
     equilibria = None
-    if rows <= max_enum_dim and cols <= max_enum_dim:
-        t0 = time.perf_counter_ns()
-        equilibria = support_enumeration(game, max_enum_dim)
+    t0 = time.perf_counter_ns()
+    try:
+        equilibria = support_enumeration(game)
         enum_ns = time.perf_counter_ns() - t0
+    except TooLarge:
+        pass
 
     agree = None
     if solution is not None and equilibria:
@@ -80,16 +81,13 @@ def run_cell(
 
 
 def run_bench(
-    families: list[Family],
-    sizes: list[tuple[int, int]],
-    seeds: list[int],
-    max_enum_dim: int = DEFAULT_MAX_DIM,
+    families: list[Family], sizes: list[tuple[int, int]], seeds: list[int]
 ) -> list[BenchRecord]:
     records = []
     for family in families:
         for rows, cols in sizes:
             for seed in seeds:
-                records.append(run_cell(family, rows, cols, seed, max_enum_dim))
+                records.append(run_cell(family, rows, cols, seed))
     return records
 
 

@@ -117,7 +117,7 @@ def _cmd_bench(args) -> int:
     families = [Family(name) for name in args.families.split(",")]
     sizes = _parse_sizes(args.sizes)
     seeds = [int(s) for s in args.seeds.split(",")]
-    records = run_bench(families, sizes, seeds, max_enum_dim=args.enum_cap)
+    records = run_bench(families, sizes, seeds)
     write_csv(args.out, records)
     _emit(
         {
@@ -174,7 +174,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sizes", required=True, help="comma-separated, e.g. 2x2,5x5")
     p.add_argument("--seeds", required=True, help="comma-separated integers")
     p.add_argument("--out", required=True, help="CSV output path")
-    p.add_argument("--enum-cap", type=int, default=5)
     p.set_defaults(func=_cmd_bench)
 
     return parser

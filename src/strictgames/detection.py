@@ -305,8 +305,6 @@ def to_zero_sum(game: BimatrixGame, t: AffineTransform) -> BimatrixGame:
     When ``t`` comes from :func:`detect_affine` on the same game, the result
     is zero-sum entrywise, exactly.
     """
-    if t.alpha <= 0:
-        raise AlphaNonpositiveError(f"alpha must be > 0, got {t.alpha}")
     # with alpha = p/q, beta = r/s and u1 = v/den, alpha*u1 - beta is
     # (p*s*v - r*q*den) / (q*s*den), which BimatrixGame reduces once
     (p, q), (r, s) = t.alpha.as_integer_ratio(), t.beta.as_integer_ratio()

@@ -24,10 +24,17 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .detection import AffineTransform, detect_affine
+from .detection import ADVERSARIAL, NOT_ADVERSARIAL, AffineTransform, detect_affine
 from .errors import BadSpec
 from .games import BimatrixGame, new_game
 from .strategic import strategically_zero_sum_detect
+
+
+# the planted transform: alpha and beta are drawn from these closed ranges,
+# each with a denominator of at most PLANT_DEN_MAX
+PLANT_ALPHA_RANGE = (Fraction(1, 2), Fraction(8))
+PLANT_BETA_RANGE = (Fraction(-10), Fraction(10))
+PLANT_DEN_MAX = 8
 
 
 class Family(enum.Enum):
@@ -46,9 +53,6 @@ class GenSpec:
     cols: int
     seed: int
     value_bound: int = 20
-    alpha_range: tuple[Fraction, Fraction] = (Fraction(1, 2), Fraction(8))
-    beta_range: tuple[Fraction, Fraction] = (Fraction(-10), Fraction(10))
-    den_max: int = 8
 
     def __post_init__(self) -> None:
         if self.rows < 1 or self.cols < 1:
@@ -80,12 +84,10 @@ def _random_matrix(rng: random.Random, rows: int, cols: int, bound: int):
     return [[rng.randint(-bound, bound) for _ in range(cols)] for _ in range(rows)]
 
 
-def _random_rational_in(
-    rng: random.Random, lo: Fraction, hi: Fraction, den_max: int
-) -> Fraction:
-    """A rational in [lo, hi] with denominator at most den_max."""
+def _random_rational_in(rng: random.Random, lo: Fraction, hi: Fraction) -> Fraction:
+    """A rational in [lo, hi] with denominator at most PLANT_DEN_MAX."""
     while True:
-        den = rng.randint(1, den_max)
+        den = rng.randint(1, PLANT_DEN_MAX)
         lo_num = math.ceil(lo * den)
         hi_num = math.floor(hi * den)
         if lo_num <= hi_num:
@@ -107,13 +109,13 @@ def gen_disguised(
         core = _random_matrix(rng, 1, 1, spec.value_bound)
     else:
         core = _nonconstant_matrix(rng, spec.rows, spec.cols, spec.value_bound)
-    alpha = _random_rational_in(rng, *spec.alpha_range, spec.den_max)
-    beta = _random_rational_in(rng, *spec.beta_range, spec.den_max)
+    alpha = _random_rational_in(rng, *PLANT_ALPHA_RANGE)
+    beta = _random_rational_in(rng, *PLANT_BETA_RANGE)
     game = disguise(core, alpha, beta)
     planted = AffineTransform(alpha, beta)
     result = detect_affine(game)
     if not result.is_adversarial or (
-        result.status == "adversarial" and result.transform != planted
+        result.status == ADVERSARIAL and result.transform != planted
     ):
         raise AssertionError("disguised construction failed verification")
     return game, planted
@@ -132,7 +134,7 @@ def gen_ordinal(rng: random.Random, spec: GenSpec) -> BimatrixGame:
         if len({v for row in u1 for v in row}) < 3:
             continue
         game = cube_opponent(u1)
-        if detect_affine(game).status == "not_adversarial":
+        if detect_affine(game).status == NOT_ADVERSARIAL:
             return game
     raise BadSpec("no ordinal-not-affine draw found for this spec")
 

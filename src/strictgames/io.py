@@ -2,9 +2,10 @@
 
 A game file is an object with positive integer ``rows`` and ``cols`` and
 row-major ``u1`` and ``u2`` arrays whose entries are JSON integers or
-``"n/d"`` strings with positive denominators.  Parsing is strict: wrong
-shapes, float entries, or malformed rationals raise :class:`FormatError`,
-and parse(serialize(g)) reproduces ``g`` bit-exactly.
+``"n/d"`` strings with positive denominators.  Parsing is strict: bytes
+that are not UTF-8, wrong shapes, float entries, or malformed rationals
+raise :class:`FormatError`, and parse(serialize(g)) reproduces ``g``
+bit-exactly.
 
 Entries are read straight into the integer core.  Each distinct string
 entry of a file is parsed once, on first sight, by a memo that lives for
@@ -46,15 +47,6 @@ class _Memo(dict):
 def _entry(v: int, den: int) -> int | str:
     g = math.gcd(v, den)
     return v // g if g == den else f"{v // g}/{den // g}"
-
-
-def game_to_json_dict(game: BimatrixGame) -> dict:
-    return {
-        "rows": game.rows,
-        "cols": game.cols,
-        "u1": [[_entry(v, game.den1) for v in row] for row in game.num1],
-        "u2": [[_entry(v, game.den2) for v in row] for row in game.num2],
-    }
 
 
 def _matrix(
@@ -139,4 +131,8 @@ def save_game(path: str, game: BimatrixGame) -> None:
 
 def load_game(path: str) -> BimatrixGame:
     with open(path, encoding="utf-8") as fh:
-        return loads_game(fh.read())
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as e:
+            raise FormatError(f"game file is not UTF-8: {e}") from e
+    return loads_game(text)

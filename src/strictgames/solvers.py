@@ -31,7 +31,8 @@ from .errors import NotZeroSum, TooLarge
 from .games import BimatrixGame, MixedStrategy, _row_sums
 from .rational import format_rational
 
-DEFAULT_MAX_DIM = 5
+#: Largest row or column count :func:`support_enumeration` accepts.
+MAX_ENUM_DIM = 5
 
 #: Consecutive degenerate pivots after which the simplex switches from
 #: Dantzig's entering rule to Bland's until the next nondegenerate pivot.
@@ -294,9 +295,7 @@ def minimax_solve(game: BimatrixGame) -> MinimaxSolution:
     return MinimaxSolution(value=value, row_strategy=x, col_strategy=y)
 
 
-def support_enumeration(
-    game: BimatrixGame, max_dim: int = DEFAULT_MAX_DIM
-) -> EquilibriumSet:
+def support_enumeration(game: BimatrixGame) -> EquilibriumSet:
     """All equilibria found by equal-size support enumeration.
 
     For each support pair the two indifference systems are solved exactly
@@ -304,11 +303,12 @@ def support_enumeration(
     LP; candidates must put strictly positive weight on their support and
     survive the exact best-response inequalities, all checked in integers.
     Singular systems are skipped, so completeness is claimed only for
-    nondegenerate games.
+    nondegenerate games.  A game with more than :data:`MAX_ENUM_DIM` rows
+    or columns raises :class:`TooLarge`.
     """
-    if game.rows > max_dim or game.cols > max_dim:
+    if game.rows > MAX_ENUM_DIM or game.cols > MAX_ENUM_DIM:
         raise TooLarge(
-            f"{game.rows}x{game.cols} exceeds the enumeration cap {max_dim}"
+            f"{game.rows}x{game.cols} exceeds the enumeration cap {MAX_ENUM_DIM}"
         )
     m, n = game.rows, game.cols
     v2t = list(zip(*game.num2))  # the column player's own rows
@@ -359,9 +359,7 @@ def _indifference(
     return mix, Fraction(value, div * den)
 
 
-def equilibrium_invariance_check(
-    game: BimatrixGame, t: AffineTransform, max_dim: int = DEFAULT_MAX_DIM
-) -> bool:
+def equilibrium_invariance_check(game: BimatrixGame, t: AffineTransform) -> bool:
     """Normalizing with ``t`` must leave the equilibrium set untouched.
 
     Enumerates equilibria of the game and of its zero-sum normalization,
@@ -371,9 +369,9 @@ def equilibrium_invariance_check(
     equilibrium (only a degenerate game allows that) nothing is compared,
     and it returns True trivially; callers counting agreements must check.
     """
-    original = support_enumeration(game, max_dim)
+    original = support_enumeration(game)
     normalized_game = to_zero_sum(game, t)
-    normalized = support_enumeration(normalized_game, max_dim)
+    normalized = support_enumeration(normalized_game)
     by_strategies = {(e.x, e.y): e for e in normalized.equilibria}
     if by_strategies.keys() != {(e.x, e.y) for e in original.equilibria}:
         return False

@@ -36,13 +36,13 @@ def _report(number: int, name: str, ok: bool, detail: str) -> None:
     assert ok, f"criterion {number} ({name}): {detail}"
 
 
-def _disguised_batch(count: int, seed_base: int, min_dim: int, max_dim: int):
+def _disguised_batch(count: int, seed_base: int, lo_dim: int, hi_dim: int):
     """Seeded disguised games with planted transforms, sizes cycling."""
-    span = max_dim - min_dim + 1
+    span = hi_dim - lo_dim + 1
     batch = []
     for k in range(count):
-        rows = min_dim + (k % span)
-        cols = min_dim + ((k // span) % span)
+        rows = lo_dim + (k % span)
+        cols = lo_dim + ((k // span) % span)
         spec = GenSpec(Family.DISGUISED_ZERO_SUM, rows, cols, seed=seed_base + k)
         batch.append(gen_disguised(random.Random(spec.seed), spec))
     return batch
@@ -50,7 +50,7 @@ def _disguised_batch(count: int, seed_base: int, min_dim: int, max_dim: int):
 
 @pytest.fixture(scope="module")
 def disguised_1000():
-    return _disguised_batch(1000, seed_base=1_000, min_dim=2, max_dim=10)
+    return _disguised_batch(1000, seed_base=1_000, lo_dim=2, hi_dim=10)
 
 
 def test_criterion_1_affine_recovery(disguised_1000):
@@ -130,7 +130,7 @@ def test_criterion_3_normalization_identity(disguised_1000):
 
 
 def test_criterion_4_anchor_independence():
-    games = _disguised_batch(100, seed_base=50_000, min_dim=2, max_dim=4)
+    games = _disguised_batch(100, seed_base=50_000, lo_dim=2, hi_dim=4)
     consistent = 0
     for game, planted in games:
         cells = game.cells()
@@ -158,7 +158,7 @@ def test_criterion_4_anchor_independence():
 def test_criterion_5_triple_compatibility():
     from strictgames.detection import three_profile_compatibility
 
-    games = _disguised_batch(100, seed_base=60_000, min_dim=2, max_dim=6)
+    games = _disguised_batch(100, seed_base=60_000, lo_dim=2, hi_dim=6)
     trials = matches = 0
     for k, (game, planted) in enumerate(games):
         rng = random.Random(61_000 + k)
@@ -221,7 +221,7 @@ def test_criterion_7_solver_cross_validation(disguised_1000):
             lp_agree += 1
 
     inv_checked = inv_agree = inv_unchecked = inv_trivial = 0
-    for game, planted in _disguised_batch(200, seed_base=70_000, min_dim=2, max_dim=4):
+    for game, planted in _disguised_batch(200, seed_base=70_000, lo_dim=2, hi_dim=4):
         holds = equilibrium_invariance_check(game, planted)
         if support_enumeration(game):
             inv_checked += 1
@@ -249,7 +249,7 @@ def test_criterion_7_solver_cross_validation(disguised_1000):
 
 
 def test_criterion_8_mv_inclusion():
-    games = _disguised_batch(200, seed_base=80_000, min_dim=2, max_dim=6)
+    games = _disguised_batch(200, seed_base=80_000, lo_dim=2, hi_dim=6)
     found = verified = 0
     for game, _ in games:
         d = strategically_zero_sum_detect(game)

@@ -142,23 +142,30 @@ def test_bench_csv(tmp_path, capsys):
     out_path = tmp_path / "bench.csv"
     code = run_cli(
         ["bench", "--families", "disguised-zero-sum,uniform",
-         "--sizes", "2x2,3x3", "--seeds", "1,2", "--out", str(out_path)]
+         "--sizes", "2x2,3x3,6x6", "--seeds", "1,2", "--out", str(out_path)]
     )
     summary = json.loads(capsys.readouterr().out)
     assert code == 0
-    assert summary["cells"] == 8
-    # only the disguised cells run both paths; the uniform ones compare nothing
+    assert summary["cells"] == 12
+    # only the small disguised cells run both paths; the uniform ones and
+    # the 6x6 ones, over the enumeration cap, compare nothing
     assert summary["agreements"] == 4
     with open(out_path, newline="") as fh:
         rows = list(csv.DictReader(fh))
-    assert len(rows) == 8
+    assert len(rows) == 12
+    small = [r for r in rows if r["rows"] != "6"]
     assert all(
         r["agree"] == ("true" if r["family"] == "disguised-zero-sum" else "")
-        for r in rows
+        for r in small
     )
+    assert all(r["enum_ns"].isdigit() for r in small)
     assert all(r["detect_ns"].isdigit() for r in rows)
     # uniform games are not adversarial, so the LP column stays empty
     assert all(r["lp_ns"] == "" for r in rows if r["family"] == "uniform")
+    large = [r for r in rows if r["rows"] == "6"]
+    assert len(large) == 4
+    assert all(r["enum_ns"] == "" and r["agree"] == "" for r in large)
+    assert all(r["lp_ns"].isdigit() for r in large if r["family"] == "disguised-zero-sum")
 
 
 def test_parser_reused_after_bad_arguments(game_file, capsys):

@@ -8,12 +8,7 @@ from strictgames.cli import run_cli
 from strictgames.errors import FormatError
 from strictgames.games import new_game
 from strictgames.generators import Family, GenSpec, gen
-from strictgames.io import (
-    dumps_game,
-    game_from_json_dict,
-    game_to_json_dict,
-    loads_game,
-)
+from strictgames.io import dumps_game, game_from_json_dict, load_game, loads_game
 from strictgames.rational import format_rational, parse_rational
 
 
@@ -45,7 +40,7 @@ def test_format_rational_always_shows_denominator():
 def test_round_trip_handwritten():
     g = new_game([[F(1, 2), -1]], [[F(-1, 2), 1]])
     assert loads_game(dumps_game(g)) == g
-    d = game_to_json_dict(g)
+    d = json.loads(dumps_game(g))
     assert d["u1"] == [["1/2", -1]]
 
 
@@ -82,7 +77,7 @@ def test_round_trip_generated():
     ],
 )
 def test_reject_malformed(mutate):
-    d = game_to_json_dict(new_game([[1, 2], [3, 4]], [[4, 3], [2, 1]]))
+    d = json.loads(dumps_game(new_game([[1, 2], [3, 4]], [[4, 3], [2, 1]])))
     mutate(d)
     with pytest.raises(FormatError):
         game_from_json_dict(d)
@@ -90,7 +85,7 @@ def test_reject_malformed(mutate):
 
 @pytest.mark.parametrize("key", ["rows", "cols"])
 def test_reject_boolean_dimensions(key):
-    d = game_to_json_dict(new_game([[1]], [[-1]]))
+    d = json.loads(dumps_game(new_game([[1]], [[-1]])))
     d[key] = True
     with pytest.raises(FormatError):
         game_from_json_dict(d)
@@ -146,6 +141,19 @@ def test_deeply_nested_file_is_malformed_input(tmp_path, capsys):
     path.write_text(text, encoding="utf-8")
     assert run_cli(["check", str(path)]) == 2
     assert "error" in capsys.readouterr().err
+
+
+def test_reject_file_not_utf8(tmp_path, capsys):
+    """The format is UTF-8 only: a stray 0xff byte, or the same game in
+    UTF-16, is malformed input, not a decoding crash."""
+    text = '{"rows": 1, "cols": 1, "u1": [[1]], "u2": [[-1]]}'
+    path = tmp_path / "game.json"
+    for data in [text.encode() + b"\xff", text.encode("utf-16")]:
+        path.write_bytes(data)
+        with pytest.raises(FormatError):
+            load_game(str(path))
+        assert run_cli(["check", str(path)]) == 2
+        assert "error" in capsys.readouterr().err
 
 
 def game_text(u1: str, u2: str) -> str:

@@ -293,8 +293,9 @@ def test_support_enumeration_invariant_under_positive_affine_maps(
         assert f.payoffs == (a1 * e.payoffs[0] + b1, a2 * e.payoffs[1] + b2)
 
 
-def test_support_enumeration_too_large():
-    v1 = [[0] * 6 for _ in range(6)]
+@pytest.mark.parametrize("rows, cols", [(6, 6), (5, 6), (6, 5)], ids=["6x6", "5x6", "6x5"])
+def test_support_enumeration_too_large(rows, cols):
+    v1 = [[0] * cols for _ in range(rows)]
     with pytest.raises(TooLarge):
         support_enumeration(zero_sum(v1))
 
