@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from .detection import detect_affine, to_zero_sum
 from .errors import TooLarge
 from .generators import Family, GenSpec, gen
-from .solvers import minimax_solve, support_enumeration
+from .solvers import enumeration_agrees, minimax_solve, support_enumeration
 
 
 @dataclass(frozen=True)
@@ -63,10 +63,9 @@ def run_cell(family: Family, rows: int, cols: int, seed: int) -> BenchRecord:
         pass
 
     agree = None
-    if solution is not None and equilibria:
+    if solution is not None and equilibria is not None:
         t = result.transform
-        expected_u1 = (solution.value + t.beta) / t.alpha
-        agree = all(e.payoffs[0] == expected_u1 for e in equilibria)
+        agree = enumeration_agrees((solution.value + t.beta) / t.alpha, equilibria)
 
     return BenchRecord(
         family=family.value,

@@ -16,7 +16,10 @@ system of every equal-size support pair on the same fraction-free pivot,
 so one integer elimination does all exact linear algebra here; it is
 complete for nondegenerate games and is used to cross-validate the LP path
 and the claim that normalizing a strictly competitive game preserves its
-equilibria.
+equilibria.  A support pair that holds a conditionally dominated action,
+one that some own action beats strictly on every action of the opponent's
+support, is skipped unsolved (Porter, Nudelman & Shoham 2008): the
+best-response check would reject it anyway, so the result is unchanged.
 """
 
 from __future__ import annotations
@@ -305,6 +308,17 @@ def support_enumeration(game: BimatrixGame) -> EquilibriumSet:
     Singular systems are skipped, so completeness is claimed only for
     nondegenerate games.  A game with more than :data:`MAX_ENUM_DIM` rows
     or columns raises :class:`TooLarge`.
+
+    Pruning: a pair ``(R, S)`` is not solved when some row in ``R`` earns
+    the row player strictly less than some other row on every column of
+    ``S``, or some column in ``S`` earns the column player strictly less
+    than some other column on every row of ``R``.  A solution with
+    positive weights would pay the dominated action exactly the
+    indifference value and its dominator strictly more, so the
+    best-response check would reject the pair; without one it yields
+    nothing either.  The pairs run in the same order, so the equilibria
+    and their order are those of the unpruned loop, degenerate games
+    included; singular systems are met only among the pairs still solved.
     """
     if game.rows > MAX_ENUM_DIM or game.cols > MAX_ENUM_DIM:
         raise TooLarge(
@@ -312,10 +326,18 @@ def support_enumeration(game: BimatrixGame) -> EquilibriumSet:
         )
     m, n = game.rows, game.cols
     v2t = list(zip(*game.num2))  # the column player's own rows
+    # bitmask of the undominated rows per column support, and vice versa
+    rows_fit = _undominated(game.num1, n)
+    cols_fit = _undominated(v2t, m)
     found = []
     for k in range(1, min(m, n) + 1):
+        col_sups = [(sup, _bits(sup)) for sup in combinations(range(n), k)]
         for rows_sup in combinations(range(m), k):
-            for cols_sup in combinations(range(n), k):
+            r = _bits(rows_sup)
+            fit = cols_fit[r]
+            for cols_sup, s in col_sups:
+                if s & fit != s or r & rows_fit[s] != r:
+                    continue
                 y = _indifference(game.num1, game.den1, rows_sup, cols_sup)
                 if y is None:
                     continue
@@ -325,6 +347,31 @@ def support_enumeration(game: BimatrixGame) -> EquilibriumSet:
                 # at the equilibrium each player earns the indifference value
                 found.append(Equilibrium(x[0], y[0], (y[1], x[1])))
     return EquilibriumSet(tuple(found))
+
+
+def _bits(actions: tuple[int, ...]) -> int:
+    return sum(1 << a for a in actions)
+
+
+def _undominated(payoff: list[list[int]], others: int) -> list[int]:
+    """For each bitmask ``s`` of opponent actions, the bitmask of own
+    actions that no own action beats strictly on every action in ``s``.
+
+    ``payoff[a][b]`` is the owner's payoff numerator when own action ``a``
+    meets opponent action ``b``; the common denominator plays no part.
+    """
+    dominated = [0] * (1 << others)
+    for a, row in enumerate(payoff):
+        for rival in payoff:
+            # a is dominated on every subset of where rival pays more
+            mask = sub = sum(
+                1 << b for b, (mine, theirs) in enumerate(zip(row, rival)) if theirs > mine
+            )
+            while sub:
+                dominated[sub] |= 1 << a
+                sub = (sub - 1) & mask
+    everyone = (1 << len(payoff)) - 1
+    return [everyone & ~d for d in dominated]
 
 
 def _indifference(
@@ -359,15 +406,27 @@ def _indifference(
     return mix, Fraction(value, div * den)
 
 
+def enumeration_agrees(value: Fraction, equilibria: EquilibriumSet) -> bool | None:
+    """Whether every enumerated equilibrium pays the row player ``value``,
+    the LP value of the same game; None when there is no equilibrium, so
+    a game that compared nothing never counts as agreeing.
+    """
+    if not equilibria:
+        return None
+    return all(e.payoffs[0] == value for e in equilibria)
+
+
 def equilibrium_invariance_check(game: BimatrixGame, t: AffineTransform) -> bool:
     """Normalizing with ``t`` must leave the equilibrium set untouched.
 
     Enumerates equilibria of the game and of its zero-sum normalization,
-    requires the two strategy sets to be identical, and checks that each
-    original row payoff is recovered exactly from the normalized one via
-    ``u1 = (v1 + beta) / alpha``.  When neither enumeration finds an
-    equilibrium (only a degenerate game allows that) nothing is compared,
-    and it returns True trivially; callers counting agreements must check.
+    requires the two strategy sets to be identical, and checks for each
+    matched equilibrium that the original row payoff is recovered exactly
+    from the normalized one via ``u1 = (v1 + beta) / alpha`` and that the
+    column payoffs are equal, since normalizing leaves ``u2`` as it is.
+    When neither enumeration finds an equilibrium (only a degenerate game
+    allows that) nothing is compared, and it returns True trivially;
+    callers counting agreements must check.
     """
     original = support_enumeration(game)
     normalized_game = to_zero_sum(game, t)
@@ -377,6 +436,6 @@ def equilibrium_invariance_check(game: BimatrixGame, t: AffineTransform) -> bool
         return False
     for e in original.equilibria:
         z = by_strategies[(e.x, e.y)]
-        if e.payoffs[0] != (z.payoffs[0] + t.beta) / t.alpha:
+        if e.payoffs != ((z.payoffs[0] + t.beta) / t.alpha, z.payoffs[1]):
             return False
     return True

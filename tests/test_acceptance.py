@@ -21,6 +21,7 @@ from strictgames.detection import (
 from strictgames.games import expected_utility, new_game, random_profile
 from strictgames.generators import Family, GenSpec, gen_disguised, gen_ordinal
 from strictgames.solvers import (
+    enumeration_agrees,
     equilibrium_invariance_check,
     minimax_solve,
     support_enumeration,
@@ -211,14 +212,12 @@ def test_criterion_7_solver_cross_validation(disguised_1000):
         if game.rows > 5 or game.cols > 5:
             continue
         z = to_zero_sum(game, detect_affine(game).transform)
-        value = minimax_solve(z).value
-        equilibria = support_enumeration(z)
-        if not equilibria:
+        agree = enumeration_agrees(minimax_solve(z).value, support_enumeration(z))
+        if agree is None:
             lp_unchecked += 1
             continue
         lp_checked += 1
-        if all(eq.payoffs[0] == value for eq in equilibria):
-            lp_agree += 1
+        lp_agree += agree
 
     inv_checked = inv_agree = inv_unchecked = inv_trivial = 0
     for game, planted in _disguised_batch(200, seed_base=70_000, lo_dim=2, hi_dim=4):

@@ -10,6 +10,8 @@ from strictgames.detection import AffineTransform, detect_affine, to_zero_sum
 from strictgames.errors import NotZeroSum, TooLarge
 from strictgames.games import new_game
 from strictgames.solvers import (
+    EquilibriumSet,
+    enumeration_agrees,
     equilibrium_invariance_check,
     minimax_solve,
     support_enumeration,
@@ -236,10 +238,6 @@ def test_support_enumeration_single_cell():
 
 
 def test_support_enumeration_skips_singular_system(monkeypatch):
-    # matching pennies with row 0 duplicated: the indifference system over
-    # rows {0, 1} has two equal rows, so that support pair is skipped
-    u1 = [[1, -1], [1, -1], [-1, 1]]
-    g = zero_sum(u1)
     solved = []
     solve_square = solvers._Simplex.solve_square
 
@@ -249,11 +247,25 @@ def test_support_enumeration_skips_singular_system(monkeypatch):
         return result
 
     monkeypatch.setattr(solvers._Simplex, "solve_square", recording_solve_square)
-    eqs = support_enumeration(g)
-    assert solved.count(None) == 1
     half = F(1, 2)
+    # matching pennies with row 0 duplicated: the indifference system over
+    # rows {0, 1} has two equal rows, but on those rows u2's column 1
+    # strictly beats column 0, so that pair is pruned before it is solved
+    eqs = support_enumeration(zero_sum([[1, -1], [1, -1], [-1, 1]]))
+    assert len(solved) == 4 and solved.count(None) == 0
     assert [(e.x.probs, e.y.probs, e.payoffs) for e in eqs] == [
         ((half, F(0), half), (half, half), (F(0), F(0))),
+        ((F(0), half, half), (half, half), (F(0), F(0))),
+    ]
+    # the same u1 with a u2 under which neither column dominates on rows
+    # {0, 1}: that singular pair survives the prune and is skipped
+    solved.clear()
+    eqs = support_enumeration(
+        new_game([[1, -1], [1, -1], [-1, 1]], [[1, -1], [-1, 1], [1, -1]])
+    )
+    assert len(solved) == 5 and solved.count(None) == 1
+    assert [(e.x.probs, e.y.probs, e.payoffs) for e in eqs] == [
+        ((F(1), F(0), F(0)), (F(1), F(0)), (F(1), F(1))),
         ((F(0), half, half), (half, half), (F(0), F(0))),
     ]
 
@@ -311,6 +323,13 @@ def test_lp_agrees_with_enumeration():
             assert eq.payoffs[0] == value
 
 
+def test_enumeration_agrees_only_after_a_comparison():
+    eqs = support_enumeration(MATCHING_PENNIES)
+    assert enumeration_agrees(F(0), eqs) is True
+    assert enumeration_agrees(F(1, 2), eqs) is False
+    assert enumeration_agrees(F(0), EquilibriumSet(())) is None
+
+
 def test_invariance_identity():
     assert equilibrium_invariance_check(
         MATCHING_PENNIES, AffineTransform(F(1), F(0))
@@ -343,6 +362,20 @@ def test_invariance_random_disguised_3x3():
         t = detect_affine(g).transform
         assert t == AffineTransform(alpha, beta)
         assert equilibrium_invariance_check(g, t)
+
+
+def test_invariance_compares_column_payoffs(monkeypatch):
+    # doubling u2 keeps every equilibrium strategy and row payoff, so only
+    # the column payoffs (3 against 6) tell the two sets apart
+    t = detect_affine(DISGUISED).transform
+
+    def doubling_u2(game, t):
+        z = to_zero_sum(game, t)
+        return new_game(z.u1, [[2 * v for v in row] for row in z.u2])
+
+    assert equilibrium_invariance_check(DISGUISED, t)
+    monkeypatch.setattr(solvers, "to_zero_sum", doubling_u2)
+    assert not equilibrium_invariance_check(DISGUISED, t)
 
 
 def test_minimax_json():
