@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import csv
 import time
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass, fields
 
 from .detection import detect_affine, to_zero_sum
 from .errors import TooLarge
@@ -36,36 +36,33 @@ class BenchRecord:
     agree: bool | None
 
 
-CSV_COLUMNS = ("family", "rows", "cols", "seed", "detect_ns", "lp_ns", "enum_ns", "agree")
+CSV_COLUMNS = tuple(f.name for f in fields(BenchRecord))
+
+
+def _timed(fn, *args):
+    """``fn(*args)`` and its wall time in nanoseconds."""
+    t0 = time.perf_counter_ns()
+    result = fn(*args)
+    return result, time.perf_counter_ns() - t0
 
 
 def run_cell(family: Family, rows: int, cols: int, seed: int) -> BenchRecord:
     game = gen(GenSpec(family=family, rows=rows, cols=cols, seed=seed))
+    result, detect_ns = _timed(detect_affine, game)
+    t = result.transform
 
-    t0 = time.perf_counter_ns()
-    result = detect_affine(game)
-    detect_ns = time.perf_counter_ns() - t0
-
-    lp_ns = None
-    solution = None
+    solution = lp_ns = None
     if result.is_adversarial:
-        t0 = time.perf_counter_ns()
-        solution = minimax_solve(to_zero_sum(game, result.transform))
-        lp_ns = time.perf_counter_ns() - t0
+        solution, lp_ns = _timed(lambda: minimax_solve(to_zero_sum(game, t)))
 
-    enum_ns = None
-    equilibria = None
-    t0 = time.perf_counter_ns()
     try:
-        equilibria = support_enumeration(game)
-        enum_ns = time.perf_counter_ns() - t0
+        equilibria, enum_ns = _timed(support_enumeration, game)
     except TooLarge:
-        pass
+        equilibria = enum_ns = None
 
     agree = None
     if solution is not None and equilibria is not None:
-        t = result.transform
-        agree = enumeration_agrees((solution.value + t.beta) / t.alpha, equilibria)
+        agree = enumeration_agrees(t.u1_value(solution.value), equilibria)
 
     return BenchRecord(
         family=family.value,
@@ -90,20 +87,17 @@ def run_bench(
     return records
 
 
+def _csv_cell(value):
+    if value is None:
+        return ""
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    return value
+
+
 def write_csv(path: str, records: list[BenchRecord]) -> None:
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(CSV_COLUMNS)
         for r in records:
-            writer.writerow(
-                [
-                    r.family,
-                    r.rows,
-                    r.cols,
-                    r.seed,
-                    r.detect_ns,
-                    "" if r.lp_ns is None else r.lp_ns,
-                    "" if r.enum_ns is None else r.enum_ns,
-                    "" if r.agree is None else str(r.agree).lower(),
-                ]
-            )
+            writer.writerow([_csv_cell(v) for v in astuple(r)])

@@ -68,7 +68,7 @@ def _cmd_solve(args) -> int:
             "status": result.status,
             "alpha": format_rational(t.alpha),
             "beta": format_rational(t.beta),
-            "u1_value": format_rational((solution.value + t.beta) / t.alpha),
+            "u1_value": format_rational(t.u1_value(solution.value)),
             **solution.to_json_dict(),
         }
     )

@@ -46,6 +46,11 @@ class AffineTransform:
         if self.alpha <= 0:
             raise AlphaNonpositiveError(f"alpha must be > 0, got {self.alpha}")
 
+    def u1_value(self, v: Fraction) -> Fraction:
+        """The row player's payoff whose normalized payoff is ``v``: the
+        inverse of ``u1 -> alpha*u1 - beta`` (see :func:`to_zero_sum`)."""
+        return (v + self.beta) / self.alpha
+
 
 @dataclass(frozen=True)
 class AffineMismatch:

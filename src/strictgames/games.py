@@ -146,9 +146,6 @@ class MixedStrategy:
     def __iter__(self):
         return iter(self.probs)
 
-    def support(self) -> tuple[int, ...]:
-        return tuple(i for i, w in enumerate(self.weights) if w > 0)
-
 
 @dataclass(frozen=True)
 class MixedProfile:

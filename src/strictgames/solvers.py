@@ -103,14 +103,16 @@ class _Simplex:
 
     Tableau: compact (Tucker) form, one column per nonbasic variable plus
     the right-hand side, with ``nonbasic`` and ``basis`` holding variable
-    labels (structural ``0..n-1``, slack ``n+i`` for row ``i``).  It is kept
+    labels (structural ``0..n-1``, slack ``n+i`` for row ``i``).  The ``m``
+    constraint rows come first; the objective row ``-c``, when ``c`` is
+    given, is the last row, so a square solve carries none.  It is kept
     fraction-free by integer pivoting (Bareiss): every entry is the true
     tableau entry times the common divisor ``div``, and each update divides
     exactly by the previous pivot, so entries stay integers.  A pivot at
     ``(r, c)`` with pivot ``p`` and divisor ``d`` maps every other column
-    entry to ``(p*v - f*w) // d``, leaves row ``r`` as it is, and turns
-    column ``c`` into the leaving variable's column: ``-a_ic`` in the other
-    rows, ``d`` in row ``r`` and ``-obj_c`` in the objective row.
+    entry of every other row to ``(p*v - f*w) // d``, leaves row ``r`` as
+    it is, and turns column ``c`` into the leaving variable's column:
+    ``-a_ic`` in each other row ``i`` and ``d`` in row ``r``.
 
     Exact division: by Cramer's rule each true entry is a determinant of
     the current basis matrix with one column replaced by an original
@@ -140,24 +142,26 @@ class _Simplex:
         self,
         a: list[list[int]],
         b: list[int],
-        c: list[int],
+        c: list[int] | None = None,
     ) -> None:
         self.m = len(a)
-        self.n = len(c)
+        self.n = len(a[0])
         self.rows = [list(ai) + [bi] for ai, bi in zip(a, b)]
-        self.obj = [-cj for cj in c] + [0]
+        if c is not None:
+            self.rows.append([-cj for cj in c] + [0])
         self.nonbasic = list(range(self.n))
         self.basis = [self.n + i for i in range(self.m)]
         self.div = 1
 
     def _entering(self, bland: bool) -> int | None:
         """Column of the entering variable, or None at an optimum."""
-        negative = [col for col, cost in enumerate(self.obj[:-1]) if cost < 0]
+        obj = self.rows[-1]
+        negative = [col for col, cost in enumerate(obj[:-1]) if cost < 0]
         if not negative:
             return None
         if bland:
             return min(negative, key=self.nonbasic.__getitem__)
-        return min(negative, key=lambda col: (self.obj[col], self.nonbasic[col]))
+        return min(negative, key=lambda col: (obj[col], self.nonbasic[col]))
 
     def _leaving(self, col: int) -> int:
         # ratios compared by cross-multiplication; coefficients are positive
@@ -190,9 +194,6 @@ class _Simplex:
                 new = [(pivot * v - f * w) // d for v, w in zip(old, prow)]
                 new[col] = -f
                 self.rows[i] = new
-        f = self.obj[col]
-        self.obj = [(pivot * v - f * w) // d for v, w in zip(self.obj, prow)]
-        self.obj[col] = -f
         prow[col] = d
         self.div = pivot
         self.basis[row], self.nonbasic[col] = self.nonbasic[col], self.basis[row]
@@ -211,21 +212,22 @@ class _Simplex:
             row = self._leaving(col)
             run = run + 1 if self.rows[row][-1] == 0 else 0
             self._pivot(row, col)
+        obj = self.rows[-1]
         dual = [0] * self.m
         for col, var in enumerate(self.nonbasic):
             if var >= self.n:
-                dual[var - self.n] = self.obj[col]
-        return self.div, self.obj[-1], self._primal(), dual
+                dual[var - self.n] = obj[col]
+        return self.div, obj[-1], self._primal(), dual
 
     def solve_square(self) -> tuple[int, list[int]] | None:
         """Solve the square system ``A v = b``: ``(div, primal)`` with
         ``v_j = primal[j] / div``, or None when ``A`` is singular.
 
         Each structural variable in turn enters the basis on the first
-        slack row with a nonzero entry in its column; the objective and the
-        sign of ``b`` play no part.  When no slack row has one, the column
-        lies in the span of the structural columns already basic, so ``A``
-        is singular.  Afterwards every slack is nonbasic, that is zero.
+        slack row with a nonzero entry in its column; the sign of ``b``
+        plays no part.  When no slack row has one, the column lies in the
+        span of the structural columns already basic, so ``A`` is singular.
+        Afterwards every slack is nonbasic, that is zero.
         """
         # column ``col`` still holds structural variable ``col``: the pivots
         # so far only replaced the columns before it
@@ -388,7 +390,7 @@ def _indifference(
     k = len(own)
     a = [[payoff[i][j] for j in other] + [-1] for i in own]
     a.append([1] * k + [0])
-    solved = _Simplex(a, [0] * k + [1], [0] * (k + 1)).solve_square()
+    solved = _Simplex(a, [0] * k + [1]).solve_square()
     if solved is None:
         return None
     # the opponent plays other[t] with probability weights[t] / div (the
@@ -419,23 +421,19 @@ def enumeration_agrees(value: Fraction, equilibria: EquilibriumSet) -> bool | No
 def equilibrium_invariance_check(game: BimatrixGame, t: AffineTransform) -> bool:
     """Normalizing with ``t`` must leave the equilibrium set untouched.
 
-    Enumerates equilibria of the game and of its zero-sum normalization,
-    requires the two strategy sets to be identical, and checks for each
-    matched equilibrium that the original row payoff is recovered exactly
-    from the normalized one via ``u1 = (v1 + beta) / alpha`` and that the
-    column payoffs are equal, since normalizing leaves ``u2`` as it is.
-    When neither enumeration finds an equilibrium (only a degenerate game
-    allows that) nothing is compared, and it returns True trivially;
+    Enumerates equilibria of the game and of its zero-sum normalization
+    and compares them as sets of ``(x, y, payoffs)``, with each normalized
+    row payoff mapped back by :meth:`AffineTransform.u1_value`; column
+    payoffs must be equal as they are, since normalizing leaves ``u2``
+    alone.  This is the same as requiring equal strategy sets and matching
+    payoffs per strategy pair: an enumerated equilibrium's supports are
+    exactly its support pair, so each ``(x, y)`` occurs at most once per
+    list.  When neither enumeration finds an equilibrium (only a degenerate
+    game allows that) nothing is compared, and it returns True trivially;
     callers counting agreements must check.
     """
     original = support_enumeration(game)
-    normalized_game = to_zero_sum(game, t)
-    normalized = support_enumeration(normalized_game)
-    by_strategies = {(e.x, e.y): e for e in normalized.equilibria}
-    if by_strategies.keys() != {(e.x, e.y) for e in original.equilibria}:
-        return False
-    for e in original.equilibria:
-        z = by_strategies[(e.x, e.y)]
-        if e.payoffs != ((z.payoffs[0] + t.beta) / t.alpha, z.payoffs[1]):
-            return False
-    return True
+    normalized = support_enumeration(to_zero_sum(game, t))
+    return {(e.x, e.y, e.payoffs) for e in original} == {
+        (z.x, z.y, (t.u1_value(z.payoffs[0]), z.payoffs[1])) for z in normalized
+    }

@@ -1,5 +1,9 @@
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -39,6 +43,17 @@ def test_check_cube_game(game_file, capsys):
     assert out["status"] == "not_adversarial"
     assert out["witness"]["kind"] == "affine_mismatch"
     assert out["witness"]["cell"] == [1, 0]
+
+
+def test_check_ordinal_violation_witness(game_file, capsys):
+    # u1 ties every pair of cells while u2 does not
+    game = new_game([[2, 2], [2, 2]], [[1, 3], [0, 3]])
+    assert run_cli(["check", game_file(game)]) == 1
+    out = json.loads(capsys.readouterr().out)
+    assert out == {
+        "status": "not_adversarial",
+        "witness": {"kind": "ordinal_violation", "sigma": [0, 1], "tau": [0, 0]},
+    }
 
 
 def test_check_missing_file(capsys):
@@ -185,3 +200,17 @@ def test_parser_reused_after_bad_arguments(game_file, capsys):
     capsys.readouterr()
     assert run_cli(["check", path]) == 0
     assert json.loads(capsys.readouterr().out)["alpha"] == "2/1"
+
+
+def test_module_entry_point_exit_codes(game_file, tmp_path):
+    # runs main() and the __main__ guard in a fresh interpreter
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+
+    def exit_code(path):
+        argv = [sys.executable, "-m", "strictgames.cli", "check", path]
+        return subprocess.run(argv, env=env, capture_output=True, timeout=60).returncode
+
+    assert exit_code(game_file(MATCHING_PENNIES)) == 0
+    assert exit_code(game_file(PRISONERS, "prisoners.json")) == 1
+    assert exit_code(str(tmp_path / "missing.json")) == 2

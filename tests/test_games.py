@@ -6,6 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from strictgames.axioms import Lens, audit_mixture_axioms
+from strictgames.detection import find_mixed_violation
 from strictgames.errors import (
     DimensionMismatch,
     EmptyGame,
@@ -216,3 +218,18 @@ def test_rational_canonical_form(a, b):
 @given(small_games(), st.integers(0, 2**32 - 1))
 def test_bilinearity_property(game, seed):
     assert verify_bilinearity(game, 10, seed)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: find_mixed_violation(MATCHING_PENNIES, budget=0, seed=1),
+        lambda: expected_utility(MATCHING_PENNIES, 3, uniform_profile(MATCHING_PENNIES)),
+        lambda: verify_bilinearity(MATCHING_PENNIES, samples=0, seed=1),
+        lambda: audit_mixture_axioms(MATCHING_PENNIES, Lens.U2, samples=0, seed=1),
+    ],
+    ids=["budget", "player", "bilinearity-samples", "audit-samples"],
+)
+def test_nonpositive_counts_and_bad_player_raise(call):
+    with pytest.raises(ValueError):
+        call()

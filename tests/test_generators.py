@@ -32,6 +32,14 @@ def test_gen_uniform_single_cell():
     assert (g.rows, g.cols) == (1, 1)
 
 
+def test_gen_disguised_single_cell_is_degenerate():
+    g = gen(GenSpec(Family.DISGUISED_ZERO_SUM, 1, 1, seed=3))
+    result = detect_affine(g)
+    assert result.status == "degenerate"
+    assert result.transform.alpha == 1
+    assert result.transform.beta == g.u1[0][0] + g.u2[0][0]
+
+
 def test_gen_is_deterministic():
     spec = GenSpec(Family.DISGUISED_ZERO_SUM, 3, 4, seed=11)
     assert gen(spec) == gen(spec)

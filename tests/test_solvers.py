@@ -128,7 +128,7 @@ def test_minimax_degenerate_fallback(monkeypatch):
     def recording_entering(self, bland):
         rules.append(bland)
         col = entering(self, bland)
-        costs = self.obj[:-1]
+        costs = self.rows[-1][:-1]
         if col is not None:
             # Dantzig enters a most negative cost, Bland the smallest label
             candidates = [lab for lab, c in zip(self.nonbasic, costs) if c < 0]
@@ -375,6 +375,20 @@ def test_invariance_compares_column_payoffs(monkeypatch):
 
     assert equilibrium_invariance_check(DISGUISED, t)
     monkeypatch.setattr(solvers, "to_zero_sum", doubling_u2)
+    assert not equilibrium_invariance_check(DISGUISED, t)
+
+
+def test_invariance_compares_strategies(monkeypatch):
+    # the only equilibrium of this stand-in normalization is pure and pays
+    # (-3, 3), which maps back to the payoffs (0, 3) of the mixed equilibrium
+    # of DISGUISED, so only the strategies tell the two sets apart
+    t = detect_affine(DISGUISED).transform
+    fake = zero_sum([[-3, -2], [-4, -5]])
+    (z,) = support_enumeration(fake)
+    (e,) = support_enumeration(DISGUISED)
+    assert (t.u1_value(z.payoffs[0]), z.payoffs[1]) == e.payoffs
+    assert (z.x, z.y) != (e.x, e.y)
+    monkeypatch.setattr(solvers, "to_zero_sum", lambda game, t: fake)
     assert not equilibrium_invariance_check(DISGUISED, t)
 
 
