@@ -6,7 +6,7 @@ solve by exact LP, reporting the value in both scales), ``audit-axioms``,
 ``mv-check``, ``gen``, and ``bench``.  Results go to standard output as
 JSON; diagnostics go to standard error.  Exit codes: 0 success (for
 ``check``/``normalize``/``solve``: the game is adversarial), 1 negative
-verdict, 2 malformed input or bad arguments.
+verdict, 2 malformed input, bad arguments or an LP past its pivot budget.
 """
 
 from __future__ import annotations

@@ -33,6 +33,11 @@ class TooLarge(StrictGamesError):
     """Game dimensions exceed the support-enumeration size cap."""
 
 
+class PivotBudgetExceeded(StrictGamesError):
+    """The simplex made more pivots than its budget allows without reaching
+    an optimum."""
+
+
 class BadSpec(StrictGamesError):
     """A generator specification is invalid or unsatisfiable."""
 

@@ -1,7 +1,8 @@
 """Exact game solving: minimax by simplex and a support-enumeration oracle.
 
-The minimax path shifts the row payoff matrix positive, reduces the value
-problem to a standard-form linear program over integers, and runs a dense
+The minimax path maps the row payoff matrix to the smallest positive
+integer matrix in its positive affine class, reduces the value problem to
+a standard-form linear program over those integers, and runs a dense
 fraction-free simplex on a compact tableau, so both players' optimal
 strategies come out of one tableau (primal solution and dual prices).  The
 entering variable follows Dantzig's most-negative rule; after a run of
@@ -30,7 +31,7 @@ from fractions import Fraction
 from itertools import combinations
 
 from .detection import AffineTransform, to_zero_sum
-from .errors import NotZeroSum, TooLarge
+from .errors import NotZeroSum, PivotBudgetExceeded, TooLarge
 from .games import BimatrixGame, MixedStrategy, _row_sums
 from .rational import format_rational
 
@@ -40,6 +41,10 @@ MAX_ENUM_DIM = 5
 #: Consecutive degenerate pivots after which the simplex switches from
 #: Dantzig's entering rule to Bland's until the next nondegenerate pivot.
 DEGENERATE_RUN_LIMIT = 8
+
+#: An LP on an m x n matrix raises :class:`PivotBudgetExceeded` rather than
+#: make more than ``PIVOTS_PER_DIMENSION * (m + n)`` pivots.
+PIVOTS_PER_DIMENSION = 50
 
 
 @dataclass(frozen=True)
@@ -135,7 +140,11 @@ class _Simplex:
     bases.  Between two nondegenerate pivots the objective is constant;
     Dantzig's rule runs for at most ``DEGENERATE_RUN_LIMIT`` of those
     pivots, then Bland's rule, which never cycles from any starting basis
-    (Bland 1977), so every degenerate run ends.
+    (Bland 1977), so every degenerate run ends.  :meth:`solve` still counts
+    its pivots and raises :class:`PivotBudgetExceeded` past
+    ``PIVOTS_PER_DIMENSION * (m + n)``, so a tableau whose invariants were
+    broken fails fast instead of spinning; :meth:`solve_square` makes at
+    most ``n`` pivots and needs no budget.
     """
 
     def __init__(
@@ -204,11 +213,17 @@ class _Simplex:
         ``objective / div``, variable ``j`` is ``primal[j] / div`` and the
         dual price of row ``i`` is ``dual[i] / div``.
         """
-        run = 0
+        budget = PIVOTS_PER_DIMENSION * (self.m + self.n)
+        run = pivots = 0
         while True:
             col = self._entering(bland=run >= DEGENERATE_RUN_LIMIT)
             if col is None:
                 break
+            if pivots == budget:
+                raise PivotBudgetExceeded(
+                    f"no optimum after {budget} pivots on a {self.m}x{self.n} LP"
+                )
+            pivots += 1
             row = self._leaving(col)
             run = run + 1 if self.rows[row][-1] == 0 else 0
             self._pivot(row, col)
@@ -260,11 +275,18 @@ def _check_zero_sum(game: BimatrixGame) -> None:
 def minimax_solve(game: BimatrixGame) -> MinimaxSolution:
     """Exact minimax value and optimal strategies of a zero-sum game.
 
-    The row matrix is shifted by ``1 - min`` when its minimum is <= 0 and
-    scaled to the smallest proportional integer matrix, the positive-matrix
-    value LP is solved once, and the column player's optimum is read off
-    the dual prices.  Guarantee inequalities are re-verified exactly, in
-    integers, on the original matrix before returning.
+    The LP runs on ``a = (v - low) / g + 1``, where ``u1 == v / den`` over
+    integers, ``low`` is the least entry of ``v`` and ``g`` the gcd of the
+    differences ``v - low`` (1 when every entry is equal).  This is the
+    smallest positive integer matrix in u1's positive affine class, so it
+    depends only on that class: every ``c*u1 + d`` with ``c > 0`` gets the
+    same LP, the same pivots and the same strategies, and a disguised game
+    is solved on its core's own integers.  The positive-matrix value LP is
+    solved once, the column player's optimum is read off the dual prices,
+    and the value of ``u1`` is ``((low - g) + g*value(a)) / den``.
+    Guarantee inequalities are re-verified exactly, in integers, on the
+    original matrix before returning.  A corrupted tableau that cannot
+    reach an optimum raises :class:`PivotBudgetExceeded`.
 
     The value is unique.  When the optimal strategy set is not a single
     point, which optimal strategy is returned depends on the pivoting rule
@@ -274,21 +296,17 @@ def minimax_solve(game: BimatrixGame) -> MinimaxSolution:
     m, n = game.rows, game.cols
     den, v = game.den1, game.num1  # u1 == v / den
     low = min(min(row) for row in v)
-    # lift/den is the shift; scaling a positive matrix scales its value and
-    # keeps optima unchanged, so the LP runs on (v + lift) / g in integers
-    lift = den - low if low <= 0 else 0
-    g = den
-    for row in v:
-        for entry in row:
-            g = math.gcd(g, entry + lift)
-    a = [[(entry + lift) // g for entry in row] for row in v]
+    # v == (low - g) + g*a, so u1 and a share their optima; g is 0 only
+    # when every entry equals low, and then any g > 0 will do
+    g = math.gcd(*(entry - low for row in v for entry in row)) or 1
+    a = [[(entry - low) // g + 1 for entry in row] for row in v]
 
     div, total, q, p = _Simplex(a, [1] * m, [1] * n).solve()
     # the LP optimum total/div is the reciprocal of the value of a, and the
     # primal and dual optima both sum to total
     y = MixedStrategy.from_weights(q)
     x = MixedStrategy.from_weights(p)
-    value = Fraction(div * g - lift * total, den * total)
+    value = Fraction((low - g) * total + g * div, den * total)
 
     # sum_i x_i u1_ij >= value, cross-multiplied by the positive
     # denominators of x, u1 and value; likewise for y

@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from strictgames import solvers
 from strictgames.cli import run_cli
 from strictgames.games import new_game
 from strictgames.io import load_game, save_game
@@ -98,6 +99,21 @@ def test_solve_reports_both_scales(game_file, capsys):
     assert out["value"] == "0/1"
     assert out["u1_value"] == "3/2"
     assert out["row_strategy"] == ["1/2", "1/2"]
+
+
+def test_solve_exits_2_when_the_pivot_budget_runs_out(game_file, monkeypatch, capsys):
+    # a tableau corrupted so that one column re-enters forever
+    pivot = solvers._Simplex._pivot
+
+    def sign_flipping_pivot(self, row, col):
+        pivot(self, row, col)
+        self.rows[-1][col] = -self.rows[-1][col]
+
+    monkeypatch.setattr(solvers._Simplex, "_pivot", sign_flipping_pivot)
+    assert run_cli(["solve", game_file(DISGUISED_VALUE)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "no optimum after 200 pivots on a 2x2 LP" in captured.err
 
 
 def test_solve_non_adversarial_exit_1(game_file, capsys):

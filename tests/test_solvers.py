@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction as F
 
@@ -7,8 +8,9 @@ from hypothesis import strategies as st
 
 from strictgames import solvers
 from strictgames.detection import AffineTransform, detect_affine, to_zero_sum
-from strictgames.errors import NotZeroSum, TooLarge
+from strictgames.errors import NotZeroSum, PivotBudgetExceeded, TooLarge
 from strictgames.games import new_game
+from strictgames.generators import disguise
 from strictgames.solvers import (
     EquilibriumSet,
     enumeration_agrees,
@@ -160,6 +162,59 @@ def test_minimax_degenerate_fallback(monkeypatch):
         assert_guarantees(v1, s.row_strategy, s.col_strategy, s.value)
 
 
+def test_minimax_pivot_budget_stops_a_corrupted_tableau(monkeypatch):
+    # flipping the sign of the entering column's new objective entry keeps
+    # that column's reduced cost negative, so the simplex would pivot on it
+    # forever; the budget turns that into a typed error
+    pivot, pivots = solvers._Simplex._pivot, []
+
+    def sign_flipping_pivot(self, row, col):
+        pivot(self, row, col)
+        self.rows[-1][col] = -self.rows[-1][col]
+        pivots.append(col)
+
+    monkeypatch.setattr(solvers._Simplex, "_pivot", sign_flipping_pivot)
+    with pytest.raises(PivotBudgetExceeded, match="after 300 pivots on a 2x4 LP"):
+        minimax_solve(zero_sum(NON_UNIQUE))
+    assert len(pivots) == solvers.PIVOTS_PER_DIMENSION * (2 + 4)
+
+
+@pytest.mark.parametrize(
+    "v1, value",
+    [
+        ([[F(-5, 3)]], F(-5, 3)),
+        ([[4, 4], [4, 4]], F(4)),
+        ([[0, 0, 0]], F(0)),
+        ([[-3], [-3]], F(-3)),
+        ([[F(2, 3)] * 3] * 2, F(2, 3)),
+        ([[0, 0], [0, 5]], F(0)),
+        ([[F(-1, 2)], [F(3, 4)]], F(3, 4)),
+    ],
+)
+def test_minimax_constant_and_near_constant_matrices(v1, value):
+    # every entry equal makes the gcd of the differences 0; one entry above
+    # the minimum makes it that entry's distance from the minimum
+    s = minimax_solve(zero_sum(v1))
+    assert s.value == value
+    assert_guarantees(v1, s.row_strategy, s.col_strategy, s.value)
+
+
+def lp_matrix(game):
+    """The integer matrix :func:`minimax_solve` hands to the simplex."""
+    matrices = []
+    init = solvers._Simplex.__init__
+
+    def recording_init(self, a, b, c=None):
+        matrices.append(a)
+        init(self, a, b, c)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(solvers._Simplex, "__init__", recording_init)
+        minimax_solve(game)
+    (a,) = matrices
+    return a
+
+
 @st.composite
 def distinct_entry_matrices(draw):
     m, n = draw(st.integers(1, 4)), draw(st.integers(1, 4))
@@ -211,6 +266,37 @@ def test_minimax_value_affine_equivariant(v1, a, b):
     moved = minimax_solve(zero_sum([[a * v + b for v in row] for row in v1]))
     assert moved.value == a * base.value + b
     assert_guarantees(v1, moved.row_strategy, moved.col_strategy, base.value)
+    assert moved.row_strategy == base.row_strategy
+    assert moved.col_strategy == base.col_strategy
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    rational_matrices(),
+    st.fractions(min_value=F(1, 64), max_value=64),
+    st.fractions(min_value=-20, max_value=20),
+)
+def test_minimax_lp_matrix_depends_only_on_the_affine_class(v1, c, d):
+    a = lp_matrix(zero_sum(v1))
+    assert lp_matrix(zero_sum([[c * v + d for v in row] for row in v1])) == a
+    # the smallest positive integer matrix: least entry 1, differences coprime
+    entries = [e for row in a for e in row]
+    assert min(entries) == 1
+    assert math.gcd(*(e - 1 for e in entries)) in (0, 1)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    distinct_entry_matrices(),
+    st.fractions(min_value=F(1, 16), max_value=16),
+    st.fractions(min_value=-20, max_value=20),
+)
+def test_disguised_game_solved_on_its_core(core, alpha, beta):
+    low = min(min(row) for row in core)
+    assume(math.gcd(*(v - low for row in core for v in row)) == 1)
+    game = disguise(core, alpha, beta)
+    zero = to_zero_sum(game, detect_affine(game).transform)
+    assert lp_matrix(zero) == [[v - low + 1 for v in row] for row in core]
 
 
 def test_support_enumeration_matching_pennies():
