@@ -30,8 +30,8 @@ from fractions import Fraction
 from functools import cached_property
 from operator import mul
 
-from .games import BimatrixGame, IntMatrix, MixedProfile
-from .games import _check_profile, _mix_weights, _row_sums
+from .games import BimatrixGame, IntMatrix, MixedProfile, expected_utility
+from .games import _mix_weights, _row_sums
 from .rational import _below, random_open_weight, random_simplex_point, random_weight
 
 AXIOM_NAMES = ("MS1", "MS2", "MS3", "MS4", "MS5")
@@ -91,8 +91,9 @@ class InducedPreference:
         return Fraction(u[0], u[1] * self._lens[2])
 
     def utility(self, p: MixedProfile) -> Fraction:
-        _check_profile(self.game, p)
-        return self._show(self._value((p.x.weights, p.y.weights)))
+        if self.lens is Lens.NEG_U1:
+            return -expected_utility(self.game, 1, p)
+        return expected_utility(self.game, 2, p)
 
     def precedes(self, sigma: MixedProfile, tau: MixedProfile) -> bool:
         """Whether sigma is weakly dispreferred to tau."""

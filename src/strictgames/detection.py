@@ -27,7 +27,7 @@ from .games import (
     random_strategy,
     uniform_strategy,
 )
-from .rational import common_denominator, format_rational
+from .rational import common_denominator, format_rational, parse_rational
 
 
 @dataclass(frozen=True)
@@ -35,14 +35,15 @@ class AffineTransform:
     """The pair (alpha, beta) with alpha > 0 linking the two payoffs.
 
     For an adversarial game, ``u2 == -alpha * u1 + beta`` on every cell.
+    Both are read by :func:`~strictgames.rational.parse_rational`.
     """
 
     alpha: Fraction
     beta: Fraction
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "alpha", Fraction(self.alpha))
-        object.__setattr__(self, "beta", Fraction(self.beta))
+        object.__setattr__(self, "alpha", parse_rational(self.alpha))
+        object.__setattr__(self, "beta", parse_rational(self.beta))
         if self.alpha <= 0:
             raise AlphaNonpositiveError(f"alpha must be > 0, got {self.alpha}")
 

@@ -16,11 +16,12 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import chain
+from itertools import chain, islice
 from operator import mul
 
-from .errors import DimensionMismatch, EmptyGame, ShapeMismatch, WeightOutOfRange
-from .rational import common_denominator
+from .errors import DimensionMismatch, EmptyGame, FormatError, ShapeMismatch
+from .errors import WeightOutOfRange
+from .rational import common_denominator, parse_rational
 from .rational import random_simplex_point, random_weight
 
 Matrix = tuple[tuple[Fraction, ...], ...]
@@ -36,8 +37,11 @@ class BimatrixGame:
 
     When row action ``i`` meets column action ``j`` the row player's payoff
     is ``u1[i][j] == num1[i][j] / den1`` and the column player's
-    ``u2[i][j] == num2[i][j] / den2``, each denominator positive and reduced
-    with its matrix on construction; ``u1`` and ``u2`` are built on first
+    ``u2[i][j] == num2[i][j] / den2``, each denominator a positive ``int``
+    (else :class:`FormatError`) reduced with its matrix on construction,
+    which also raises :class:`EmptyGame` or :class:`ShapeMismatch` unless
+    both matrices are nonempty, rectangular and equally shaped.  Entries
+    are not checked one by one.  ``u1`` and ``u2`` are built on first
     access and kept.
     """
 
@@ -49,10 +53,18 @@ class BimatrixGame:
     def __post_init__(self) -> None:
         for num, den in (("num1", "den1"), ("num2", "den2")):
             rows, d = tuple(map(tuple, getattr(self, num))), getattr(self, den)
+            if type(d) is not int or d < 1:
+                raise FormatError(f"{den} must be a positive int, not {d!r}")
             if d > 1 and (g := math.gcd(d, *chain.from_iterable(rows))) > 1:
                 rows, d = tuple(tuple(v // g for v in r) for r in rows), d // g
             object.__setattr__(self, num, rows)
             object.__setattr__(self, den, d)
+        a, b = self.num1, self.num2
+        widths = {len(r) for r in a + b}
+        if not a or not b or 0 in widths:
+            raise EmptyGame("payoff matrices must be nonempty")
+        if len(widths) != 1 or len(a) != len(b):
+            raise ShapeMismatch(f"{len(a)}, {len(b)} rows of widths {sorted(widths)}")
 
     @cached_property
     def u1(self) -> Matrix:
@@ -76,24 +88,15 @@ class BimatrixGame:
 
 
 def new_game(u1: object, u2: object) -> BimatrixGame:
-    """Validate two matrices of ``Fraction``-convertible payoffs into a game.
-
-    Raises :class:`EmptyGame` if either dimension is zero and
-    :class:`ShapeMismatch` if the matrices are not equally shaped.
-    """
-    m1 = [list(row) for row in u1]  # type: ignore[attr-defined]
-    m2 = [list(row) for row in u2]  # type: ignore[attr-defined]
-    if len(m1) == 0 or len(m2) == 0 or any(len(r) == 0 for r in m1 + m2):
-        raise EmptyGame("payoff matrices must be nonempty")
-    if len({len(r) for r in m1} | {len(r) for r in m2}) != 1 or len(m1) != len(m2):
-        raise ShapeMismatch(
-            f"u1 is {len(m1)}x{len(m1[0])}, u2 is {len(m2)}x{len(m2[0])}"
-        )
-    cols = len(m1[0])
+    """Two matrices of numbers (``Fraction``, integer or ``"n/d"``; floats
+    and booleans raise :class:`FormatError`) as a game, each over its least
+    common denominator; :class:`BimatrixGame` checks the shapes."""
     stored = []
-    for m in (m1, m2):
-        num, den = common_denominator(v for row in m for v in row)
-        stored += [[num[k : k + cols] for k in range(0, len(num), cols)], den]
+    for m in (u1, u2):
+        rows = [list(row) for row in m]  # type: ignore[attr-defined]
+        num, den = common_denominator(chain.from_iterable(rows))
+        flat = iter(num)
+        stored += [[list(islice(flat, len(r))) for r in rows], den]
     return BimatrixGame(*stored)
 
 
@@ -103,9 +106,9 @@ class MixedStrategy:
 
     Action ``k`` has probability ``weights[k] / den``: nonnegative integer
     weights in lowest terms over their sum.  ``MixedStrategy(probs)`` takes
-    probabilities summing to exactly 1, :meth:`from_weights` integer
-    weights; ``probs`` (built on first access and kept), indexing and
-    iteration are ``Fraction`` views.
+    numbers (as :func:`new_game` does) summing to exactly 1,
+    :meth:`from_weights` integer weights; ``probs`` (built on first access
+    and kept), indexing and iteration are ``Fraction`` views.
     """
 
     weights: tuple[int, ...]
@@ -182,13 +185,6 @@ def random_profile(rng: random.Random, game: BimatrixGame) -> MixedProfile:
     return MixedProfile(x, random_strategy(rng, game.cols))
 
 
-def _check_profile(game: BimatrixGame, p: MixedProfile) -> None:
-    if len(p.x) != game.rows or len(p.y) != game.cols:
-        raise DimensionMismatch(
-            f"profile is {len(p.x)}x{len(p.y)}, game is {game.rows}x{game.cols}"
-        )
-
-
 def _row_sums(matrix: IntMatrix, w) -> list[int]:
     """``matrix @ w`` in integers, one dot product per row."""
     return [sum(map(mul, row, w)) for row in matrix]
@@ -210,7 +206,10 @@ def expected_utility(game: BimatrixGame, player: int, p: MixedProfile) -> Fracti
     """
     if player not in (1, 2):
         raise ValueError("player must be 1 or 2")
-    _check_profile(game, p)
+    if len(p.x) != game.rows or len(p.y) != game.cols:
+        raise DimensionMismatch(
+            f"profile is {len(p.x)}x{len(p.y)}, game is {game.rows}x{game.cols}"
+        )
     matrix, den_u = (game.num1, game.den1) if player == 1 else (game.num2, game.den2)
     total = sum(map(mul, p.x.weights, _row_sums(matrix, p.y.weights)))
     return Fraction(total, p.x.den * p.y.den * den_u)
@@ -221,7 +220,7 @@ def mix(p: MixedStrategy, q: MixedStrategy, w: Fraction) -> MixedStrategy:
 
     The output satisfies the simplex invariants without renormalization.
     """
-    w = Fraction(w)
+    w = parse_rational(w)
     if not 0 <= w <= 1:
         raise WeightOutOfRange(f"weight {w} outside [0, 1]")
     if len(p) != len(q):

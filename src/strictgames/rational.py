@@ -4,9 +4,10 @@ Payoffs and probabilities are stored as arbitrary-precision integers over
 a positive common denominator in lowest terms, and the solvers pivot on
 integers, so every equality check in the package is bit-exact;
 ``fractions.Fraction`` appears only in views, certificates, witnesses and
-JSON.  This module adds the conversion to a common denominator, the strict
-text format of the JSON interfaces ("n/d" with d > 0, or a plain integer),
-parsed straight to a pair of integers, and the seeded samplers for
+JSON.  This module says what a number is, in files and library calls
+alike: a ``Fraction``, an integer or a string ``"n/d"`` (d > 0) in ASCII
+digits; floats and booleans raise :class:`FormatError`.  It adds the
+conversion to a common denominator and the seeded samplers for
 bounded-denominator random weights, which return integers and consume a
 CPython ``random.Random`` exactly as ``randint``/``choice`` would.
 """
@@ -30,9 +31,9 @@ WEIGHT_BOUND = 64
 
 
 def common_denominator(values) -> tuple[list[int], int]:
-    """Rationals as integer numerators over their least common denominator,
-    which is in lowest terms with them."""
-    fracs = [v if isinstance(v, (int, Fraction)) else Fraction(v) for v in values]
+    """Numbers (see :func:`parse_rational`) as integer numerators over their
+    least common denominator, which is in lowest terms with them."""
+    fracs = [v if type(v) is int else parse_rational(v) for v in values]
     den = math.lcm(*(v.denominator for v in fracs))
     return [v.numerator * (den // v.denominator) for v in fracs], den
 
@@ -64,8 +65,10 @@ def parse_literal(value: int | str) -> tuple[int, int]:
     raise FormatError(f"not a rational literal: {value!r}")
 
 
-def parse_rational(value: int | str) -> Fraction:
-    """Parse a JSON payoff entry as a ``Fraction``; see :func:`parse_literal`."""
+def parse_rational(value: int | str | Fraction) -> Fraction:
+    """A ``Fraction`` as it is, anything else as :func:`parse_literal` reads it."""
+    if isinstance(value, Fraction):
+        return value
     return Fraction(*parse_literal(value))
 
 

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 
-from .detection import AffineTransform, to_zero_sum
+from .detection import AffineTransform, detect_affine, to_zero_sum
 from .errors import NotZeroSum, PivotBudgetExceeded, TooLarge
 from .games import BimatrixGame, MixedStrategy, _row_sums
 from .rational import format_rational
@@ -263,18 +263,11 @@ class _Simplex:
         return primal
 
 
-def _check_zero_sum(game: BimatrixGame) -> None:
-    d1, d2 = game.den1, game.den2
-    for i, (row1, row2) in enumerate(zip(game.num1, game.num2)):
-        for j, (a, b) in enumerate(zip(row1, row2)):
-            if a * d2 + b * d1:
-                total = Fraction(a, d1) + Fraction(b, d2)
-                raise NotZeroSum(f"u1 + u2 is {total} at cell ({i}, {j})")
-
-
 def minimax_solve(game: BimatrixGame) -> MinimaxSolution:
     """Exact minimax value and optimal strategies of a zero-sum game.
 
+    Unless :func:`detect_affine` certifies (1, 0), ``u2 == -u1``, this
+    raises :class:`NotZeroSum`.
     The LP runs on ``a = (v - low) / g + 1``, where ``u1 == v / den`` over
     integers, ``low`` is the least entry of ``v`` and ``g`` the gcd of the
     differences ``v - low`` (1 when every entry is equal).  This is the
@@ -292,7 +285,9 @@ def minimax_solve(game: BimatrixGame) -> MinimaxSolution:
     point, which optimal strategy is returned depends on the pivoting rule
     and may change between versions.
     """
-    _check_zero_sum(game)
+    certificate = detect_affine(game)
+    if certificate.transform != AffineTransform(1, 0):
+        raise NotZeroSum(f"u2 is not -u1: {certificate.to_json_dict()}")
     m, n = game.rows, game.cols
     den, v = game.den1, game.num1  # u1 == v / den
     low = min(min(row) for row in v)

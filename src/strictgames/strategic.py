@@ -40,8 +40,9 @@ class MvDecomposition:
         }
 
     def verifies(self, game: BimatrixGame) -> bool:
-        """Re-check the defining cell equations exactly, in integers."""
-        if self.lambda1 <= 0 or self.lambda2 <= 0:
+        """Re-check the shape and the cell equations exactly, in integers."""
+        shape = (len(self.row_offsets), len(self.col_offsets))
+        if self.lambda1 <= 0 or self.lambda2 <= 0 or shape != (game.rows, game.cols):
             return False
         # lambda_k*u_k == (lambda_k/den_k)*num_k: all over one denominator
         factors = (self.lambda1 / game.den1, self.lambda2 / game.den2)

@@ -2,6 +2,8 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from strictgames.axioms import (
     InducedPreference,
@@ -9,6 +11,7 @@ from strictgames.axioms import (
     audit_mixture_axioms,
     ms4_witness,
 )
+from strictgames.games import MixedProfile, MixedStrategy, expected_utility
 from strictgames.games import new_game, pure_profile, uniform_profile
 
 MATCHING_PENNIES = new_game([[1, -1], [-1, 1]], [[-1, 1], [1, -1]])
@@ -62,6 +65,35 @@ def test_induced_preference_lenses():
     # matching pennies is zero-sum: the two lenses agree everywhere
     assert pref1.utility(q) == pref2.utility(q) == 0
     assert pref1.precedes(p, q)
+
+
+@st.composite
+def rational_games_and_profiles(draw):
+    rows, cols = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    entry = st.fractions(min_value=-20, max_value=20, max_denominator=12)
+    matrix = st.lists(st.lists(entry, min_size=cols, max_size=cols),
+                      min_size=rows, max_size=rows)
+    game = new_game(draw(matrix), draw(matrix))
+
+    def strategy(n):
+        weights = st.lists(st.integers(0, 9), min_size=n, max_size=n).filter(any)
+        return MixedStrategy.from_weights(draw(weights))
+
+    return game, MixedProfile(strategy(rows), strategy(cols))
+
+
+@settings(max_examples=60, deadline=None)
+@given(rational_games_and_profiles())
+def test_utility_is_the_lens_expected_utility(case):
+    game, p = case
+    u2 = InducedPreference(game, Lens.U2).utility(p)
+    neg_u1 = InducedPreference(game, Lens.NEG_U1).utility(p)
+    assert u2 == expected_utility(game, 2, p)
+    assert neg_u1 == -expected_utility(game, 1, p)
+    # and both are the bilinear double sum over the Fraction views
+    cells = [(p.x[i] * p.y[j], i, j) for i in range(game.rows) for j in range(game.cols)]
+    assert u2 == sum(w * game.u2[i][j] for w, i, j in cells)
+    assert neg_u1 == -sum(w * game.u1[i][j] for w, i, j in cells)
 
 
 def test_ms4_witness_exact():

@@ -11,10 +11,12 @@ from strictgames.detection import find_mixed_violation
 from strictgames.errors import (
     DimensionMismatch,
     EmptyGame,
+    FormatError,
     ShapeMismatch,
     WeightOutOfRange,
 )
 from strictgames.games import (
+    BimatrixGame,
     MixedProfile,
     MixedStrategy,
     expected_utility,
@@ -59,6 +61,31 @@ def test_new_game_empty():
         new_game([], [])
     with pytest.raises(EmptyGame):
         new_game([[]], [[]])
+
+
+@pytest.mark.parametrize("den", [0, -1, True, F(2), 2.0], ids=repr)
+def test_bimatrix_game_rejects_a_bad_denominator(den):
+    with pytest.raises(FormatError):
+        BimatrixGame(((1,),), den, ((-1,),), 1)
+    with pytest.raises(FormatError):
+        BimatrixGame(((1,),), 1, ((-1,),), den)
+
+
+@pytest.mark.parametrize(
+    "num1, num2, error",
+    [
+        (((1, 2), (3,)), ((1, 2), (3, 4)), ShapeMismatch),  # ragged u1
+        (((1, 2), (3, 4)), ((1, 2), (3,)), ShapeMismatch),  # ragged u2
+        (((1, 2),), ((1, 2, 3),), ShapeMismatch),  # unequal widths
+        (((1,), (2,)), ((1,),), ShapeMismatch),  # unequal heights
+        ((), (), EmptyGame),
+        (((),), ((),), EmptyGame),
+        (((1,),), (), EmptyGame),
+    ],
+)
+def test_bimatrix_game_checks_shapes(num1, num2, error):
+    with pytest.raises(error):
+        BimatrixGame(num1, 1, num2, 1)
 
 
 def test_expected_utility_point_mass():

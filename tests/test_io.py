@@ -6,7 +6,8 @@ import pytest
 
 from strictgames.cli import run_cli
 from strictgames.errors import FormatError
-from strictgames.games import new_game
+from strictgames.detection import AffineTransform
+from strictgames.games import MixedStrategy, mix, new_game
 from strictgames.generators import Family, GenSpec, gen
 from strictgames.io import dumps_game, game_from_json_dict, load_game, loads_game
 from strictgames.rational import format_rational, parse_rational
@@ -19,17 +20,39 @@ def test_parse_rational_forms():
     assert parse_rational("4/6") == F(2, 3)
 
 
-@pytest.mark.parametrize(
-    "bad",
-    [
-        "1.5", "1e3", "1/-2", "1/0", " 1/2", "", "a", 1.5, None, True,
-        # Arabic-Indic digits are Unicode decimal digits but not ASCII
-        "\u0661", "1/\u0662", "\u0661/2", "1/2\n", "1/00", "-", "1/", "1_000",
-    ],
-)
+BAD_LITERALS = [
+    "1.5", "1e3", "1/-2", "1/0", " 1/2", "", "a", 1.5, None, True,
+    # Arabic-Indic digits are Unicode decimal digits but not ASCII
+    "\u0661", "1/\u0662", "\u0661/2", "1/2\n", "1/00", "-", "1/", "1_000",
+]
+
+
+@pytest.mark.parametrize("bad", BAD_LITERALS)
 def test_parse_rational_rejects(bad):
     with pytest.raises(FormatError):
         parse_rational(bad)
+
+
+HALF = MixedStrategy.from_weights((1, 1))
+
+
+@pytest.mark.parametrize("bad", BAD_LITERALS)
+@pytest.mark.parametrize(
+    "read",
+    [
+        lambda v: new_game([[0, v]], [[0, 0]]),
+        lambda v: new_game([[0, 0]], [[v, 0]]),
+        lambda v: MixedStrategy((v, F(1, 2))),
+        lambda v: mix(HALF, HALF, v),
+        lambda v: AffineTransform(v, 0),
+        lambda v: AffineTransform(1, v),
+    ],
+    ids=["new_game-u1", "new_game-u2", "MixedStrategy", "mix", "alpha", "beta"],
+)
+def test_library_numbers_follow_the_literal_rule(read, bad):
+    # every number the library takes is read as a file literal is
+    with pytest.raises(FormatError):
+        read(bad)
 
 
 def test_format_rational_always_shows_denominator():

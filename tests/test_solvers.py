@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 
 from strictgames import solvers
 from strictgames.detection import AffineTransform, detect_affine, to_zero_sum
-from strictgames.errors import NotZeroSum, PivotBudgetExceeded, TooLarge
-from strictgames.games import new_game
+from strictgames.errors import FormatError, NotZeroSum, PivotBudgetExceeded, TooLarge
+from strictgames.games import BimatrixGame, new_game
 from strictgames.generators import disguise
 from strictgames.solvers import (
     EquilibriumSet,
@@ -60,6 +60,26 @@ def test_minimax_single_cell():
 def test_minimax_rejects_general_sum():
     with pytest.raises(NotZeroSum):
         minimax_solve(PRISONERS)
+
+
+def test_minimax_zero_sum_is_the_certificate_one_zero():
+    # zero-sum means detect_affine certifies (1, 0), constant games included
+    for game, value in ((MATCHING_PENNIES, 0), (new_game([[7]], [[-7]]), 7)):
+        assert detect_affine(game).transform == AffineTransform(1, 0)
+        assert minimax_solve(game).value == value
+    # adversarial with alpha = 2, and constant with beta = 1: not zero-sum
+    assert detect_affine(DISGUISED).transform == AffineTransform(2, 3)
+    for game in (DISGUISED, new_game([[7]], [[-6]])):
+        with pytest.raises(NotZeroSum):
+            minimax_solve(game)
+
+
+def test_minimax_game_with_a_negative_denominator_cannot_be_built():
+    # with den1 = -1 this is the zero-sum game below, of value -1; the LP and
+    # its re-check assume a positive denominator and returned -3 for it
+    with pytest.raises(FormatError):
+        BimatrixGame(((-2, 1), (3, 3)), -1, ((-2, 1), (3, 3)), 1)
+    assert minimax_solve(new_game([[2, -1], [-3, -3]], [[-2, 1], [3, 3]])).value == -1
 
 
 def test_minimax_certificates_random():

@@ -1,8 +1,10 @@
 import random
+from dataclasses import replace
 from fractions import Fraction as F
 
 from strictgames.detection import detect_affine
 from strictgames.games import new_game
+from strictgames.generators import Family, GenSpec, gen
 from strictgames.strategic import MvDecomposition, strategically_zero_sum_detect
 
 PRISONERS = new_game([[3, 0], [5, 1]], [[3, 5], [0, 1]])
@@ -77,6 +79,17 @@ def test_gauge_shift_preserves_validity():
             tuple(b - shift for b in d.col_offsets),
         )
         assert shifted.verifies(g)
+
+
+def test_verifies_rejects_a_certificate_of_the_wrong_shape():
+    g = gen(GenSpec(Family.STRATEGIC_ZERO_SUM, 2, 3, seed=4))
+    d = strategically_zero_sum_detect(g)
+    assert d is not None and d.verifies(g)
+    # the first column offset moved into the row offsets: a 3x2 certificate
+    # whose flat offsets are the 2x3 one's
+    moved = replace(d, row_offsets=d.row_offsets + d.col_offsets[:1],
+                    col_offsets=d.col_offsets[1:])
+    assert not moved.verifies(g)
 
 
 def test_single_row_or_column_always_strategic():
