@@ -1,17 +1,29 @@
 """Exact game solving: minimax by simplex and a support-enumeration oracle.
 
 The minimax path maps the row payoff matrix to the smallest positive
-integer matrix in its positive affine class, reduces the value problem to
-a standard-form linear program over those integers, and runs a dense
-fraction-free simplex on a compact tableau, so both players' optimal
-strategies come out of one tableau (primal solution and dual prices).  The
-entering variable follows Dantzig's most-negative rule; after a run of
-``DEGENERATE_RUN_LIMIT`` degenerate pivots Bland's smallest-label rule
-takes over until the objective moves again, so every solve terminates (a
-nondegenerate pivot raises the objective, and Bland's rule never cycles).
-The value is unique; when the optimal strategy set is not a single point,
-the returned strategy is whichever optimum the pivots reach and may change
-between versions.  The support-enumeration oracle independently
+integer matrix in its positive affine class and reduces the value problem
+to a standard-form linear program over those integers.  It guesses the
+optimal basis, certifies it exactly, and falls back to the exact simplex
+only when the certificate fails.  The guess runs the simplex's own pivot
+loop in fixed point, on integers in units of ``2**-GUESS_BITS``, and reads
+both players' supports off its last basis.  The certificate solves each
+player's indifference system on those supports exactly and accepts only
+positive weights with strict complementarity; the optimal strategies are
+then unique (Kaplansky 1945; Bohnenblust, Karlin & Shapley 1950), so the
+answer is the one the exact simplex gives.  The exact simplex is a dense
+fraction-free one on a compact tableau, so both players' optimal
+strategies come out of one tableau (primal solution and dual prices).  In
+both loops the entering variable follows Dantzig's most-negative rule;
+after a run of ``DEGENERATE_RUN_LIMIT`` degenerate pivots Bland's
+smallest-label rule takes over until the objective moves again, so every
+exact solve terminates (a nondegenerate pivot raises the objective, and
+Bland's rule never cycles).  Both loops stop after
+``PIVOTS_PER_DIMENSION`` pivots per row and column; for the guess, whose
+rounding voids that argument, stopping there is a fallback.  The value is
+unique; when the optimal strategy set is not a single point, the
+certificate fails, and the returned strategy is whichever optimum the
+exact pivots reach and may change between versions.  No float enters any
+path.  The support-enumeration oracle independently
 finds all equilibria of small bimatrix games by solving the indifference
 system of every equal-size support pair on the same fraction-free pivot,
 so one integer elimination does all exact linear algebra here; it is
@@ -45,6 +57,10 @@ DEGENERATE_RUN_LIMIT = 8
 #: An LP on an m x n matrix raises :class:`PivotBudgetExceeded` rather than
 #: make more than ``PIVOTS_PER_DIMENSION * (m + n)`` pivots.
 PIVOTS_PER_DIMENSION = 50
+
+#: The basis guess stores each tableau entry as an integer count of
+#: units of ``2**-GUESS_BITS``.
+GUESS_BITS = 32
 
 
 @dataclass(frozen=True)
@@ -263,6 +279,41 @@ class _Simplex:
         return primal
 
 
+class _Guess(_Simplex):
+    """:class:`_Simplex` in fixed point, to guess the optimal basis.
+
+    Built on data multiplied by ``2**GUESS_BITS``, each stored entry is its
+    true tableau entry in units of ``2**-GUESS_BITS``, rounded down after
+    every pivot, so entries keep their size instead of growing into basis
+    determinants.  Only the pivot differs: each other row takes away
+    ``f/p`` times the pivot row, the pivot row is divided by the pivot
+    ``p``, and the pivot column becomes ``-f/p`` (``1/p`` in the pivot
+    row), where ``f/p`` and ``1/p`` are rounded to units and each product
+    is shifted back down.  The entering and leaving rules, the switch to
+    Bland's rule and the pivot budget are :class:`_Simplex`'s own.
+    Rounding may still lead it to a wrong basis, or make a column look
+    unbounded; the certificate catches the first, and the second raises
+    ``ArithmeticError``.
+    """
+
+    def _pivot(self, row: int, col: int) -> None:
+        prow = self.rows[row]
+        pivot = prow[col]
+        bits = GUESS_BITS
+        for i, old in enumerate(self.rows):
+            f = old[col]
+            if i != row and f:  # a row with f == 0 is unchanged
+                ratio = (f << bits) // pivot
+                new = [v - (ratio * w >> bits) for v, w in zip(old, prow)]
+                new[col] = -ratio
+                self.rows[i] = new
+        inverse = (1 << 2 * bits) // pivot
+        new = [w * inverse >> bits for w in prow]
+        new[col] = inverse
+        self.rows[row] = new
+        self.basis[row], self.nonbasic[col] = self.nonbasic[col], self.basis[row]
+
+
 def minimax_solve(game: BimatrixGame) -> MinimaxSolution:
     """Exact minimax value and optimal strategies of a zero-sum game.
 
@@ -274,16 +325,32 @@ def minimax_solve(game: BimatrixGame) -> MinimaxSolution:
     smallest positive integer matrix in u1's positive affine class, so it
     depends only on that class: every ``c*u1 + d`` with ``c > 0`` gets the
     same LP, the same pivots and the same strategies, and a disguised game
-    is solved on its core's own integers.  The positive-matrix value LP is
-    solved once, the column player's optimum is read off the dual prices,
-    and the value of ``u1`` is ``((low - g) + g*value(a)) / den``.
-    Guarantee inequalities are re-verified exactly, in integers, on the
-    original matrix before returning.  A corrupted tableau that cannot
-    reach an optimum raises :class:`PivotBudgetExceeded`.
+    is solved on its core's own integers.  The value of ``u1`` is
+    ``((low - g) + g*value(a)) / den``.
+
+    Guess, certify, fall back.  :class:`_Guess` runs the simplex's own
+    pivot loop on ``a`` in fixed point and reads the row support ``R`` (the
+    nonbasic slacks) and the column support ``S`` (the basic structurals)
+    off its last basis.  :func:`_certify` then solves each player's
+    indifference system on ``a[R][S]`` exactly and accepts only when
+    ``|R| == |S|``, the system is nonsingular, every weight is positive and
+    complementarity is strict: rows outside ``R`` earn strictly less than
+    the value and columns outside ``S`` concede strictly more.  Such a pair
+    is the game's only optimum (Kaplansky 1945; Bohnenblust, Karlin &
+    Shapley 1950), so it is what the exact simplex would return.  When the
+    guess stops on a false unbounded column or its pivot budget, or the
+    certificate fails, the positive-matrix value LP is solved exactly, the
+    column player's optimum read off its primal and the row player's off
+    its dual prices.  Both loops have the same budget,
+    ``PIVOTS_PER_DIMENSION * (m + n)`` pivots; a corrupted exact tableau
+    that cannot reach an optimum raises :class:`PivotBudgetExceeded`.
+    Whichever path answers, the guarantee inequalities are re-verified
+    exactly, in integers, on the original matrix before returning.
 
     The value is unique.  When the optimal strategy set is not a single
-    point, which optimal strategy is returned depends on the pivoting rule
-    and may change between versions.
+    point, the certificate fails, so the exact simplex answers, and which
+    optimal strategy it returns depends on the pivoting rule and may change
+    between versions.
     """
     certificate = detect_affine(game)
     if certificate.transform != AffineTransform(1, 0):
@@ -296,12 +363,21 @@ def minimax_solve(game: BimatrixGame) -> MinimaxSolution:
     g = math.gcd(*(entry - low for row in v for entry in row)) or 1
     a = [[(entry - low) // g + 1 for entry in row] for row in v]
 
-    div, total, q, p = _Simplex(a, [1] * m, [1] * n).solve()
-    # the LP optimum total/div is the reciprocal of the value of a, and the
-    # primal and dual optima both sum to total
-    y = MixedStrategy.from_weights(q)
-    x = MixedStrategy.from_weights(p)
-    value = Fraction((low - g) * total + g * div, den * total)
+    supports = _guess_supports(a)
+    optimum = _certify(a, *supports) if supports else None
+    if optimum is None:
+        div, total, q, p = _Simplex(a, [1] * m, [1] * n).solve()
+        # the LP optimum total/div is the reciprocal of the value of a
+        optimum = (
+            MixedStrategy.from_weights(p),
+            MixedStrategy.from_weights(q),
+            Fraction(div, total),
+        )
+    x, y, value_a = optimum
+    value = Fraction(
+        (low - g) * value_a.denominator + g * value_a.numerator,
+        den * value_a.denominator,
+    )
 
     # sum_i x_i u1_ij >= value, cross-multiplied by the positive
     # denominators of x, u1 and value; likewise for y
@@ -311,6 +387,57 @@ def minimax_solve(game: BimatrixGame) -> MinimaxSolution:
     if any(s * vden > num * y.den * den for s in _row_sums(v, y.weights)):
         raise AssertionError("column guarantee certificate failed")
     return MinimaxSolution(value=value, row_strategy=x, col_strategy=y)
+
+
+def _guess_supports(
+    a: list[list[int]],
+) -> tuple[tuple[int, ...], tuple[int, ...]] | None:
+    """The supports ``(R, S)`` that the fixed-point simplex ends on for the
+    value LP of the positive matrix ``a``: the rows whose slack is
+    nonbasic and the columns that are basic.  None when the guess raises,
+    on a column that its rounding made look unbounded or on the pivot
+    budget; that is a reason to fall back, not an error.
+    """
+    m, n = len(a), len(a[0])
+    one = 1 << GUESS_BITS
+    scaled = [[e << GUESS_BITS for e in row] for row in a]
+    guess = _Guess(scaled, [one] * m, [one] * n)
+    try:
+        guess.solve()
+    except (ArithmeticError, PivotBudgetExceeded):
+        return None
+    rows = tuple(sorted(var - n for var in guess.nonbasic if var >= n))
+    cols = tuple(sorted(var for var in guess.basis if var < n))
+    return rows, cols
+
+
+def _certify(
+    a: list[list[int]], rows: tuple[int, ...], cols: tuple[int, ...]
+) -> tuple[MixedStrategy, MixedStrategy, Fraction] | None:
+    """``(x, y, value)`` of the matrix game ``a`` (the row player's
+    payoffs, all positive) when it has exactly one optimal strategy pair
+    and its supports are ``rows`` and ``cols``; None otherwise.
+
+    Each player's indifference system on ``a[rows][cols]`` is solved
+    exactly, and the solution is accepted only with positive weights and
+    strict complementarity.  Any optimal ``y`` then concedes the value on
+    every row of ``rows`` (``x`` is positive there) and puts no weight
+    outside ``cols`` (``x`` earns more there), so it solves the same
+    system; that system has one solution, since its augmented matrix is
+    nonsingular and the value of a positive matrix is not 0, which makes
+    ``a[rows][cols]`` nonsingular too.  Likewise for ``x``.
+    """
+    if len(rows) != len(cols):
+        return None
+    y = _indifference(a, 1, rows, cols, strict=True)
+    if y is None:
+        return None
+    # the column player's payoffs are -a transposed
+    neg_at = [[-e for e in col] for col in zip(*a)]
+    x = _indifference(neg_at, 1, cols, rows, strict=True)
+    if x is None:
+        return None
+    return x[0], y[0], y[1]
 
 
 def support_enumeration(game: BimatrixGame) -> EquilibriumSet:
@@ -390,7 +517,11 @@ def _undominated(payoff: list[list[int]], others: int) -> list[int]:
 
 
 def _indifference(
-    payoff: list[list[int]], den: int, own: tuple[int, ...], other: tuple[int, ...]
+    payoff: list[list[int]],
+    den: int,
+    own: tuple[int, ...],
+    other: tuple[int, ...],
+    strict: bool = False,
 ) -> tuple[MixedStrategy, Fraction] | None:
     """The opponent mix on ``other`` that leaves the owner of ``payoff``
     indifferent over ``own`` and no better off elsewhere.
@@ -398,7 +529,8 @@ def _indifference(
     ``payoff[a][b] / den`` is the owner's payoff when own action ``a``
     meets opponent action ``b``.  Returns the opponent's strategy and the
     owner's payoff against it.  None when the system is singular, a weight
-    is not positive, or some own action earns more than that payoff.
+    is not positive, or some own action earns more than that payoff; with
+    ``strict``, also when an action outside ``own`` earns as much.
     """
     k = len(own)
     a = [[payoff[i][j] for j in other] + [-1] for i in own]
@@ -413,9 +545,16 @@ def _indifference(
         div, value, weights = -div, -value, [-w for w in weights]
     if any(w <= 0 for w in weights):
         return None
+    # the k actions of own earn value exactly, so more than k ties means
+    # an action outside own earns as much
+    ties = 0
     for row in payoff:
-        if sum(row[j] * w for j, w in zip(other, weights)) > value:
+        earned = sum(row[j] * w for j, w in zip(other, weights))
+        if earned > value:
             return None
+        ties += earned == value
+    if strict and ties > k:
+        return None
     full = dict(zip(other, weights))
     mix = MixedStrategy.from_weights(full.get(j, 0) for j in range(len(payoff[0])))
     return mix, Fraction(value, div * den)

@@ -110,6 +110,8 @@ def test_solve_exits_2_when_the_pivot_budget_runs_out(game_file, monkeypatch, ca
         self.rows[-1][col] = -self.rows[-1][col]
 
     monkeypatch.setattr(solvers._Simplex, "_pivot", sign_flipping_pivot)
+    # with no guessed basis every LP goes to the exact simplex
+    monkeypatch.setattr(solvers, "_guess_supports", lambda a: None)
     assert run_cli(["solve", game_file(DISGUISED_VALUE)]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""

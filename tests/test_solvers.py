@@ -10,7 +10,7 @@ from strictgames import solvers
 from strictgames.detection import AffineTransform, detect_affine, to_zero_sum
 from strictgames.errors import FormatError, NotZeroSum, PivotBudgetExceeded, TooLarge
 from strictgames.games import BimatrixGame, new_game
-from strictgames.generators import disguise
+from strictgames.generators import Family, GenSpec, disguise, gen
 from strictgames.solvers import (
     EquilibriumSet,
     enumeration_agrees,
@@ -119,6 +119,37 @@ def test_minimax_affine_equivariance():
 # mixture, so the optimum is a segment and the pivoting rule decides which
 # point of it is returned.
 NON_UNIQUE = [[2, 1, -2, 1], [-2, -1, 2, 3]]
+# One optimum, (4/7, 3/7) against (4/7, 3/7, 0, 0), strictly complementary:
+# the certificate accepts the guessed supports.
+UNIQUE_2X4 = [[2, -1, 3, 1], [-1, 3, -2, 2]]
+
+
+def exact_path(mp):
+    """Send every LP of :func:`minimax_solve` to the exact simplex: the
+    guess finds no basis, so there is nothing to certify."""
+    mp.setattr(solvers, "_guess_supports", lambda a: None)
+
+
+def solve_exactly(game):
+    with pytest.MonkeyPatch.context() as mp:
+        exact_path(mp)
+        return minimax_solve(game)
+
+
+def solve_recording_certificate(game):
+    """``minimax_solve(game)`` and whether the certificate accepted a guess."""
+    accepted = []
+    certify = solvers._certify
+
+    def recording_certify(a, rows, cols):
+        optimum = certify(a, rows, cols)
+        accepted.append(optimum is not None)
+        return optimum
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(solvers, "_certify", recording_certify)
+        solution = minimax_solve(game)
+    return solution, accepted == [True]
 
 
 def solve_with_run_limit(monkeypatch, game, limit):
@@ -144,6 +175,7 @@ def test_minimax_degenerate_fallback(monkeypatch):
     rng = random.Random(71)
     v1 = [[rng.randint(-2, 2) for _ in range(12)] for _ in range(12)]
     g = zero_sum(v1)
+    exact_path(monkeypatch)
     rules, degenerate = [], []
     entering, pivot = solvers._Simplex._entering, solvers._Simplex._pivot
 
@@ -194,9 +226,113 @@ def test_minimax_pivot_budget_stops_a_corrupted_tableau(monkeypatch):
         pivots.append(col)
 
     monkeypatch.setattr(solvers._Simplex, "_pivot", sign_flipping_pivot)
+    exact_path(monkeypatch)
     with pytest.raises(PivotBudgetExceeded, match="after 300 pivots on a 2x4 LP"):
         minimax_solve(zero_sum(NON_UNIQUE))
     assert len(pivots) == solvers.PIVOTS_PER_DIMENSION * (2 + 4)
+
+
+def test_guess_pivot_budget_falls_back_to_the_exact_simplex(monkeypatch):
+    # the same corruption in the fixed-point loop: its budget stops it after
+    # the same 300 pivots, and the exact simplex answers instead
+    exact = solve_exactly(zero_sum(UNIQUE_2X4))
+    pivot, pivots = solvers._Guess._pivot, []
+
+    def sign_flipping_pivot(self, row, col):
+        pivot(self, row, col)
+        self.rows[-1][col] = -self.rows[-1][col]
+        pivots.append(col)
+
+    monkeypatch.setattr(solvers._Guess, "_pivot", sign_flipping_pivot)
+    solution, certified = solve_recording_certificate(zero_sum(UNIQUE_2X4))
+    assert len(pivots) == solvers.PIVOTS_PER_DIMENSION * (2 + 4)
+    assert not certified
+    assert solution.to_json_dict() == exact.to_json_dict()
+
+
+@st.composite
+def bounded_matrices(draw):
+    m, n = draw(st.integers(1, 12)), draw(st.integers(1, 12))
+    bound = draw(st.sampled_from((20, 2)))
+    entry = st.integers(-bound, bound)
+    return [[draw(entry) for _ in range(n)] for _ in range(m)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(bounded_matrices())
+def test_certified_optimum_is_the_exact_simplex_optimum(v1):
+    g = zero_sum(v1)
+    solution, certified = solve_recording_certificate(g)
+    if certified:
+        assert solution.to_json_dict() == solve_exactly(g).to_json_dict()
+    if len(v1) <= solvers.MAX_ENUM_DIM and len(v1[0]) <= solvers.MAX_ENUM_DIM:
+        assert enumeration_agrees(solution.value, support_enumeration(g)) is not False
+
+
+@pytest.mark.parametrize("bound", [20, 2])
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_certificate_accepts_generated_disguised_games(bound, seed):
+    # generated disguised games have one optimum, and the guess finds its
+    # supports, so the exact simplex is not needed
+    game = gen(GenSpec(Family.DISGUISED_ZERO_SUM, 24, 24, seed, bound))
+    zero = to_zero_sum(game, detect_affine(game).transform)
+    solution, certified = solve_recording_certificate(zero)
+    assert certified
+    assert solution.to_json_dict() == solve_exactly(zero).to_json_dict()
+
+
+@pytest.mark.parametrize(
+    "v1",
+    [
+        [[1, -1, -1], [-1, 1, 1]],  # matching pennies, a column duplicated
+        [[4, 4], [4, 4]],
+        NON_UNIQUE,
+    ],
+    ids=["duplicated-column", "constant", "segment"],
+)
+def test_non_unique_optimum_falls_back(v1):
+    solution, certified = solve_recording_certificate(zero_sum(v1))
+    assert not certified
+    assert solution.to_json_dict() == solve_exactly(zero_sum(v1)).to_json_dict()
+
+
+@pytest.mark.parametrize("supports", [((0, 1), (0, 1, 2)), ((0, 1), (0,))])
+def test_non_square_support_falls_back(monkeypatch, supports):
+    g = zero_sum(UNIQUE_2X4)
+    exact = solve_exactly(g)
+    monkeypatch.setattr(solvers, "_guess_supports", lambda a: supports)
+    solution, certified = solve_recording_certificate(g)
+    assert not certified
+    assert solution.to_json_dict() == exact.to_json_dict()
+
+
+def test_corrupted_guess_falls_back(monkeypatch):
+    # rock-paper-scissors has one optimum, on every row and column; zeroing
+    # the objective row after the first pivot ends the guess on a 1x1
+    # support, which the certificate rejects
+    rps = zero_sum([[0, -1, 1], [1, 0, -1], [-1, 1, 0]])
+    solution, certified = solve_recording_certificate(rps)
+    assert certified
+    exact = solve_exactly(rps)
+    assert solution.to_json_dict() == exact.to_json_dict()
+    pivot, guesses = solvers._Guess._pivot, []
+    guess_supports = solvers._guess_supports
+
+    def stopping_pivot(self, row, col):
+        pivot(self, row, col)
+        self.rows[-1] = [0] * len(self.rows[-1])
+
+    def recording_guess(a):
+        supports = guess_supports(a)
+        guesses.append(supports)
+        return supports
+
+    monkeypatch.setattr(solvers._Guess, "_pivot", stopping_pivot)
+    monkeypatch.setattr(solvers, "_guess_supports", recording_guess)
+    solution, certified = solve_recording_certificate(rps)
+    assert [len(rows) for rows, cols in guesses] == [1]
+    assert not certified
+    assert solution.to_json_dict() == exact.to_json_dict()
 
 
 @pytest.mark.parametrize(
@@ -220,7 +356,7 @@ def test_minimax_constant_and_near_constant_matrices(v1, value):
 
 
 def lp_matrix(game):
-    """The integer matrix :func:`minimax_solve` hands to the simplex."""
+    """The integer matrix :func:`minimax_solve` hands to the exact simplex."""
     matrices = []
     init = solvers._Simplex.__init__
 
@@ -229,6 +365,7 @@ def lp_matrix(game):
         init(self, a, b, c)
 
     with pytest.MonkeyPatch.context() as mp:
+        exact_path(mp)
         mp.setattr(solvers._Simplex, "__init__", recording_init)
         minimax_solve(game)
     (a,) = matrices
