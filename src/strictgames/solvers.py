@@ -6,7 +6,15 @@ to a standard-form linear program over those integers.  It guesses the
 optimal basis, certifies it exactly, and falls back to the exact simplex
 only when the certificate fails.  The guess runs the simplex's own pivot
 loop in fixed point, on integers in units of ``2**-GUESS_BITS``, and reads
-both players' supports off its last basis.  The certificate solves each
+both players' supports off its last basis.  Its tableau is packed one
+Python integer per column, each entry in a fixed-width field ``W`` bits
+wide (``4*GUESS_BITS`` plus the bit length of the largest matrix entry,
+rounded up to whole bytes), so a pivot updates a column with a few integer
+operations; the rounding is arranged so that every entry equals what the
+same pivot makes on one integer per entry.  A guard above each field's
+value region shows any entry that would leave it, and the guess then
+raises and falls back like any failed guess; correctness rests on the
+certificate alone, whatever the guess did.  The certificate solves each
 player's indifference system on those supports exactly and accepts only
 positive weights with strict complementarity; the optimal strategies are
 then unique (Kaplansky 1945; Bohnenblust, Karlin & Shapley 1950), so the
@@ -178,9 +186,19 @@ class _Simplex:
         self.basis = [self.n + i for i in range(self.m)]
         self.div = 1
 
+    def _objective(self) -> list[int]:
+        """The objective row: one reduced cost per column, then the
+        objective value."""
+        return self.rows[-1]
+
+    def _column(self, col: int) -> tuple[list[int], list[int]]:
+        """Column ``col`` and the right-hand side, constraint rows only."""
+        rows = self.rows[: self.m]
+        return [row[col] for row in rows], [row[-1] for row in rows]
+
     def _entering(self, bland: bool) -> int | None:
         """Column of the entering variable, or None at an optimum."""
-        obj = self.rows[-1]
+        obj = self._objective()
         negative = [col for col, cost in enumerate(obj[:-1]) if cost < 0]
         if not negative:
             return None
@@ -188,14 +206,12 @@ class _Simplex:
             return min(negative, key=self.nonbasic.__getitem__)
         return min(negative, key=lambda col: (obj[col], self.nonbasic[col]))
 
-    def _leaving(self, col: int) -> int:
+    def _leaving(self, coefs: list[int], rhs: list[int]) -> int:
         # ratios compared by cross-multiplication; coefficients are positive
         best_num = best_den = 0
         best_row = -1
-        for i in range(self.m):
-            coef = self.rows[i][col]
+        for i, (coef, num) in enumerate(zip(coefs, rhs)):
             if coef > 0:
-                num = self.rows[i][-1]
                 if (
                     best_row < 0
                     or num * best_den < best_num * coef
@@ -240,10 +256,11 @@ class _Simplex:
                     f"no optimum after {budget} pivots on a {self.m}x{self.n} LP"
                 )
             pivots += 1
-            row = self._leaving(col)
-            run = run + 1 if self.rows[row][-1] == 0 else 0
+            coefs, rhs = self._column(col)
+            row = self._leaving(coefs, rhs)
+            run = run + 1 if rhs[row] == 0 else 0
             self._pivot(row, col)
-        obj = self.rows[-1]
+        obj = self._objective()
         dual = [0] * self.m
         for col, var in enumerate(self.nonbasic):
             if var >= self.n:
@@ -272,45 +289,156 @@ class _Simplex:
         return self.div, self._primal()
 
     def _primal(self) -> list[int]:
+        # any column comes with the right-hand side
         primal = [0] * self.n
-        for i, var in enumerate(self.basis):
+        for var, value in zip(self.basis, self._column(0)[1]):
             if var < self.n:
-                primal[var] = self.rows[i][-1]
+                primal[var] = value
         return primal
 
 
 class _Guess(_Simplex):
-    """:class:`_Simplex` in fixed point, to guess the optimal basis.
+    """:class:`_Simplex` in fixed point, to guess the optimal basis of the
+    value LP ``max 1*y`` subject to ``a y <= 1``, ``y >= 0`` of a positive
+    integer matrix ``a``.
 
-    Built on data multiplied by ``2**GUESS_BITS``, each stored entry is its
-    true tableau entry in units of ``2**-GUESS_BITS``, rounded down after
-    every pivot, so entries keep their size instead of growing into basis
-    determinants.  Only the pivot differs: each other row takes away
-    ``f/p`` times the pivot row, the pivot row is divided by the pivot
-    ``p``, and the pivot column becomes ``-f/p`` (``1/p`` in the pivot
-    row), where ``f/p`` and ``1/p`` are rounded to units and each product
-    is shifted back down.  The entering and leaving rules, the switch to
-    Bland's rule and the pivot budget are :class:`_Simplex`'s own.
-    Rounding may still lead it to a wrong basis, or make a column look
-    unbounded; the certificate catches the first, and the second raises
-    ``ArithmeticError``.
+    Built on data multiplied by ``2**B``, ``B = GUESS_BITS``, each entry is
+    its true tableau entry in units of ``2**-B``, rounded down after every
+    pivot, so entries keep their size instead of growing into basis
+    determinants.  A pivot at ``(r, c)`` with pivot ``p`` maps an entry
+    ``v`` of another row to ``v - (ratio*w >> B)``, where
+    ``ratio = (f << B) // p``, ``f`` is the row's entry in column ``c`` and
+    ``w`` the pivot row's entry in the same column as ``v``; it maps the
+    pivot row's ``w`` to ``w*inv >> B`` with ``inv = (1 << 2*B) // p``, and
+    column ``c`` becomes ``-ratio``, ``inv`` in row ``r``.  The entering
+    and leaving rules, the switch to Bland's rule and the pivot budget are
+    :class:`_Simplex`'s own loop, which reads the tableau only through
+    :meth:`_objective` and :meth:`_column`; storage and pivot are this
+    class's.  Rounding may still lead it to a wrong basis, or make a
+    column look unbounded; the certificate catches the first, and the
+    second raises ``ArithmeticError``.
+
+    Storage: one integer per column, the right-hand side last.  Field
+    ``i`` of a column, ``W`` bits at bit ``i*W``, holds row ``i``'s entry
+    plus ``2**(F-1)``; the ``m`` constraint rows come first and the
+    objective is the top field, read off with one shift.  The low
+    ``F = W - B - 8`` bits of a field are its value region, so it holds
+    entries in ``[-2**(F-1), 2**(F-1))``; the ``B + 8`` bits above are a
+    guard, zero in every stored column.  ``W`` is ``4*B`` plus the bit
+    length of ``max(a)``, rounded up to whole bytes, which leaves entries
+    about ``2*B`` bits above the data before they leave the value region.
+
+    A pivot updates each column ``C`` whose pivot-row entry ``w`` is not 0
+    in one pass: ``t = (C << B) - w*R + K`` and then ``(t >> B) & VALUES``,
+    where ``R`` holds ``ratio`` in each field and ``2**B - inv`` in field
+    ``r``, ``K`` holds ``2**B - 1`` in each field but ``r``'s, and
+    ``VALUES`` masks every value region.  Before the shift, field ``i !=
+    r`` of ``t`` is ``(v + 2**(F-1))*2**B - ratio*w + 2**B - 1``, and
+    ``(x + 2**B - 1) >> B`` is ``-(-x >> B)``, so the shift leaves
+    ``v - (ratio*w >> B)`` plus the offset; field ``r`` is
+    ``(w + 2**(F-1))*2**B - w*(2**B - inv)``, which leaves ``w*inv >> B``
+    plus the offset.  These are exactly the entries the same pivot makes
+    on a list of one integer per entry.
+
+    Guard: a pivot raises ``OverflowError`` when it would store an entry
+    outside the value region, and exactly then.  The pivot column is
+    checked as it is packed.  Each other field of ``t`` must lie in
+    ``[0, 2**(F+B))`` before the shift; a pivot-row entry with
+    ``|w| * max|R|`` above ``2**(F+B+7)`` is refused first (some field of
+    its column then lies far outside), and below that every field of
+    ``t`` stays within ``255 * 2**(F+B)`` of zero.  Then the lowest field
+    out of range, negative or not, shows a set guard bit, Python's ``&``
+    reading a negative ``t`` in two's complement, so ``t & GUARD`` sees
+    every overflow and every borrow between fields.  ``_guess_supports``
+    takes the error as a failed guess, and the exact simplex answers;
+    correctness rests on the certificate, not on the guard.
     """
 
-    def _pivot(self, row: int, col: int) -> None:
-        prow = self.rows[row]
-        pivot = prow[col]
+    def __init__(self, a: list[list[int]]) -> None:
         bits = GUESS_BITS
-        for i, old in enumerate(self.rows):
-            f = old[col]
-            if i != row and f:  # a row with f == 0 is unchanged
-                ratio = (f << bits) // pivot
-                new = [v - (ratio * w >> bits) for v, w in zip(old, prow)]
-                new[col] = -ratio
-                self.rows[i] = new
+        self.m, self.n = m, n = len(a), len(a[0])
+        self.nonbasic = list(range(n))
+        self.basis = [n + i for i in range(m)]
+        self.div = 1
+        width = -(-(4 * bits + max(map(max, a)).bit_length()) // 8) * 8
+        self.width, self.value_bits = width, width - bits - 8
+        self.offset = 1 << self.value_bits - 1
+        size = width // 8
+        self._fields = [slice(k, k + size) for k in range(0, size * (m + 1), size)]
+
+        def fields(column: tuple[int, ...]) -> int:
+            raw = b"".join([e.to_bytes(size, "little") for e in column])
+            return int.from_bytes(raw, "little")
+
+        def every_field(value: int) -> int:
+            return int.from_bytes(value.to_bytes(size, "little") * (m + 1), "little")
+
+        self.offsets = every_field(self.offset)
+        self.rounding = every_field((1 << bits) - 1)
+        self.values = every_field((1 << self.value_bits) - 1)
+        self.guard = every_field((1 << width) - (1 << self.value_bits + bits))
+        # a's column j, then -2**B; the width leaves room for 2**B times
+        # every entry of a, so these need no check
+        start = self.offsets - (1 << m * width + bits)
+        self.cols = [start + (fields(col) << bits) for col in zip(*a)]
+        self.cols.append(start + (every_field(1) << bits))  # 2**B, then 0
+        self._unpacked = None, []
+
+    def _pack(self, entries: list[int]) -> int:
+        """The column int of ``entries``, the objective last; raises
+        ``OverflowError`` when an entry does not fit a field."""
+        off, size = self.offset, self.width // 8
+        if min(entries) < -off or max(entries) >= off:
+            raise OverflowError("a fixed-point entry does not fit its field")
+        fields = [(e + off).to_bytes(size, "little") for e in entries]
+        return int.from_bytes(b"".join(fields), "little")
+
+    def _unpack(self, packed: int) -> list[int]:
+        """The entries of a column int, the objective last."""
+        off = self.offset
+        raw = packed.to_bytes(self.width // 8 * (self.m + 1), "little")
+        return [int.from_bytes(raw[field], "little") - off for field in self._fields]
+
+    def _objective(self) -> list[int]:
+        shift, off = self.m * self.width, self.offset
+        return [(packed >> shift) - off for packed in self.cols]
+
+    def _column(self, col: int) -> tuple[list[int], list[int]]:
+        entries = self._unpack(self.cols[col])
+        # kept for the pivot on this column that follows the ratio test
+        self._unpacked = self.cols[col], entries
+        return entries[:-1], self._unpack(self.cols[-1])[:-1]
+
+    def _pivot(self, row: int, col: int) -> None:
+        bits, cols = GUESS_BITS, self.cols
+        unpacked, entries = self._unpacked
+        if unpacked is not cols[col]:
+            entries = self._unpack(cols[col])
+        pivot = entries[row]
         inverse = (1 << 2 * bits) // pivot
-        new = [w * inverse >> bits for w in prow]
-        new[col] = inverse
-        self.rows[row] = new
+        ratios = [(f << bits) // pivot for f in entries]  # R's fields
+        ratios[row] = (1 << bits) - inverse
+        new = [-ratio for ratio in ratios]
+        new[row] = inverse
+        packed = self._pack(new)
+        shift = row * self.width
+        multiplier = self.offsets - packed + (1 << shift + bits)  # R
+        carry = self.rounding - ((1 << bits) - 1 << shift)  # K
+        limit = (1 << self.value_bits + bits + 7) // (max(map(abs, ratios)) or 1)
+        # w keeps its offset until it is used
+        off, field = self.offset, (1 << self.width) - 1
+        low, high = off - limit, off + limit
+        values, guard = self.values, self.guard
+        for j, column in enumerate(cols):
+            w = column >> shift & field
+            if w != off and j != col:  # a column with w == 0 is unchanged
+                if not low <= w <= high:
+                    raise OverflowError("a fixed-point product leaves its field")
+                t = (column << bits) - (w - off) * multiplier + carry
+                if t & guard:
+                    raise OverflowError("a fixed-point entry leaves its field")
+                cols[j] = t >> bits & values
+        cols[col] = packed
         self.basis[row], self.nonbasic[col] = self.nonbasic[col], self.basis[row]
 
 
@@ -398,10 +526,8 @@ def _guess_supports(
     on a column that its rounding made look unbounded or on the pivot
     budget; that is a reason to fall back, not an error.
     """
-    m, n = len(a), len(a[0])
-    one = 1 << GUESS_BITS
-    scaled = [[e << GUESS_BITS for e in row] for row in a]
-    guess = _Guess(scaled, [one] * m, [one] * n)
+    n = len(a[0])
+    guess = _Guess(a)
     try:
         guess.solve()
     except (ArithmeticError, PivotBudgetExceeded):

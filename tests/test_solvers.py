@@ -233,17 +233,26 @@ def test_minimax_pivot_budget_stops_a_corrupted_tableau(monkeypatch):
 
 
 def test_guess_pivot_budget_falls_back_to_the_exact_simplex(monkeypatch):
-    # the same corruption in the fixed-point loop: its budget stops it after
-    # the same 300 pivots, and the exact simplex answers instead
+    # a corrupted fixed-point loop: its budget stops it after the same 300
+    # pivots, and the exact simplex answers instead.  Restoring the
+    # objective row after each pivot keeps the reduced costs as they were,
+    # so a column with a negative one re-enters forever; flipping signs as
+    # above would instead grow the rounded entries past their packed
+    # fields, and the guard would stop the guess first
     exact = solve_exactly(zero_sum(UNIQUE_2X4))
     pivot, pivots = solvers._Guess._pivot, []
 
-    def sign_flipping_pivot(self, row, col):
+    def objective_freezing_pivot(self, row, col):
+        objective = self._objective()
         pivot(self, row, col)
-        self.rows[-1][col] = -self.rows[-1][col]
+        # the objective is the last field of each packed column
+        for j, packed in enumerate(self.cols):
+            entries = self._unpack(packed)
+            entries[-1] = objective[j]
+            self.cols[j] = self._pack(entries)
         pivots.append(col)
 
-    monkeypatch.setattr(solvers._Guess, "_pivot", sign_flipping_pivot)
+    monkeypatch.setattr(solvers._Guess, "_pivot", objective_freezing_pivot)
     solution, certified = solve_recording_certificate(zero_sum(UNIQUE_2X4))
     assert len(pivots) == solvers.PIVOTS_PER_DIMENSION * (2 + 4)
     assert not certified
@@ -320,7 +329,11 @@ def test_corrupted_guess_falls_back(monkeypatch):
 
     def stopping_pivot(self, row, col):
         pivot(self, row, col)
-        self.rows[-1] = [0] * len(self.rows[-1])
+        # the objective is the last field of each packed column
+        for j, packed in enumerate(self.cols):
+            entries = self._unpack(packed)
+            entries[-1] = 0
+            self.cols[j] = self._pack(entries)
 
     def recording_guess(a):
         supports = guess_supports(a)
@@ -331,6 +344,41 @@ def test_corrupted_guess_falls_back(monkeypatch):
     monkeypatch.setattr(solvers, "_guess_supports", recording_guess)
     solution, certified = solve_recording_certificate(rps)
     assert [len(rows) for rows, cols in guesses] == [1]
+    assert not certified
+    assert solution.to_json_dict() == exact.to_json_dict()
+
+
+def test_guard_overflow_falls_back_to_the_exact_simplex(monkeypatch):
+    # at 32 fraction bits this 10x10 game's guess certifies; at 5 its
+    # fields are 24 bits wide, an entry outgrows its field mid-run and the
+    # guard raises, so the exact simplex answers
+    rng = random.Random(4)
+    g = zero_sum([[rng.randint(-2, 2) for _ in range(10)] for _ in range(10)])
+    exact = solve_exactly(g)
+    solution, certified = solve_recording_certificate(g)
+    assert certified
+    assert solution.to_json_dict() == exact.to_json_dict()
+    monkeypatch.setattr(solvers, "GUESS_BITS", 5)
+    pivot, raised, guesses = solvers._Guess._pivot, [], []
+    guess_supports = solvers._guess_supports
+
+    def watching_pivot(self, row, col):
+        try:
+            pivot(self, row, col)
+        except OverflowError:
+            raised.append((row, col))
+            raise
+
+    def recording_guess(a):
+        supports = guess_supports(a)
+        guesses.append(supports)
+        return supports
+
+    monkeypatch.setattr(solvers._Guess, "_pivot", watching_pivot)
+    monkeypatch.setattr(solvers, "_guess_supports", recording_guess)
+    solution, certified = solve_recording_certificate(g)
+    assert len(raised) == 1
+    assert guesses == [None]
     assert not certified
     assert solution.to_json_dict() == exact.to_json_dict()
 
