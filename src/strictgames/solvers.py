@@ -14,11 +14,15 @@ operations; the rounding is arranged so that every entry equals what the
 same pivot makes on one integer per entry.  A guard above each field's
 value region shows any entry that would leave it, and the guess then
 raises and falls back like any failed guess; correctness rests on the
-certificate alone, whatever the guess did.  The certificate solves each
-player's indifference system on those supports exactly and accepts only
-positive weights with strict complementarity; the optimal strategies are
-then unique (Kaplansky 1945; Bohnenblust, Karlin & Shapley 1950), so the
-answer is the one the exact simplex gives.  The exact simplex is a dense
+certificate alone, whatever the guess did.  The certificate solves the
+column player's indifference system on those supports exactly, once, and
+reads the row player's weights off the same solved tableau, which holds
+the inverse of the system's matrix: the row player's system is minus its
+transpose, so its solution is minus the inverse's last row (Shapley &
+Snow 1950).  It accepts only positive weights with strict
+complementarity; the optimal strategies are then unique (Kaplansky 1945;
+Bohnenblust, Karlin & Shapley 1950), so the answer is the one the exact
+simplex gives.  The exact simplex is a dense
 fraction-free one on a compact tableau, so both players' optimal
 strategies come out of one tableau (primal solution and dual prices).  In
 both loops the entering variable follows Dantzig's most-negative rule;
@@ -152,6 +156,14 @@ class _Simplex:
     nonzero, not positive: the LP's ratio test pivots on positive entries,
     ``solve_square`` on any nonzero one, which may leave ``div`` negative.
 
+    Inverse: after :meth:`solve_square` on a nonsingular ``A``, every
+    structural is basic and every slack nonbasic, and the tableau holds
+    ``A``'s inverse times ``div``: ``rows[i][c] / div`` is the inverse's
+    entry at ``(basis[i], nonbasic[c] - n)``, whatever the sign of
+    ``div``, since ``v = A^-1 (b - s)`` is the basic solution in terms of
+    the slacks ``s``.  :func:`_certify` reads the row player's weights off
+    this.
+
     Entering variable: Dantzig's rule, the most negative reduced cost, ties
     to the smallest variable label.  After ``DEGENERATE_RUN_LIMIT``
     consecutive degenerate pivots (the leaving row's right-hand side is 0),
@@ -245,6 +257,17 @@ class _Simplex:
         ``objective / div``, variable ``j`` is ``primal[j] / div`` and the
         dual price of row ``i`` is ``dual[i] / div``.
         """
+        self.optimize()
+        obj = self._objective()
+        dual = [0] * self.m
+        for col, var in enumerate(self.nonbasic):
+            if var >= self.n:
+                dual[var - self.n] = obj[col]
+        return self.div, obj[-1], self._primal(), dual
+
+    def optimize(self) -> None:
+        """Pivot until no reduced cost is negative; the optimal basis is
+        then ``basis`` and ``nonbasic``."""
         budget = PIVOTS_PER_DIMENSION * (self.m + self.n)
         run = pivots = 0
         while True:
@@ -260,12 +283,6 @@ class _Simplex:
             row = self._leaving(coefs, rhs)
             run = run + 1 if rhs[row] == 0 else 0
             self._pivot(row, col)
-        obj = self._objective()
-        dual = [0] * self.m
-        for col, var in enumerate(self.nonbasic):
-            if var >= self.n:
-                dual[var - self.n] = obj[col]
-        return self.div, obj[-1], self._primal(), dual
 
     def solve_square(self) -> tuple[int, list[int]] | None:
         """Solve the square system ``A v = b``: ``(div, primal)`` with
@@ -459,11 +476,14 @@ def minimax_solve(game: BimatrixGame) -> MinimaxSolution:
     Guess, certify, fall back.  :class:`_Guess` runs the simplex's own
     pivot loop on ``a`` in fixed point and reads the row support ``R`` (the
     nonbasic slacks) and the column support ``S`` (the basic structurals)
-    off its last basis.  :func:`_certify` then solves each player's
-    indifference system on ``a[R][S]`` exactly and accepts only when
-    ``|R| == |S|``, the system is nonsingular, every weight is positive and
-    complementarity is strict: rows outside ``R`` earn strictly less than
-    the value and columns outside ``S`` concede strictly more.  Such a pair
+    off its last basis.  :func:`_certify` then solves the column player's
+    indifference system on ``a[R][S]`` exactly and reads the row player's
+    weights off the same tableau, since the row player's system is minus
+    the transpose of the column player's (Shapley & Snow 1950).  It
+    accepts only when ``|R| == |S|``, the system is nonsingular, every
+    weight is positive and complementarity is strict: rows outside ``R``
+    earn strictly less than the value and columns outside ``S`` concede
+    strictly more.  Such a pair
     is the game's only optimum (Kaplansky 1945; Bohnenblust, Karlin &
     Shapley 1950), so it is what the exact simplex would return.  When the
     guess stops on a false unbounded column or its pivot budget, or the
@@ -529,7 +549,7 @@ def _guess_supports(
     n = len(a[0])
     guess = _Guess(a)
     try:
-        guess.solve()
+        guess.optimize()
     except (ArithmeticError, PivotBudgetExceeded):
         return None
     rows = tuple(sorted(var - n for var in guess.nonbasic if var >= n))
@@ -544,26 +564,57 @@ def _certify(
     payoffs, all positive) when it has exactly one optimal strategy pair
     and its supports are ``rows`` and ``cols``; None otherwise.
 
-    Each player's indifference system on ``a[rows][cols]`` is solved
-    exactly, and the solution is accepted only with positive weights and
-    strict complementarity.  Any optimal ``y`` then concedes the value on
-    every row of ``rows`` (``x`` is positive there) and puts no weight
-    outside ``cols`` (``x`` earns more there), so it solves the same
-    system; that system has one solution, since its augmented matrix is
-    nonsingular and the value of a positive matrix is not 0, which makes
-    ``a[rows][cols]`` nonsingular too.  Likewise for ``x``.
+    One exact solve answers for both players (Shapley & Snow 1950).  The
+    column player's indifference system on ``a[rows][cols]`` is the
+    bordered system ``M [y; v] = e_last`` with ``M = [[a[rows][cols], -1],
+    [1...1, 0]]``, and :meth:`_Simplex.solve_square` leaves ``M``'s inverse
+    in its tableau.  The row player's system, with ``-a`` transposed as its
+    payoffs, is ``-M^T [x; -v] = e_last``, so ``[x; -v]`` is minus the
+    last row of that inverse, read off the row where the value variable is
+    basic.  ``M`` is singular exactly when ``-M^T`` is, so a singular
+    system rejects both players at once.
+
+    The solution is accepted only with positive weights and strict
+    complementarity.  Any optimal ``y`` then concedes the value on every
+    row of ``rows`` (``x`` is positive there) and puts no weight outside
+    ``cols`` (``x`` earns more there), so it solves the same system; that
+    system has one solution, since ``M`` is nonsingular and the value of a
+    positive matrix is not 0, which makes ``a[rows][cols]`` nonsingular
+    too.  Likewise for ``x``.
     """
-    if len(rows) != len(cols):
+    k = len(rows)
+    if len(cols) != k:
         return None
-    y = _indifference(a, 1, rows, cols, strict=True)
-    if y is None:
+    system = _indifference_system(a, rows, cols)
+    solved = system.solve_square()
+    if solved is None:
         return None
-    # the column player's payoffs are -a transposed
-    neg_at = [[-e for e in col] for col in zip(*a)]
-    x = _indifference(neg_at, 1, cols, rows, strict=True)
-    if x is None:
+    div, (*y, value) = solved
+    # entry (i, c) of the tableau is div times the inverse's entry at
+    # (basis[i], nonbasic[c] - (k+1)), and the slacks k+1.. are nonbasic;
+    # x is minus the inverse's last row, the value variable k's
+    last = system.rows[system.basis.index(k)]
+    x = [0] * k
+    for c, var in enumerate(system.nonbasic):
+        if var <= 2 * k:
+            x[var - k - 1] = -last[c]
+    if div < 0:
+        div, value, y, x = -div, -value, [-w for w in y], [-w for w in x]
+    # x and y both sum to div, so both players' payoffs are value / div
+    if min(y) <= 0 or min(x) <= 0:
         return None
-    return x[0], y[0], y[1]
+    # a column concedes at least value exactly when, against the weights
+    # -x, it earns the column player at most -value
+    for payoff, other, weights, bound in (
+        (a, cols, y, value),
+        (zip(*a), rows, [-w for w in x], -value),
+    ):
+        ties = _best_reply_ties(payoff, other, weights, bound)
+        if ties is None or ties > k:
+            return None
+    x_mix = MixedStrategy.from_weights(_spread(rows, x, len(a)))
+    y_mix = MixedStrategy.from_weights(_spread(cols, y, len(a[0])))
+    return x_mix, y_mix, Fraction(value, div)
 
 
 def support_enumeration(game: BimatrixGame) -> EquilibriumSet:
@@ -647,7 +698,6 @@ def _indifference(
     den: int,
     own: tuple[int, ...],
     other: tuple[int, ...],
-    strict: bool = False,
 ) -> tuple[MixedStrategy, Fraction] | None:
     """The opponent mix on ``other`` that leaves the owner of ``payoff``
     indifferent over ``own`` and no better off elsewhere.
@@ -655,13 +705,9 @@ def _indifference(
     ``payoff[a][b] / den`` is the owner's payoff when own action ``a``
     meets opponent action ``b``.  Returns the opponent's strategy and the
     owner's payoff against it.  None when the system is singular, a weight
-    is not positive, or some own action earns more than that payoff; with
-    ``strict``, also when an action outside ``own`` earns as much.
+    is not positive, or some own action earns more than that payoff.
     """
-    k = len(own)
-    a = [[payoff[i][j] for j in other] + [-1] for i in own]
-    a.append([1] * k + [0])
-    solved = _Simplex(a, [0] * k + [1]).solve_square()
+    solved = _indifference_system(payoff, own, other).solve_square()
     if solved is None:
         return None
     # the opponent plays other[t] with probability weights[t] / div (the
@@ -669,21 +715,54 @@ def _indifference(
     div, (*weights, value) = solved
     if div < 0:
         div, value, weights = -div, -value, [-w for w in weights]
-    if any(w <= 0 for w in weights):
+    if min(weights) <= 0:
         return None
-    # the k actions of own earn value exactly, so more than k ties means
-    # an action outside own earns as much
+    if _best_reply_ties(payoff, other, weights, value) is None:
+        return None
+    mix = MixedStrategy.from_weights(_spread(other, weights, len(payoff[0])))
+    return mix, Fraction(value, div * den)
+
+
+def _indifference_system(
+    payoff: list[list[int]], own: tuple[int, ...], other: tuple[int, ...]
+) -> _Simplex:
+    """The square system for the opponent weights on ``other`` and the
+    owner's payoff ``v``: each action of ``own`` earns ``v``, and the
+    weights sum to 1.  Its matrix is ``[[payoff[own][other], -1],
+    [1...1, 0]]``."""
+    k = len(own)
+    a = [[payoff[i][j] for j in other] + [-1] for i in own]
+    a.append([1] * k + [0])
+    return _Simplex(a, [0] * k + [1])
+
+
+def _best_reply_ties(
+    payoff, other: tuple[int, ...], weights: list[int], value: int
+) -> int | None:
+    """How many own actions earn exactly ``value`` against the opponent
+    weights ``weights`` on ``other``; None when one earns more.
+
+    ``payoff`` yields one row per own action, ``row[b]`` being its payoff
+    against opponent action ``b``; ``value`` is on the scale of
+    ``weights``.  When the ``k`` actions of a support earn ``value``
+    exactly, more than ``k`` ties means an action outside it earns as much.
+    """
     ties = 0
     for row in payoff:
         earned = sum(row[j] * w for j, w in zip(other, weights))
         if earned > value:
             return None
         ties += earned == value
-    if strict and ties > k:
-        return None
-    full = dict(zip(other, weights))
-    mix = MixedStrategy.from_weights(full.get(j, 0) for j in range(len(payoff[0])))
-    return mix, Fraction(value, div * den)
+    return ties
+
+
+def _spread(support: tuple[int, ...], weights: list[int], size: int) -> list[int]:
+    """``weights`` on the actions of ``support`` and 0 on the other actions
+    of ``size``."""
+    full = [0] * size
+    for j, w in zip(support, weights):
+        full[j] = w
+    return full
 
 
 def enumeration_agrees(value: Fraction, equilibria: EquilibriumSet) -> bool | None:

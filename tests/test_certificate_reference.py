@@ -1,0 +1,251 @@
+"""The one-solve certificate against the two-solve one, and the inverse it
+reads.
+
+The reference below is ``_certify`` as it was before it read both players
+off one tableau: each player's indifference system on ``a[rows][cols]``
+solved on its own, the row player's on ``-a`` transposed, each checked
+for positive weights, best responses and extra ties.  On every input the
+two must return the same strategies and value, or both None.
+
+The one-solve certificate reads the row player's weights off the tableau
+:meth:`_Simplex.solve_square` leaves, which holds the inverse of the
+solved matrix times ``div``; a property checks that against a
+``Fraction`` Gauss-Jordan inverse.
+"""
+
+from fractions import Fraction
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+import pytest
+
+from strictgames import solvers
+from strictgames.games import MixedStrategy
+from strictgames.solvers import _certify, _guess_supports, _Simplex
+
+
+def reference_indifference(payoff, own, other):
+    k = len(own)
+    a = [[payoff[i][j] for j in other] + [-1] for i in own]
+    a.append([1] * k + [0])
+    solved = _Simplex(a, [0] * k + [1]).solve_square()
+    if solved is None:
+        return None
+    div, (*weights, value) = solved
+    if div < 0:
+        div, value, weights = -div, -value, [-w for w in weights]
+    if any(w <= 0 for w in weights):
+        return None
+    ties = 0
+    for row in payoff:
+        earned = sum(row[j] * w for j, w in zip(other, weights))
+        if earned > value:
+            return None
+        ties += earned == value
+    if ties > k:
+        return None
+    full = dict(zip(other, weights))
+    mix = MixedStrategy.from_weights(full.get(j, 0) for j in range(len(payoff[0])))
+    return mix, Fraction(value, div)
+
+
+def reference_certify(a, rows, cols):
+    if len(rows) != len(cols):
+        return None
+    y = reference_indifference(a, rows, cols)
+    if y is None:
+        return None
+    neg_at = [[-e for e in col] for col in zip(*a)]
+    x = reference_indifference(neg_at, cols, rows)
+    if x is None:
+        return None
+    return x[0], y[0], y[1]
+
+
+def outcome(optimum):
+    if optimum is None:
+        return None
+    x, y, value = optimum
+    return x.probs, y.probs, value
+
+
+def fraction_inverse(matrix):
+    """The inverse of a square matrix by Gauss-Jordan over ``Fraction``, or
+    None when it is singular."""
+    n = len(matrix)
+    rows = [
+        [Fraction(v) for v in row] + [Fraction(i == j) for j in range(n)]
+        for i, row in enumerate(matrix)
+    ]
+    for c in range(n):
+        p = next((r for r in range(c, n) if rows[r][c]), None)
+        if p is None:
+            return None
+        rows[c], rows[p] = rows[p], rows[c]
+        rows[c] = [v / rows[c][c] for v in rows[c]]
+        for r in range(n):
+            if r != c and rows[r][c]:
+                f = rows[r][c]
+                rows[r] = [v - f * w for v, w in zip(rows[r], rows[c])]
+    return [row[n:] for row in rows]
+
+
+@st.composite
+def certificate_inputs(draw):
+    """A positive matrix as ``minimax_solve`` builds it (entries in
+    ``[1, 2*bound + 1]``) and supports: the guessed ones, or random ones,
+    square or not, with duplicated rows and columns that make the bordered
+    system singular."""
+    m, n = draw(st.integers(1, 8)), draw(st.integers(1, 8))
+    bound = draw(st.sampled_from((1, 2, 20)))
+    entry = st.integers(1, 2 * bound + 1)
+    a = [[draw(entry) for _ in range(n)] for _ in range(m)]
+    if m > 1 and draw(st.booleans()):
+        i, source = draw(st.integers(0, m - 1)), draw(st.integers(0, m - 1))
+        a[i] = list(a[source])
+    if n > 1 and draw(st.booleans()):
+        j, source = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        for row in a:
+            row[j] = row[source]
+    kind = draw(st.sampled_from(["guessed", "square", "any"]))
+    guessed = _guess_supports(a) if kind == "guessed" else None
+    if guessed is not None:
+        return a, *guessed
+    k = draw(st.integers(1, min(m, n)))
+    rows = draw(st.sets(st.integers(0, m - 1), min_size=k, max_size=k))
+    size = k if kind == "square" else draw(st.integers(1, n))
+    cols = draw(st.sets(st.integers(0, n - 1), min_size=size, max_size=size))
+    return a, tuple(sorted(rows)), tuple(sorted(cols))
+
+
+@settings(max_examples=500, deadline=None)
+@given(certificate_inputs())
+def test_one_solve_certificate_matches_the_two_solve_reference(case):
+    a, rows, cols = case
+    assert outcome(_certify(a, rows, cols)) == outcome(reference_certify(a, rows, cols))
+
+
+def rejections(a, rows, cols):
+    """Every reason, in exact ``Fraction`` arithmetic, why ``(rows, cols)``
+    fails to certify the matrix game ``a``."""
+    k = len(rows)
+    inverse = fraction_inverse(
+        [[a[i][j] for j in cols] + [-1] for i in rows] + [[1] * k + [0]]
+    )
+    if inverse is None:
+        return {"singular"}
+    y = [inverse[t][k] for t in range(k)]
+    x = [-inverse[k][t] for t in range(k)]
+    value = inverse[k][k]
+    found = set()
+    if min(y) <= 0:
+        found.add("column weight")
+    if min(x) <= 0:
+        found.add("row weight")
+    earned = [sum(row[j] * w for j, w in zip(cols, y)) for row in a]
+    if max(earned) > value:
+        found.add("row above the value")
+    elif earned.count(value) > k:
+        found.add("rows tie")
+    conceded = [sum(col[i] * w for i, w in zip(rows, x)) for col in zip(*a)]
+    if min(conceded) < value:
+        found.add("column below the value")
+    elif conceded.count(value) > k:
+        found.add("columns tie")
+    return found
+
+
+@pytest.mark.parametrize(
+    "a, rows, cols, reason",
+    [
+        ([[1, 1], [1, 1]], (0, 1), (0, 1), "singular"),
+        ([[2, 2, 5], [4, 4, 1], [3, 3, 7]], (0, 1), (0, 1), "singular"),
+        ([[2, 1], [2, 3]], (0, 1), (0, 1), "column weight"),
+        ([[3, 1], [2, 2]], (0, 1), (0, 1), "row weight"),
+        ([[2], [1]], (1,), (0,), "row above the value"),
+        ([[1], [1]], (0,), (0,), "rows tie"),
+        ([[1, 2]], (0,), (1,), "column below the value"),
+        ([[1, 1]], (0,), (1,), "columns tie"),
+    ],
+)
+def test_each_rejection(a, rows, cols, reason):
+    assert rejections(a, rows, cols) == {reason}
+    assert _certify(a, rows, cols) is None
+    assert reference_certify(a, rows, cols) is None
+
+
+def test_an_accepted_certificate():
+    # (4/7, 3/7) against (4/7, 3/7, 0, 0) at value 5/7 + 3, on the
+    # positive matrix of UNIQUE_2X4 in tests/test_solvers.py
+    a = [[5, 2, 6, 4], [2, 6, 1, 5]]
+    assert rejections(a, (0, 1), (0, 1)) == set()
+    x, y, value = _certify(a, (0, 1), (0, 1))
+    seven = Fraction(1, 7)
+    assert (x.probs, y.probs, value) == (
+        (4 * seven, 3 * seven),
+        (4 * seven, 3 * seven, 0, 0),
+        26 * seven,
+    )
+    assert outcome(reference_certify(a, (0, 1), (0, 1))) == outcome((x, y, value))
+
+
+@pytest.mark.parametrize(
+    "rows, cols, solves",
+    [((0, 1), (0, 1), 1), ((0,), (2,), 1), ((0, 1), (0, 1, 2), 0), ((1,), (0, 3), 0)],
+)
+def test_the_certificate_solves_one_system(monkeypatch, rows, cols, solves):
+    calls = 0
+    solve_square = _Simplex.solve_square
+
+    def counting_solve_square(self):
+        nonlocal calls
+        calls += 1
+        return solve_square(self)
+
+    monkeypatch.setattr(solvers._Simplex, "solve_square", counting_solve_square)
+    _certify([[5, 2, 6, 4], [2, 6, 1, 5]], rows, cols)
+    assert calls == solves
+
+
+def assert_tableau_holds_the_inverse(matrix):
+    n = len(matrix)
+    inverse = fraction_inverse(matrix)
+    system = _Simplex(matrix, [0] * n)
+    solved = system.solve_square()
+    assert (solved is None) == (inverse is None)
+    if solved is None:
+        return None
+    assert sorted(system.basis) == list(range(n))
+    assert sorted(system.nonbasic) == list(range(n, 2 * n))
+    for i, row in enumerate(system.rows):
+        for c in range(n):
+            entry = inverse[system.basis[i]][system.nonbasic[c] - n]
+            assert Fraction(row[c], system.div) == entry
+    return system.div
+
+
+@st.composite
+def square_matrices(draw):
+    n = draw(st.integers(1, 7))
+    entry = st.integers(-20, 20)
+    return [[draw(entry) for _ in range(n)] for _ in range(n)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(square_matrices())
+def test_solved_tableau_holds_the_inverse(matrix):
+    assert_tableau_holds_the_inverse(matrix)
+
+
+@pytest.mark.parametrize(
+    "matrix",
+    [
+        [[-3]],
+        [[0, 1], [-1, 0]],
+        [[1, 2], [3, 4]],
+        [[2, 1, -1], [-3, -1, 2], [-2, 1, 2]],
+        [[1, 1, -1], [1, 1, 2], [3, -4, 1]],
+    ],
+)
+def test_the_inverse_survives_a_negative_divisor(matrix):
+    assert assert_tableau_holds_the_inverse(matrix) < 0
