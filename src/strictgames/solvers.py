@@ -1,50 +1,18 @@
 """Exact game solving: minimax by simplex and a support-enumeration oracle.
 
-The minimax path maps the row payoff matrix to the smallest positive
-integer matrix in its positive affine class and reduces the value problem
-to a standard-form linear program over those integers.  It guesses the
-optimal basis, certifies it exactly, and falls back to the exact simplex
-only when the certificate fails.  The guess runs the simplex's own pivot
-loop in fixed point, on integers in units of ``2**-GUESS_BITS``, and reads
-both players' supports off its last basis.  Its tableau is packed one
-Python integer per column, each entry in a fixed-width field ``W`` bits
-wide (``4*GUESS_BITS`` plus the bit length of the largest matrix entry,
-rounded up to whole bytes), so a pivot updates a column with a few integer
-operations; the rounding is arranged so that every entry equals what the
-same pivot makes on one integer per entry.  A guard above each field's
-value region shows any entry that would leave it, and the guess then
-raises and falls back like any failed guess; correctness rests on the
-certificate alone, whatever the guess did.  The certificate solves the
-column player's indifference system on those supports exactly, once, and
-reads the row player's weights off the same solved tableau, which holds
-the inverse of the system's matrix: the row player's system is minus its
-transpose, so its solution is minus the inverse's last row (Shapley &
-Snow 1950).  It accepts only positive weights with strict
-complementarity; the optimal strategies are then unique (Kaplansky 1945;
-Bohnenblust, Karlin & Shapley 1950), so the answer is the one the exact
-simplex gives.  The exact simplex is a dense
-fraction-free one on a compact tableau, so both players' optimal
-strategies come out of one tableau (primal solution and dual prices).  In
-both loops the entering variable follows Dantzig's most-negative rule;
-after a run of ``DEGENERATE_RUN_LIMIT`` degenerate pivots Bland's
-smallest-label rule takes over until the objective moves again, so every
-exact solve terminates (a nondegenerate pivot raises the objective, and
-Bland's rule never cycles).  Both loops stop after
-``PIVOTS_PER_DIMENSION`` pivots per row and column; for the guess, whose
-rounding voids that argument, stopping there is a fallback.  The value is
-unique; when the optimal strategy set is not a single point, the
-certificate fails, and the returned strategy is whichever optimum the
-exact pivots reach and may change between versions.  No float enters any
-path.  The support-enumeration oracle independently
-finds all equilibria of small bimatrix games by solving the indifference
-system of every equal-size support pair on the same fraction-free pivot,
-so one integer elimination does all exact linear algebra here; it is
-complete for nondegenerate games and is used to cross-validate the LP path
-and the claim that normalizing a strictly competitive game preserves its
-equilibria.  A support pair that holds a conditionally dominated action,
-one that some own action beats strictly on every action of the opponent's
-support, is skipped unsolved (Porter, Nudelman & Shoham 2008): the
-best-response check would reject it anyway, so the result is unchanged.
+Each mechanism is described once, where it is implemented:
+
+- :func:`minimax_solve` maps the row payoffs to the smallest positive
+  integer matrix in their affine class, guesses the optimal basis of its
+  value LP, certifies it, and falls back to the exact simplex.
+- :class:`_Guess` is the guess, the simplex's own pivot loop in fixed point
+  on a packed tableau; :func:`_certify` accepts only a unique optimum, so
+  every answer is the exact simplex's.
+- :class:`_Simplex` is the exact fraction-free simplex; its pivot also
+  solves the square systems of the certificate and of
+  :func:`support_enumeration`, which cross-checks small games.
+
+No float enters any path.
 """
 
 from __future__ import annotations
@@ -323,7 +291,7 @@ class _Guess(_Simplex):
     its true tableau entry in units of ``2**-B``, rounded down after every
     pivot, so entries keep their size instead of growing into basis
     determinants.  A pivot at ``(r, c)`` with pivot ``p`` maps an entry
-    ``v`` of another row to ``v - (ratio*w >> B)``, where
+    ``v`` of another row to ``v - ceil(ratio*w / 2**B)``, where
     ``ratio = (f << B) // p``, ``f`` is the row's entry in column ``c`` and
     ``w`` the pivot row's entry in the same column as ``v``; it maps the
     pivot row's ``w`` to ``w*inv >> B`` with ``inv = (1 << 2*B) // p``, and
@@ -331,44 +299,51 @@ class _Guess(_Simplex):
     and leaving rules, the switch to Bland's rule and the pivot budget are
     :class:`_Simplex`'s own loop, which reads the tableau only through
     :meth:`_objective` and :meth:`_column`; storage and pivot are this
-    class's.  Rounding may still lead it to a wrong basis, or make a
-    column look unbounded; the certificate catches the first, and the
-    second raises ``ArithmeticError``.
+    class's.  The ratio test sees an entering-column entry at or below
+    ``2**(B//2)`` units as 0, the pivot tolerance of Harris 1973 ("Pivot
+    selection methods of the Devex LP code"): an entry whose true value is
+    0 can round to a few units, and a pivot on it blows the tableau up.
+    Rounding may still lead it to a wrong basis, or make a column look
+    unbounded; the certificate catches the first, and the second raises
+    ``ArithmeticError``.
 
     Storage: one integer per column, the right-hand side last.  Field
     ``i`` of a column, ``W`` bits at bit ``i*W``, holds row ``i``'s entry
-    plus ``2**(F-1)``; the ``m`` constraint rows come first and the
-    objective is the top field, read off with one shift.  The low
-    ``F = W - B - 8`` bits of a field are its value region, so it holds
-    entries in ``[-2**(F-1), 2**(F-1))``; the ``B + 8`` bits above are a
-    guard, zero in every stored column.  ``W`` is ``4*B`` plus the bit
-    length of ``max(a)``, rounded up to whole bytes, which leaves entries
-    about ``2*B`` bits above the data before they leave the value region.
+    plus ``2**(F-1)``, shifted up by ``B``: its low ``B`` bits are 0, the
+    ``F = W - B - 8`` bits above them the value region, so it holds entries
+    in ``[-2**(F-1), 2**(F-1))``, and the top 8 bits a guard, zero in every
+    stored column.  The ``m`` constraint rows come first and the objective
+    is the top field, read off with one shift.  ``W`` is ``3*B`` plus the
+    bit length of ``max(a)``, rounded up to whole bytes, which leaves
+    entries ``B - 8`` bits or more beyond the data's.  That is enough
+    because of the tolerance, which keeps every ratio ``f/p`` below
+    ``2**(B//2)`` times ``f``: over the 1,224 ``solve-lp`` benchmark LPs
+    of four seeds the longest entry has 48 bits, in a 64-bit value region.
 
     A pivot updates each column ``C`` whose pivot-row entry ``w`` is not 0
-    in one pass: ``t = (C << B) - w*R + K`` and then ``(t >> B) & VALUES``,
-    where ``R`` holds ``ratio`` in each field and ``2**B - inv`` in field
-    ``r``, ``K`` holds ``2**B - 1`` in each field but ``r``'s, and
-    ``VALUES`` masks every value region.  Before the shift, field ``i !=
-    r`` of ``t`` is ``(v + 2**(F-1))*2**B - ratio*w + 2**B - 1``, and
-    ``(x + 2**B - 1) >> B`` is ``-(-x >> B)``, so the shift leaves
-    ``v - (ratio*w >> B)`` plus the offset; field ``r`` is
-    ``(w + 2**(F-1))*2**B - w*(2**B - inv)``, which leaves ``w*inv >> B``
-    plus the offset.  These are exactly the entries the same pivot makes
-    on a list of one integer per entry.
+    in one pass: ``t = C - w*R`` and then ``t & VALUES``, where ``R`` holds
+    ``ratio`` in each field and ``2**B - inv`` in field ``r``, and
+    ``VALUES`` masks every value region.  Field ``i != r`` of ``t`` is
+    ``(v + 2**(F-1))*2**B - ratio*w``, and clearing its low ``B`` bits
+    leaves ``v + (-(ratio*w) >> B)`` plus the offset, shifted; field ``r``
+    is ``(w + 2**(F-1))*2**B - w*(2**B - inv)``, which leaves
+    ``w*inv >> B`` plus the offset.  These are exactly the entries the same
+    pivot makes on a list of one integer per entry.
 
     Guard: a pivot raises ``OverflowError`` when it would store an entry
-    outside the value region, and exactly then.  The pivot column is
-    checked as it is packed.  Each other field of ``t`` must lie in
-    ``[0, 2**(F+B))`` before the shift; a pivot-row entry with
+    outside the value region, and exactly then.  ``a`` is checked when the
+    columns are built and the pivot column as it is packed.  Each other
+    field of ``t`` must lie in ``[0, 2**(F+B))``.  A pivot-row entry with
     ``|w| * max|R|`` above ``2**(F+B+7)`` is refused first (some field of
-    its column then lies far outside), and below that every field of
-    ``t`` stays within ``255 * 2**(F+B)`` of zero.  Then the lowest field
-    out of range, negative or not, shows a set guard bit, Python's ``&``
-    reading a negative ``t`` in two's complement, so ``t & GUARD`` sees
-    every overflow and every borrow between fields.  ``_guess_supports``
-    takes the error as a failed guess, and the exact simplex answers;
-    correctness rests on the certificate, not on the guard.
+    its column then lies far outside); below that every field of ``t``
+    stays within ``255 * 2**(F+B)`` of zero, so none wraps by a whole
+    ``2**W``, whose borrow would vanish in the low bits the mask clears.
+    The lowest field out of range, negative or not, then shows a set guard
+    bit, Python's ``&`` reading a negative ``t`` in two's complement, so
+    ``t & GUARD`` sees every overflow and every borrow between fields.
+    ``_guess_supports`` takes the error as a failed guess, and the exact
+    simplex answers; correctness rests on the certificate, not on the
+    guard.
     """
 
     def __init__(self, a: list[list[int]]) -> None:
@@ -377,9 +352,12 @@ class _Guess(_Simplex):
         self.nonbasic = list(range(n))
         self.basis = [n + i for i in range(m)]
         self.div = 1
-        width = -(-(4 * bits + max(map(max, a)).bit_length()) // 8) * 8
+        top = max(map(max, a))
+        width = -(-(3 * bits + top.bit_length()) // 8) * 8
         self.width, self.value_bits = width, width - bits - 8
         self.offset = 1 << self.value_bits - 1
+        if top << bits >= self.offset:  # F >= 2*B - 8 + top's bits: only if B < 9
+            raise OverflowError("the data does not fit a field")
         size = width // 8
         self._fields = [slice(k, k + size) for k in range(0, size * (m + 1), size)]
 
@@ -390,41 +368,42 @@ class _Guess(_Simplex):
         def every_field(value: int) -> int:
             return int.from_bytes(value.to_bytes(size, "little") * (m + 1), "little")
 
-        self.offsets = every_field(self.offset)
-        self.rounding = every_field((1 << bits) - 1)
-        self.values = every_field((1 << self.value_bits) - 1)
+        self.offsets = every_field(self.offset) << bits
+        self.values = every_field((1 << self.value_bits) - 1) << bits
         self.guard = every_field((1 << width) - (1 << self.value_bits + bits))
-        # a's column j, then -2**B; the width leaves room for 2**B times
-        # every entry of a, so these need no check
-        start = self.offsets - (1 << m * width + bits)
-        self.cols = [start + (fields(col) << bits) for col in zip(*a)]
-        self.cols.append(start + (every_field(1) << bits))  # 2**B, then 0
+        # a's column j, then -2**B, each entry shifted up by B twice: once
+        # into units of 2**-B, once into its stored place
+        start = self.offsets - (1 << m * width + 2 * bits)
+        self.cols = [start + (fields(col) << 2 * bits) for col in zip(*a)]
+        self.cols.append(start + (every_field(1) << 2 * bits))  # 2**B, then 0
         self._unpacked = None, []
 
     def _pack(self, entries: list[int]) -> int:
-        """The column int of ``entries``, the objective last; raises
+        """The stored column int of ``entries``, the objective last; raises
         ``OverflowError`` when an entry does not fit a field."""
         off, size = self.offset, self.width // 8
         if min(entries) < -off or max(entries) >= off:
             raise OverflowError("a fixed-point entry does not fit its field")
         fields = [(e + off).to_bytes(size, "little") for e in entries]
-        return int.from_bytes(b"".join(fields), "little")
+        return int.from_bytes(b"".join(fields), "little") << GUESS_BITS
 
     def _unpack(self, packed: int) -> list[int]:
-        """The entries of a column int, the objective last."""
+        """The entries of a stored column int, the objective last."""
         off = self.offset
-        raw = packed.to_bytes(self.width // 8 * (self.m + 1), "little")
+        raw = (packed >> GUESS_BITS).to_bytes(self.width // 8 * (self.m + 1), "little")
         return [int.from_bytes(raw[field], "little") - off for field in self._fields]
 
     def _objective(self) -> list[int]:
-        shift, off = self.m * self.width, self.offset
+        shift, off = self.m * self.width + GUESS_BITS, self.offset
         return [(packed >> shift) - off for packed in self.cols]
 
     def _column(self, col: int) -> tuple[list[int], list[int]]:
         entries = self._unpack(self.cols[col])
         # kept for the pivot on this column that follows the ratio test
         self._unpacked = self.cols[col], entries
-        return entries[:-1], self._unpack(self.cols[-1])[:-1]
+        tolerance = 1 << GUESS_BITS // 2
+        coefs = [e if e > tolerance else 0 for e in entries[:-1]]
+        return coefs, self._unpack(self.cols[-1])[:-1]
 
     def _pivot(self, row: int, col: int) -> None:
         bits, cols = GUESS_BITS, self.cols
@@ -439,11 +418,10 @@ class _Guess(_Simplex):
         new[row] = inverse
         packed = self._pack(new)
         shift = row * self.width
-        multiplier = self.offsets - packed + (1 << shift + bits)  # R
-        carry = self.rounding - ((1 << bits) - 1 << shift)  # K
+        multiplier = (self.offsets - packed >> bits) + (1 << shift + bits)  # R
         limit = (1 << self.value_bits + bits + 7) // (max(map(abs, ratios)) or 1)
         # w keeps its offset until it is used
-        off, field = self.offset, (1 << self.width) - 1
+        off, field, shift = self.offset, (1 << self.value_bits) - 1, shift + bits
         low, high = off - limit, off + limit
         values, guard = self.values, self.guard
         for j, column in enumerate(cols):
@@ -451,10 +429,10 @@ class _Guess(_Simplex):
             if w != off and j != col:  # a column with w == 0 is unchanged
                 if not low <= w <= high:
                     raise OverflowError("a fixed-point product leaves its field")
-                t = (column << bits) - (w - off) * multiplier + carry
+                t = column - (w - off) * multiplier
                 if t & guard:
                     raise OverflowError("a fixed-point entry leaves its field")
-                cols[j] = t >> bits & values
+                cols[j] = t & values
         cols[col] = packed
         self.basis[row], self.nonbasic[col] = self.nonbasic[col], self.basis[row]
 
@@ -547,8 +525,8 @@ def _guess_supports(
     budget; that is a reason to fall back, not an error.
     """
     n = len(a[0])
-    guess = _Guess(a)
     try:
+        guess = _Guess(a)
         guess.optimize()
     except (ArithmeticError, PivotBudgetExceeded):
         return None
@@ -628,10 +606,11 @@ def support_enumeration(game: BimatrixGame) -> EquilibriumSet:
     nondegenerate games.  A game with more than :data:`MAX_ENUM_DIM` rows
     or columns raises :class:`TooLarge`.
 
-    Pruning: a pair ``(R, S)`` is not solved when some row in ``R`` earns
-    the row player strictly less than some other row on every column of
-    ``S``, or some column in ``S`` earns the column player strictly less
-    than some other column on every row of ``R``.  A solution with
+    Pruning (Porter, Nudelman & Shoham 2008): a pair ``(R, S)`` is not
+    solved when some row in ``R`` earns the row player strictly less than
+    some other row on every column of ``S``, or some column in ``S`` earns
+    the column player strictly less than some other column on every row of
+    ``R``.  A solution with
     positive weights would pay the dominated action exactly the
     indifference value and its dominator strictly more, so the
     best-response check would reject the pair; without one it yields

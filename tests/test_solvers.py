@@ -290,6 +290,18 @@ def test_certificate_accepts_generated_disguised_games(bound, seed):
     assert solution.to_json_dict() == solve_exactly(zero).to_json_dict()
 
 
+def test_pivot_tolerance_certifies_a_tie_heavy_game():
+    # at value bound 1 many tableau entries are truly 0; without a pivot
+    # tolerance the guess pivoted on one that rounding had left 17 units
+    # above 0, the certificate rejected the basis it ended on and the
+    # exact simplex answered
+    game = gen(GenSpec(Family.DISGUISED_ZERO_SUM, 60, 60, 1, 1))
+    zero = to_zero_sum(game, detect_affine(game).transform)
+    solution, certified = solve_recording_certificate(zero)
+    assert certified
+    assert solution.to_json_dict() == solve_exactly(zero).to_json_dict()
+
+
 @pytest.mark.parametrize(
     "v1",
     [
@@ -349,7 +361,7 @@ def test_corrupted_guess_falls_back(monkeypatch):
 
 
 def test_guard_overflow_falls_back_to_the_exact_simplex(monkeypatch):
-    # at 32 fraction bits this 10x10 game's guess certifies; at 5 its
+    # at 32 fraction bits this 10x10 game's guess certifies; at 6 its
     # fields are 24 bits wide, an entry outgrows its field mid-run and the
     # guard raises, so the exact simplex answers
     rng = random.Random(4)
@@ -358,7 +370,7 @@ def test_guard_overflow_falls_back_to_the_exact_simplex(monkeypatch):
     solution, certified = solve_recording_certificate(g)
     assert certified
     assert solution.to_json_dict() == exact.to_json_dict()
-    monkeypatch.setattr(solvers, "GUESS_BITS", 5)
+    monkeypatch.setattr(solvers, "GUESS_BITS", 6)
     pivot, raised, guesses = solvers._Guess._pivot, [], []
     guess_supports = solvers._guess_supports
 
