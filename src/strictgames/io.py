@@ -7,15 +7,14 @@ that are not UTF-8, wrong shapes, float entries, or malformed rationals
 raise :class:`FormatError`, and parse(serialize(g)) reproduces ``g``
 bit-exactly.
 
-Entries are read straight into the integer core.  Each distinct string
-entry of a file is parsed once, on first sight, by a memo that lives for
-one load and is keyed by the string alone: ``1``, ``true`` and ``1.0`` hash
-alike, so a key by value would let a boolean or a float through.  Each
-matrix is scaled once to the least common denominator of its entries, one
-factor per distinct denominator, and that denominator is bounded like a
-single literal: a file whose denominators multiply past 4,300 decimal
-digits is rejected.  Writing formats each distinct stored numerator once,
-reduced against its matrix's denominator, in the layout of
+Entries are read straight into the integer core in whole-matrix passes: a
+set of row types and one of row lengths check the shape, then one set of
+exact entry types keeps out booleans and floats, which hash like integers.
+Each distinct string entry is parsed once per load, by a memo, and a matrix
+with string entries is scaled to their least common denominator through one
+dict over its distinct entries; a denominator past 4,300 decimal digits is
+rejected, like an overlong literal.  Writing formats each distinct stored
+numerator once, reduced against its matrix's denominator, in the layout of
 ``json.dumps(..., indent=2)``.  No ``Fraction`` is built per entry.
 """
 
@@ -23,6 +22,7 @@ from __future__ import annotations
 
 import json
 import math
+from itertools import chain
 
 from .errors import FormatError
 from .games import BimatrixGame, IntMatrix
@@ -55,20 +55,18 @@ def _matrix(
     """One payoff matrix as integer rows over their least common denominator."""
     if not isinstance(raw, list) or len(raw) != rows:
         raise FormatError(f"{name} must have exactly {rows} rows")
-    entries = set()
-    for row in raw:
-        if not isinstance(row, list) or len(row) != cols:
-            raise FormatError(f"every row of {name} must have {cols} entries")
-        # bool is a subclass of int, so test the exact types
-        kinds = set(map(type, row))
-        if not kinds <= {int, str}:
-            bad = next(v for v in row if type(v) is not int and type(v) is not str)
-            raise FormatError(f"not a rational literal: {bad!r}")
-        if str in kinds:
-            entries.update(row)
-    pairs = {v: literals[v] for v in entries if type(v) is str}
-    if not pairs:  # every entry is a JSON integer
+    if set(map(type, raw)) != {list} or set(map(len, raw)) != {cols}:
+        raise FormatError(f"every row of {name} must have {cols} entries")
+    # bool is a subclass of int, so test the exact types
+    kinds = set(map(type, chain.from_iterable(raw)))
+    if not kinds <= {int, str}:
+        bad = next(v for v in chain.from_iterable(raw) if type(v) not in (int, str))
+        raise FormatError(f"not a rational literal: {bad!r}")
+    if str not in kinds:  # every entry is a JSON integer
         return raw, 1
+    pairs = {
+        v: literals[v] if type(v) is str else (v, 1) for v in set(chain.from_iterable(raw))
+    }
     dens, den = {d for _, d in pairs.values()}, 1
     for d in dens:
         den = math.lcm(den, d)
@@ -76,7 +74,7 @@ def _matrix(
             raise FormatError(f"common denominator of {name} exceeds 4300 digits")
     factor = {d: den // d for d in dens}
     scaled = {v: n * factor[d] for v, (n, d) in pairs.items()}
-    return [[scaled[v] if type(v) is str else v * den for v in row] for row in raw], den
+    return [list(map(scaled.__getitem__, row)) for row in raw], den
 
 
 def game_from_json_dict(data: object) -> BimatrixGame:

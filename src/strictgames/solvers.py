@@ -21,6 +21,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
+from operator import neg
 
 from .detection import AffineTransform, detect_affine, to_zero_sum
 from .errors import NotZeroSum, PivotBudgetExceeded, TooLarge
@@ -440,8 +441,9 @@ class _Guess(_Simplex):
 def minimax_solve(game: BimatrixGame) -> MinimaxSolution:
     """Exact minimax value and optimal strategies of a zero-sum game.
 
-    Unless :func:`detect_affine` certifies (1, 0), ``u2 == -u1``, this
-    raises :class:`NotZeroSum`.
+    Unless ``u2 == -u1`` this raises :class:`NotZeroSum`.  Each matrix is
+    in lowest terms over its unique least common denominator, so the test
+    is ``den2 == den1`` and ``num2 == -num1`` on every cell.
     The LP runs on ``a = (v - low) / g + 1``, where ``u1 == v / den`` over
     integers, ``low`` is the least entry of ``v`` and ``g`` the gcd of the
     differences ``v - low`` (1 when every entry is equal).  This is the
@@ -478,9 +480,9 @@ def minimax_solve(game: BimatrixGame) -> MinimaxSolution:
     optimal strategy it returns depends on the pivoting rule and may change
     between versions.
     """
-    certificate = detect_affine(game)
-    if certificate.transform != AffineTransform(1, 0):
-        raise NotZeroSum(f"u2 is not -u1: {certificate.to_json_dict()}")
+    minus_num1 = tuple(tuple(map(neg, row)) for row in game.num1)
+    if (game.den2, game.num2) != (game.den1, minus_num1):
+        raise NotZeroSum(f"u2 is not -u1: {detect_affine(game).to_json_dict()}")
     m, n = game.rows, game.cols
     den, v = game.den1, game.num1  # u1 == v / den
     low = min(min(row) for row in v)

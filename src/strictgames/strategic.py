@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import sub
 
 from .games import BimatrixGame
 from .rational import common_denominator, format_rational
@@ -40,7 +41,8 @@ class MvDecomposition:
         }
 
     def verifies(self, game: BimatrixGame) -> bool:
-        """Re-check the shape and the cell equations exactly, in integers."""
+        """Re-check the shape and, over one denominator, every cell in
+        integers: the row check of :func:`_separates`."""
         shape = (len(self.row_offsets), len(self.col_offsets))
         if self.lambda1 <= 0 or self.lambda2 <= 0 or shape != (game.rows, game.cols):
             return False
@@ -48,53 +50,51 @@ class MvDecomposition:
         factors = (self.lambda1 / game.den1, self.lambda2 / game.den2)
         offsets = self.row_offsets + self.col_offsets
         (k1, k2, *r), _ = common_denominator(factors + offsets)
-        c = r[game.rows :]
-        return all(
-            k1 * a + k2 * b == r[i] + c[j]
-            for i, (row1, row2) in enumerate(zip(game.num1, game.num2))
-            for j, (a, b) in enumerate(zip(row1, row2))
-        )
+        return _separates(game, k1, k2, r[: game.rows], r[game.rows :])
+
+
+def _separates(
+    game: BimatrixGame, k1: int, k2: int, r: list[int], c: list[int]
+) -> bool:
+    """``k1*num1 + k2*num2 == r[i] + c[j]`` on every cell, one row at a time."""
+    return all(
+        [k1 * x + k2 * y - ri for x, y in zip(row1, row2)] == c
+        for ri, row1, row2 in zip(r, game.num1, game.num2)
+    )
 
 
 def strategically_zero_sum_detect(game: BimatrixGame) -> MvDecomposition | None:
     """Find the normalized decomposition, or None when infeasible.
 
-    With lambda1 fixed to 1, separability of M = u1 + lambda2*u2 is
-    equivalent to the double differences M[i][j] - M[i][0] - M[0][j] +
-    M[0][0] all vanishing.  Each cell's double difference is linear in
-    lambda2, so every cell either holds for all lambda2, rules out every
-    lambda2, or forces a single candidate; all forced candidates must agree
-    and be positive.  When no cell constrains lambda2, lambda2 = 1 is the
-    canonical representative.
+    With lambda1 = 1, M = u1 + lambda2*u2 separates exactly when every
+    double difference M[i][j] - M[i][0] - M[0][j] + M[0][0] vanishes.  Each
+    is linear in lambda2, so a cell whose u2 double difference is nonzero
+    forces lambda2, which must be positive; the first row whose u2
+    differences from row 0 are not constant holds one, and with none
+    lambda2 = 1.  The decomposition built from row 0, column 0 and that
+    lambda2 holds on a cell exactly when the cell's double difference
+    vanishes, so checking it on every cell, one integer row at a time,
+    decides separability.  The certificate is built only after the check.
     """
     a, b = game.num1, game.num2
-    fp = fq = 0  # first forcing cell: lambda2 == -(fp/den1) / (fq/den2)
-    for i in range(1, game.rows):
-        for j in range(1, game.cols):
-            p = a[i][j] - a[i][0] - a[0][j] + a[0][0]
-            q = b[i][j] - b[i][0] - b[0][j] + b[0][0]
-            if q == 0:
-                if p != 0:
-                    return None
-            elif fq == 0:
-                fp, fq = p, q
-            elif p * fq != fp * q:
-                return None
-    lam2 = Fraction(-fp * game.den2, fq * game.den1) if fq else Fraction(1)
-    if lam2 <= 0:
+    # M*den1*k1 == k1*num1 + k2*num2, with lambda2 == (k2*den2) / (k1*den1)
+    k1, k2 = game.den2, game.den1  # lambda2 == 1
+    for row1, row2 in zip(a[1:], b[1:]):
+        diff = list(map(sub, row2, b[0]))
+        if j := next((j for j, d in enumerate(diff) if d != diff[0]), 0):
+            # the double difference of k1*num1 + k2*num2 at this cell is 0
+            k1, k2 = diff[j] - diff[0], row1[0] - a[0][0] + a[0][j] - row1[j]
+            break
+    if k1 * k2 <= 0:
         return None
-
-    # M == (k1*num1 + k2*num2) / den; only row 0 and column 0 are needed
-    (k1, k2), den = common_denominator((Fraction(1, game.den1), lam2 / game.den2))
-    m0 = [k1 * v1 + k2 * v2 for v1, v2 in zip(a[0], b[0])]
-    decomposition = MvDecomposition(
+    c = [k1 * x + k2 * y for x, y in zip(a[0], b[0])]
+    r = [k1 * x[0] + k2 * y[0] - c[0] for x, y in zip(a, b)]
+    if not _separates(game, k1, k2, r, c):
+        return None
+    den = k1 * game.den1
+    return MvDecomposition(
         lambda1=Fraction(1),
-        lambda2=lam2,
-        row_offsets=tuple(
-            Fraction(k1 * r1[0] + k2 * r2[0] - m0[0], den) for r1, r2 in zip(a, b)
-        ),
-        col_offsets=tuple(Fraction(v, den) for v in m0),
+        lambda2=Fraction(k2 * game.den2, den),
+        row_offsets=tuple(Fraction(v, den) for v in r),
+        col_offsets=tuple(Fraction(v, den) for v in c),
     )
-    if not decomposition.verifies(game):
-        return None
-    return decomposition

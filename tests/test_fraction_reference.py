@@ -118,21 +118,42 @@ def _rational(draw, max_den):
 def rational_games(draw):
     """Games up to 5x5; each player's entries have denominators from 1 up
     to that player's own bound in 1..12.  The column payoff is independent,
-    an affine image of the row payoff (any slope sign), or that image plus
-    row offsets, optionally with one cell nudged off."""
+    an affine image of the row payoff (any slope sign), that image plus row
+    offsets, or that image plus row offsets beside a row payoff with column
+    offsets added; or one payoff separates into row plus column offsets,
+    u2 (so no cell forces lambda2) or u1 (beside an independent u2, so
+    every forcing cell forces lambda2 = 0).  Optionally one cell of u2 is
+    nudged off."""
     rows, cols = draw(st.integers(1, 5)), draw(st.integers(1, 5))
     max_den1, max_den2 = draw(st.integers(1, 12)), draw(st.integers(1, 12))
-    u1 = [[_rational(draw, max_den1) for _ in range(cols)] for _ in range(rows)]
-    kind = draw(st.sampled_from(("independent", "affine", "row-offsets")))
-    if kind == "independent":
-        u2 = [[_rational(draw, max_den2) for _ in range(cols)] for _ in range(rows)]
+
+    def matrix(max_den):
+        return [[_rational(draw, max_den) for _ in range(cols)] for _ in range(rows)]
+
+    def separable(max_den):
+        r = [_rational(draw, max_den) for _ in range(rows)]
+        c = [_rational(draw, max_den) for _ in range(cols)]
+        return [[a + b for b in c] for a in r]
+
+    kind = draw(st.sampled_from((
+        "independent", "affine", "row-offsets", "col-offsets", "u2-separable",
+        "u1-separable",
+    )))
+    u1 = separable(max_den1) if kind == "u1-separable" else matrix(max_den1)
+    if kind in ("independent", "u1-separable"):
+        u2 = matrix(max_den2)
+    elif kind == "u2-separable":
+        u2 = separable(max_den2)
     else:
         alpha, beta = _rational(draw, max_den2), _rational(draw, max_den2)
         u2 = [[-alpha * v + beta for v in row] for row in u1]
-        if kind == "row-offsets":
+        if kind in ("row-offsets", "col-offsets"):
             for row in u2:
                 offset = _rational(draw, max_den2)
                 row[:] = [v + offset for v in row]
+        if kind == "col-offsets":
+            offsets = [_rational(draw, max_den1) for _ in range(cols)]
+            u1 = [[v + c for v, c in zip(row, offsets)] for row in u1]
     if draw(st.booleans()):
         i, j = draw(st.integers(0, rows - 1)), draw(st.integers(0, cols - 1))
         u2[i][j] += F(1, draw(st.integers(1, 12)))
@@ -159,6 +180,7 @@ def test_integer_core_matches_fraction_reference(game, data):
     decomposition = strategically_zero_sum_detect(game)
     assert decomposition == ref_strategically_zero_sum(game)
     if decomposition is not None:
+        assert decomposition.verifies(game)
         nudged = MvDecomposition(
             decomposition.lambda1,
             decomposition.lambda2,

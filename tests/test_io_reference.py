@@ -114,8 +114,12 @@ def unreduced_literal(draw, q):
 
 
 def game_text(rows, cols, u1, u2):
+    """A game file from rows of JSON entry texts; a row given as one string
+    is written as it is."""
+
     def matrix(m):
-        return "[" + ", ".join("[" + ", ".join(row) + "]" for row in m) + "]"
+        texts = (r if type(r) is str else "[" + ", ".join(r) + "]" for r in m)
+        return "[" + ", ".join(texts) + "]"
 
     return f'{{"rows": {rows}, "cols": {cols}, "u1": {matrix(u1)}, "u2": {matrix(u2)}}}'
 
@@ -195,6 +199,45 @@ def test_reader_rejects_what_reference_rejects(game, data):
         for m in (json.loads(dumps_game(game))[name] for name in ("u1", "u2"))
     ]
     matrices[player][i][j] = bad
+    text = game_text(game.rows, game.cols, *matrices)
+    with pytest.raises(FormatError):
+        ref_loads_game(text)
+    with pytest.raises(FormatError):
+        loads_game(text)
+
+
+def bad_row(kind, row):
+    """A malformed JSON row made from ``row``, a list of JSON entry texts."""
+    if kind == "short":
+        return "[" + ", ".join(row[:-1]) + "]"
+    if kind == "long":
+        return "[" + ", ".join(row + row[:1]) + "]"
+    if kind == "nested":
+        return "[[" + ", ".join(row) + "]]"
+    return {"empty": "[]", "number": "5", "string": '"1/2"', "object": "{}"}[kind]
+
+
+BAD_ROWS = ["short", "long", "nested", "empty", "number", "string", "object"]
+
+
+@settings(max_examples=200, deadline=None)
+@given(rational_games(), st.data())
+def test_reader_rejects_a_malformed_row_as_reference_does(game, data):
+    # a row at a drawn place of u1 or u2, alone or beside a malformed entry
+    # elsewhere: both readers raise FormatError, whatever the message
+    matrices = [
+        [[json.dumps(v) for v in row] for row in m]
+        for m in (json.loads(dumps_game(game))[name] for name in ("u1", "u2"))
+    ]
+    if data.draw(st.booleans()):
+        player = data.draw(st.sampled_from([0, 1]))
+        i = data.draw(st.integers(0, game.rows - 1))
+        j = data.draw(st.integers(0, game.cols - 1))
+        matrices[player][i][j] = data.draw(st.sampled_from(MALFORMED))
+    player = data.draw(st.sampled_from([0, 1]))
+    i = data.draw(st.integers(0, game.rows - 1))
+    kind = data.draw(st.sampled_from(BAD_ROWS))
+    matrices[player][i] = bad_row(kind, matrices[player][i])
     text = game_text(game.rows, game.cols, *matrices)
     with pytest.raises(FormatError):
         ref_loads_game(text)

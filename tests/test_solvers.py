@@ -74,6 +74,37 @@ def test_minimax_zero_sum_is_the_certificate_one_zero():
             minimax_solve(game)
 
 
+@st.composite
+def near_zero_sum_games(draw):
+    """Games up to 4x4 whose u2 is -u1, another affine image of u1, or
+    independent, over drawn denominators, optionally with one cell nudged."""
+    v1, v2 = draw(small_bimatrices())
+    den = draw(st.integers(1, 6))
+    u1 = [[F(v, den) for v in row] for row in v1]
+    t = draw(st.sampled_from([(1, 0), (1, 0), (1, F(1, 3)), (2, 0), (F(1, 2), 0), None]))
+    if t is None:
+        u2 = [[F(v, draw(st.integers(1, 6))) for v in row] for row in v2]
+    else:
+        u2 = [[-t[0] * v + t[1] for v in row] for row in u1]
+    if draw(st.booleans()):
+        i, j = draw(st.integers(0, len(u1) - 1)), draw(st.integers(0, len(u1[0]) - 1))
+        u2[i][j] += F(1, draw(st.integers(1, 6)))
+    return new_game(u1, u2)
+
+
+@settings(max_examples=200, deadline=None)
+@given(near_zero_sum_games())
+def test_minimax_zero_sum_gate_agrees_with_the_affine_certificate(game):
+    # the gate compares the stored integers; detect_affine fits the transform
+    try:
+        minimax_solve(game)
+    except NotZeroSum:
+        accepted = False
+    else:
+        accepted = True
+    assert accepted is (detect_affine(game).transform == AffineTransform(1, 0))
+
+
 def test_minimax_game_with_a_negative_denominator_cannot_be_built():
     # with den1 = -1 this is the zero-sum game below, of value -1; the LP and
     # its re-check assume a positive denominator and returned -3 for it

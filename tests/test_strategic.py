@@ -93,9 +93,33 @@ def test_verifies_rejects_a_certificate_of_the_wrong_shape():
 
 
 def test_single_row_or_column_always_strategic():
-    g = new_game([[1], [5], [-2]], [[4], [0], [7]])
-    d = strategically_zero_sum_detect(g)
-    assert d is not None and d.verifies(g)
+    # no cell has a double difference, so nothing forces lambda2 away from 1
+    for u1, u2 in (
+        ([[1], [5], [-2]], [[4], [0], [7]]),
+        ([[1, 5, F(-2, 3)]], [[4, F(1, 2), 7]]),
+    ):
+        g = new_game(u1, u2)
+        d = strategically_zero_sum_detect(g)
+        assert d is not None and d.verifies(g)
+        assert (d.lambda1, d.lambda2) == (F(1), F(1))
+        m = [[a + b for a, b in zip(r1, r2)] for r1, r2 in zip(u1, u2)]
+        assert d.row_offsets == tuple(row[0] - m[0][0] for row in m)
+        assert d.col_offsets == tuple(m[0])
+
+
+def test_forcing_cell_in_row_one_contradicted_in_the_last_row():
+    # u1 + 2*u2 = r_i + c_j, so row 1 forces lambda2 = 2; the nudged last
+    # row forces another lambda2, which only that row can show
+    u2 = [[0, 1, 3], [2, 0, 1], [1, 4, 0], [3, 3, 2]]
+    r, c = [0, 5, -1, 2], [1, -3, 4]
+    u1 = [[-2 * u2[i][j] + r[i] + c[j] for j in range(3)] for i in range(4)]
+    d = strategically_zero_sum_detect(new_game(u1, u2))
+    assert d is not None and d.lambda2 == 2
+    assert d.verifies(new_game(u1, u2))
+    u1[-1][-1] += 1
+    g = new_game(u1, u2)
+    assert strategically_zero_sum_detect(g) is None
+    assert not d.verifies(g)
 
 
 def test_json_shape():
