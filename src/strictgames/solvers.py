@@ -137,8 +137,9 @@ class _Simplex:
     to the smallest variable label.  After ``DEGENERATE_RUN_LIMIT``
     consecutive degenerate pivots (the leaving row's right-hand side is 0),
     Bland's rule takes over, the smallest label with negative reduced cost,
-    until the next nondegenerate pivot.  Leaving variable: minimum ratio,
-    ties broken by the smallest basic label.
+    until the next nondegenerate pivot.  Leaving variable: minimum ratio
+    over the entering column's entries above ``tolerance`` (0 here), ties
+    broken by the smallest basic label.
 
     Termination: a nondegenerate pivot strictly raises the objective, so no
     basis repeats across nondegenerate pivots, and there are finitely many
@@ -160,12 +161,13 @@ class _Simplex:
     ) -> None:
         self.m = len(a)
         self.n = len(a[0])
-        self.rows = [list(ai) + [bi] for ai, bi in zip(a, b)]
+        self.rows = [[*ai, bi] for ai, bi in zip(a, b)]
         if c is not None:
             self.rows.append([-cj for cj in c] + [0])
         self.nonbasic = list(range(self.n))
         self.basis = [self.n + i for i in range(self.m)]
         self.div = 1
+        self.tolerance = 0
 
     def _objective(self) -> list[int]:
         """The objective row: one reduced cost per column, then the
@@ -173,9 +175,9 @@ class _Simplex:
         return self.rows[-1]
 
     def _column(self, col: int) -> tuple[list[int], list[int]]:
-        """Column ``col`` and the right-hand side, constraint rows only."""
-        rows = self.rows[: self.m]
-        return [row[col] for row in rows], [row[-1] for row in rows]
+        """Column ``col`` and the right-hand side, one entry per row, the
+        objective row's last when there is one."""
+        return [row[col] for row in self.rows], [row[-1] for row in self.rows]
 
     def _entering(self, bland: bool) -> int | None:
         """Column of the entering variable, or None at an optimum."""
@@ -188,31 +190,32 @@ class _Simplex:
         return min(negative, key=lambda col: (obj[col], self.nonbasic[col]))
 
     def _leaving(self, coefs: list[int], rhs: list[int]) -> int:
-        # ratios compared by cross-multiplication; coefficients are positive
+        # only the constraint rows, one per basic variable, and only their
+        # entries above the tolerance, which are positive, take part.  The
+        # ratios are compared by cross-multiplication; every ratio ties the
+        # initial 0/0, and best_var starts past every label, so the first
+        # candidate wins
+        tolerance = self.tolerance
         best_num = best_den = 0
-        best_row = -1
-        for i, (coef, num) in enumerate(zip(coefs, rhs)):
-            if coef > 0:
-                if (
-                    best_row < 0
-                    or num * best_den < best_num * coef
-                    or (
-                        num * best_den == best_num * coef
-                        and self.basis[i] < self.basis[best_row]
-                    )
-                ):
-                    best_num, best_den, best_row = num, coef, i
+        best_row, best_var = -1, self.m + self.n
+        for i, (coef, num, var) in enumerate(zip(coefs, rhs, self.basis)):
+            if coef > tolerance:
+                left, right = num * best_den, best_num * coef
+                if left < right or (left == right and var < best_var):
+                    best_num, best_den, best_row, best_var = num, coef, i, var
         if best_row < 0:
             raise ArithmeticError("unbounded linear program")
         return best_row
 
-    def _pivot(self, row: int, col: int) -> None:
+    def _pivot(self, row: int, col: int, column: list[int]) -> None:
+        """Pivot at ``(row, col)``; ``column`` holds column ``col``'s entry
+        in every row, as :meth:`_column` reads it."""
         prow = self.rows[row]
-        pivot = prow[col]
+        pivot = column[row]
         d = self.div
         for i, old in enumerate(self.rows):
             if i != row:
-                f = old[col]
+                f = column[i]
                 new = [(pivot * v - f * w) // d for v, w in zip(old, prow)]
                 new[col] = -f
                 self.rows[i] = new
@@ -248,10 +251,10 @@ class _Simplex:
                     f"no optimum after {budget} pivots on a {self.m}x{self.n} LP"
                 )
             pivots += 1
-            coefs, rhs = self._column(col)
-            row = self._leaving(coefs, rhs)
+            column, rhs = self._column(col)
+            row = self._leaving(column, rhs)
             run = run + 1 if rhs[row] == 0 else 0
-            self._pivot(row, col)
+            self._pivot(row, col, column)
 
     def solve_square(self) -> tuple[int, list[int]] | None:
         """Solve the square system ``A v = b``: ``(div, primal)`` with
@@ -266,12 +269,13 @@ class _Simplex:
         # column ``col`` still holds structural variable ``col``: the pivots
         # so far only replaced the columns before it
         for col in range(self.n):
+            column = [row[col] for row in self.rows]
             for row, var in enumerate(self.basis):
-                if var >= self.n and self.rows[row][col]:
+                if var >= self.n and column[row]:
                     break
             else:
                 return None
-            self._pivot(row, col)
+            self._pivot(row, col, column)
         return self.div, self._primal()
 
     def _primal(self) -> list[int]:
@@ -288,6 +292,11 @@ class _Guess(_Simplex):
     value LP ``max 1*y`` subject to ``a y <= 1``, ``y >= 0`` of a positive
     integer matrix ``a``.
 
+    :class:`_Simplex`'s loop owns the entering rule, the leaving rule, the
+    pivot tolerance, the switch to Bland's rule and the pivot budget, and
+    reads the tableau only through :meth:`_objective` and :meth:`_column`;
+    this class owns the packed codec, the pivot arithmetic and the guard.
+
     Built on data multiplied by ``2**B``, ``B = GUESS_BITS``, each entry is
     its true tableau entry in units of ``2**-B``, rounded down after every
     pivot, so entries keep their size instead of growing into basis
@@ -296,17 +305,14 @@ class _Guess(_Simplex):
     ``ratio = (f << B) // p``, ``f`` is the row's entry in column ``c`` and
     ``w`` the pivot row's entry in the same column as ``v``; it maps the
     pivot row's ``w`` to ``w*inv >> B`` with ``inv = (1 << 2*B) // p``, and
-    column ``c`` becomes ``-ratio``, ``inv`` in row ``r``.  The entering
-    and leaving rules, the switch to Bland's rule and the pivot budget are
-    :class:`_Simplex`'s own loop, which reads the tableau only through
-    :meth:`_objective` and :meth:`_column`; storage and pivot are this
-    class's.  The ratio test sees an entering-column entry at or below
-    ``2**(B//2)`` units as 0, the pivot tolerance of Harris 1973 ("Pivot
-    selection methods of the Devex LP code"): an entry whose true value is
-    0 can round to a few units, and a pivot on it blows the tableau up.
-    Rounding may still lead it to a wrong basis, or make a column look
-    unbounded; the certificate catches the first, and the second raises
-    ``ArithmeticError``.
+    column ``c`` becomes ``-ratio``, ``inv`` in row ``r``.  The tolerance,
+    set when the object is built, is ``2**(B//2)`` units: the ratio test
+    sees an entering-column entry at or below it as 0, the pivot tolerance
+    of Harris 1973 ("Pivot selection methods of the Devex LP code"): an
+    entry whose true value is 0 can round to a few units, and a pivot on it
+    blows the tableau up.  Rounding may still lead it to a wrong basis, or
+    make a column look unbounded; the certificate catches the first, and
+    the second raises ``ArithmeticError``.
 
     Storage: one integer per column, the right-hand side last.  Field
     ``i`` of a column, ``W`` bits at bit ``i*W``, holds row ``i``'s entry
@@ -332,9 +338,10 @@ class _Guess(_Simplex):
     pivot makes on a list of one integer per entry.
 
     Guard: a pivot raises ``OverflowError`` when it would store an entry
-    outside the value region, and exactly then.  ``a`` is checked when the
-    columns are built and the pivot column as it is packed.  Each other
-    field of ``t`` must lie in ``[0, 2**(F+B))``.  A pivot-row entry with
+    outside the value region, and exactly then.  :meth:`_pack` checks each
+    column it packs: every column when the tableau is built, and the pivot
+    column at each pivot.  Each other field of ``t`` must lie in
+    ``[0, 2**(F+B))``.  A pivot-row entry with
     ``|w| * max|R|`` above ``2**(F+B+7)`` is refused first (some field of
     its column then lies far outside); below that every field of ``t``
     stays within ``255 * 2**(F+B)`` of zero, so none wraps by a whole
@@ -353,31 +360,21 @@ class _Guess(_Simplex):
         self.nonbasic = list(range(n))
         self.basis = [n + i for i in range(m)]
         self.div = 1
-        top = max(map(max, a))
-        width = -(-(3 * bits + top.bit_length()) // 8) * 8
+        self.tolerance = 1 << bits // 2
+        width = -(-(3 * bits + max(map(max, a)).bit_length()) // 8) * 8
         self.width, self.value_bits = width, width - bits - 8
         self.offset = 1 << self.value_bits - 1
-        if top << bits >= self.offset:  # F >= 2*B - 8 + top's bits: only if B < 9
-            raise OverflowError("the data does not fit a field")
         size = width // 8
         self._fields = [slice(k, k + size) for k in range(0, size * (m + 1), size)]
-
-        def fields(column: tuple[int, ...]) -> int:
-            raw = b"".join([e.to_bytes(size, "little") for e in column])
-            return int.from_bytes(raw, "little")
-
-        def every_field(value: int) -> int:
-            return int.from_bytes(value.to_bytes(size, "little") * (m + 1), "little")
-
-        self.offsets = every_field(self.offset) << bits
-        self.values = every_field((1 << self.value_bits) - 1) << bits
-        self.guard = every_field((1 << width) - (1 << self.value_bits + bits))
-        # a's column j, then -2**B, each entry shifted up by B twice: once
-        # into units of 2**-B, once into its stored place
-        start = self.offsets - (1 << m * width + 2 * bits)
-        self.cols = [start + (fields(col) << 2 * bits) for col in zip(*a)]
-        self.cols.append(start + (every_field(1) << 2 * bits))  # 2**B, then 0
-        self._unpacked = None, []
+        ones = ((1 << width * (m + 1)) - 1) // ((1 << width) - 1)  # 1 in each field
+        self.offsets = ones * self.offset << bits
+        self.values = ones * ((1 << self.value_bits) - 1) << bits
+        self.guard = ones * ((1 << width) - (1 << self.value_bits + bits))
+        # a's columns, each with objective entry -1, then the right-hand
+        # side, 1 in each row and 0 in the objective, in units of 2**-B
+        one = 1 << bits
+        self.cols = [self._pack([e << bits for e in col] + [-one]) for col in zip(*a)]
+        self.cols.append(self._pack([one] * m + [0]))
 
     def _pack(self, entries: list[int]) -> int:
         """The stored column int of ``entries``, the objective last; raises
@@ -399,21 +396,13 @@ class _Guess(_Simplex):
         return [(packed >> shift) - off for packed in self.cols]
 
     def _column(self, col: int) -> tuple[list[int], list[int]]:
-        entries = self._unpack(self.cols[col])
-        # kept for the pivot on this column that follows the ratio test
-        self._unpacked = self.cols[col], entries
-        tolerance = 1 << GUESS_BITS // 2
-        coefs = [e if e > tolerance else 0 for e in entries[:-1]]
-        return coefs, self._unpack(self.cols[-1])[:-1]
+        return self._unpack(self.cols[col]), self._unpack(self.cols[-1])
 
-    def _pivot(self, row: int, col: int) -> None:
+    def _pivot(self, row: int, col: int, column: list[int]) -> None:
         bits, cols = GUESS_BITS, self.cols
-        unpacked, entries = self._unpacked
-        if unpacked is not cols[col]:
-            entries = self._unpack(cols[col])
-        pivot = entries[row]
+        pivot = column[row]
         inverse = (1 << 2 * bits) // pivot
-        ratios = [(f << bits) // pivot for f in entries]  # R's fields
+        ratios = [(f << bits) // pivot for f in column]  # R's fields
         ratios[row] = (1 << bits) - inverse
         new = [-ratio for ratio in ratios]
         new[row] = inverse
@@ -425,12 +414,12 @@ class _Guess(_Simplex):
         off, field, shift = self.offset, (1 << self.value_bits) - 1, shift + bits
         low, high = off - limit, off + limit
         values, guard = self.values, self.guard
-        for j, column in enumerate(cols):
-            w = column >> shift & field
+        for j, stored in enumerate(cols):
+            w = stored >> shift & field
             if w != off and j != col:  # a column with w == 0 is unchanged
                 if not low <= w <= high:
                     raise OverflowError("a fixed-point product leaves its field")
-                t = column - (w - off) * multiplier
+                t = stored - (w - off) * multiplier
                 if t & guard:
                     raise OverflowError("a fixed-point entry leaves its field")
                 cols[j] = t & values

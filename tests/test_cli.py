@@ -105,8 +105,8 @@ def test_solve_exits_2_when_the_pivot_budget_runs_out(game_file, monkeypatch, ca
     # a tableau corrupted so that one column re-enters forever
     pivot = solvers._Simplex._pivot
 
-    def sign_flipping_pivot(self, row, col):
-        pivot(self, row, col)
+    def sign_flipping_pivot(self, row, col, column):
+        pivot(self, row, col, column)
         self.rows[-1][col] = -self.rows[-1][col]
 
     monkeypatch.setattr(solvers._Simplex, "_pivot", sign_flipping_pivot)

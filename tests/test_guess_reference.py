@@ -23,13 +23,12 @@ from strictgames.solvers import _Guess, _Simplex
 class ListGuess(_Simplex):
     """The fixed-point guess on a list of rows."""
 
-    def _column(self, col):
+    def __init__(self, a, b, c):
+        super().__init__(a, b, c)
         # the ratio test sees an entry at or below the tolerance as 0
-        coefs, rhs = super()._column(col)
-        tolerance = 1 << solvers.GUESS_BITS // 2
-        return [c if c > tolerance else 0 for c in coefs], rhs
+        self.tolerance = 1 << solvers.GUESS_BITS // 2
 
-    def _pivot(self, row, col):
+    def _pivot(self, row, col, column):
         prow = self.rows[row]
         pivot = prow[col]
         bits = solvers.GUESS_BITS
@@ -58,9 +57,9 @@ def run(guess):
     pivots = []
     pivot = guess._pivot
 
-    def recording_pivot(row, col):
+    def recording_pivot(row, col, column):
         pivots.append((row, col))
-        pivot(row, col)
+        pivot(row, col, column)
 
     guess._pivot = recording_pivot
     try:
@@ -209,8 +208,8 @@ def test_guard_fires_exactly_when_a_list_entry_leaves_its_field(a):
         fits = []
         pivot = reference._pivot
 
-        def checking_pivot(row, col):
-            pivot(row, col)
+        def checking_pivot(row, col, column):
+            pivot(row, col, column)
             fits.append(all(-half <= v < half for r in reference.rows for v in r))
 
         reference._pivot = checking_pivot
@@ -258,13 +257,14 @@ def test_one_pivot_matches_the_list_pivot_or_raises(case):
     reference.rows = [list(r) for r in rows]
     packed.cols = [packed._pack(list(c)) for c in zip(*rows)]
     half = 1 << packed.value_bits - 1
-    reference._pivot(row, col)
+    column = [r[col] for r in rows]
+    reference._pivot(row, col, column)
     if all(-half <= v < half for r in reference.rows for v in r):
-        packed._pivot(row, col)
+        packed._pivot(row, col, column)
         assert tableau(packed) == reference.rows
     else:
         with pytest.raises(OverflowError):
-            packed._pivot(row, col)
+            packed._pivot(row, col, column)
 
 
 def test_a_product_that_wraps_a_whole_field_raises():
@@ -278,8 +278,9 @@ def test_a_product_that_wraps_a_whole_field_raises():
     rows = [[1 << bits, w], [f, 0], [0, 0]]
     reference = list_guess([[1], [1]])
     reference.rows = [list(r) for r in rows]
-    reference._pivot(0, 0)
+    column = [r[0] for r in rows]
+    reference._pivot(0, 0, column)
     assert reference.rows[1][1] == -(1 << width - bits)
     guess.cols = [guess._pack(list(c)) for c in zip(*rows)]
     with pytest.raises(OverflowError):
-        guess._pivot(0, 0)
+        guess._pivot(0, 0, column)

@@ -223,9 +223,9 @@ def test_minimax_degenerate_fallback(monkeypatch):
                 assert costs[col] == min(costs)
         return col
 
-    def recording_pivot(self, row, col):
+    def recording_pivot(self, row, col, column):
         degenerate.append(self.rows[row][-1] == 0)
-        pivot(self, row, col)
+        pivot(self, row, col, column)
 
     monkeypatch.setattr(solvers._Simplex, "_entering", recording_entering)
     monkeypatch.setattr(solvers._Simplex, "_pivot", recording_pivot)
@@ -251,8 +251,8 @@ def test_minimax_pivot_budget_stops_a_corrupted_tableau(monkeypatch):
     # forever; the budget turns that into a typed error
     pivot, pivots = solvers._Simplex._pivot, []
 
-    def sign_flipping_pivot(self, row, col):
-        pivot(self, row, col)
+    def sign_flipping_pivot(self, row, col, column):
+        pivot(self, row, col, column)
         self.rows[-1][col] = -self.rows[-1][col]
         pivots.append(col)
 
@@ -273,9 +273,9 @@ def test_guess_pivot_budget_falls_back_to_the_exact_simplex(monkeypatch):
     exact = solve_exactly(zero_sum(UNIQUE_2X4))
     pivot, pivots = solvers._Guess._pivot, []
 
-    def objective_freezing_pivot(self, row, col):
+    def objective_freezing_pivot(self, row, col, column):
         objective = self._objective()
-        pivot(self, row, col)
+        pivot(self, row, col, column)
         # the objective is the last field of each packed column
         for j, packed in enumerate(self.cols):
             entries = self._unpack(packed)
@@ -370,8 +370,8 @@ def test_corrupted_guess_falls_back(monkeypatch):
     pivot, guesses = solvers._Guess._pivot, []
     guess_supports = solvers._guess_supports
 
-    def stopping_pivot(self, row, col):
-        pivot(self, row, col)
+    def stopping_pivot(self, row, col, column):
+        pivot(self, row, col, column)
         # the objective is the last field of each packed column
         for j, packed in enumerate(self.cols):
             entries = self._unpack(packed)
@@ -405,9 +405,9 @@ def test_guard_overflow_falls_back_to_the_exact_simplex(monkeypatch):
     pivot, raised, guesses = solvers._Guess._pivot, [], []
     guess_supports = solvers._guess_supports
 
-    def watching_pivot(self, row, col):
+    def watching_pivot(self, row, col, column):
         try:
-            pivot(self, row, col)
+            pivot(self, row, col, column)
         except OverflowError:
             raised.append((row, col))
             raise
@@ -424,6 +424,48 @@ def test_guard_overflow_falls_back_to_the_exact_simplex(monkeypatch):
     assert guesses == [None]
     assert not certified
     assert solution.to_json_dict() == exact.to_json_dict()
+
+
+def test_false_unbounded_column_falls_back_to_the_exact_simplex():
+    # the differences from the least entry share the factor 13, so the
+    # LP's first pivot is 95004762574 * 2**32, past 2**64: the fixed-point
+    # inverse (1 << 64) // pivot is 0, the pivot row is zeroed and the next
+    # entering column has no positive entry, so the guess stops on a column
+    # that only its rounding made unbounded
+    v1 = [[385728584117, -849333329332, -278133862728]]
+    a = [[95004762574, 1, 43938420509]]
+    assert lp_matrix(zero_sum(v1)) == a
+    with pytest.raises(ArithmeticError, match="unbounded linear program"):
+        solvers._Guess(a).optimize()
+    assert solvers._guess_supports(a) is None
+    solution = minimax_solve(zero_sum(v1))
+    assert solution.to_json_dict() == {
+        "value": "-849333329332/1",
+        "row_strategy": ["1/1"],
+        "col_strategy": ["0/1", "1/1", "0/1"],
+    }
+    assert solution.to_json_dict() == solve_exactly(zero_sum(v1)).to_json_dict()
+
+
+@pytest.mark.parametrize("bound", [20, 2])
+def test_a_guess_pivot_unpacks_the_entering_column_and_the_rhs_only(monkeypatch, bound):
+    # the loop hands the column it read to the pivot, so each pivot costs
+    # two unpacks, the entering column and the right-hand side, and no more
+    counts = {"_unpack": 0, "_pivot": 0}
+    for name in counts:
+        method = getattr(solvers._Guess, name)
+
+        def counting(self, *args, name=name, method=method):
+            counts[name] += 1
+            return method(self, *args)
+
+        monkeypatch.setattr(solvers._Guess, name, counting)
+    for seed in (1, 2, 3):
+        game = gen(GenSpec(Family.DISGUISED_ZERO_SUM, 12, 12, seed, bound))
+        minimax_solve(to_zero_sum(game, detect_affine(game).transform))
+    minimax_solve(zero_sum([[0, -1, 1], [1, 0, -1], [-1, 1, 0]]))
+    assert counts["_pivot"] > 0
+    assert counts["_unpack"] == 2 * counts["_pivot"]
 
 
 @pytest.mark.parametrize(
