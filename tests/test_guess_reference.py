@@ -48,7 +48,9 @@ class ListGuess(_Simplex):
 
 def list_guess(a):
     m, n, bits = len(a), len(a[0]), solvers.GUESS_BITS
-    return ListGuess([[e << bits for e in row] for row in a], [1 << bits] * m, [1 << bits] * n)
+    guess = ListGuess([[e << bits for e in row] for row in a], [1 << bits] * m, [1 << bits] * n)
+    guess.line = [*map(sum, zip(*a)), *map(sum, a)]  # _Guess's pricing lines
+    return guess
 
 
 def run(guess):
