@@ -5,12 +5,16 @@ class StrictGamesError(Exception):
     """Base class for all errors raised by this package."""
 
 
-class EmptyGame(StrictGamesError):
-    """A payoff matrix has zero rows or zero columns."""
+class FormatError(StrictGamesError):
+    """A game file, rational literal or payoff matrix is malformed."""
 
 
-class ShapeMismatch(StrictGamesError):
-    """The two payoff matrices do not have identical dimensions."""
+class EmptyGame(FormatError):
+    """A payoff matrix has zero rows or zero columns: malformed input."""
+
+
+class ShapeMismatch(FormatError):
+    """The payoff matrices are not rectangular and equally shaped."""
 
 
 class DimensionMismatch(StrictGamesError):
@@ -40,7 +44,3 @@ class PivotBudgetExceeded(StrictGamesError):
 
 class BadSpec(StrictGamesError):
     """A generator specification is invalid or unsatisfiable."""
-
-
-class FormatError(StrictGamesError):
-    """A game file or rational literal is malformed."""

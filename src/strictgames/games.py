@@ -16,12 +16,12 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import chain, islice
+from itertools import chain
 from operator import mul
 
 from .errors import DimensionMismatch, EmptyGame, FormatError, ShapeMismatch
 from .errors import WeightOutOfRange
-from .rational import common_denominator, parse_rational
+from .rational import common_denominator, integer_rows, parse_rational
 from .rational import random_simplex_point, random_weight
 
 Matrix = tuple[tuple[Fraction, ...], ...]
@@ -39,9 +39,10 @@ class BimatrixGame:
     is ``u1[i][j] == num1[i][j] / den1`` and the column player's
     ``u2[i][j] == num2[i][j] / den2``, each denominator a positive ``int``
     (else :class:`FormatError`) reduced with its matrix on construction,
-    which also raises :class:`EmptyGame` or :class:`ShapeMismatch` unless
-    both matrices are nonempty, rectangular and equally shaped.  Entries
-    are not checked one by one.  ``u1`` and ``u2`` are built on first
+    which also raises :class:`EmptyGame` or :class:`ShapeMismatch`, both
+    kinds of :class:`FormatError`, unless both matrices are nonempty,
+    rectangular and equally shaped: the package's one shape check.
+    Entries are not checked one by one.  ``u1`` and ``u2`` are built on first
     access and kept.
     """
 
@@ -89,15 +90,13 @@ class BimatrixGame:
 
 def new_game(u1: object, u2: object) -> BimatrixGame:
     """Two matrices of numbers (``Fraction``, integer or ``"n/d"``; floats
-    and booleans raise :class:`FormatError`) as a game, each over its least
-    common denominator; :class:`BimatrixGame` checks the shapes."""
-    stored = []
-    for m in (u1, u2):
-        rows = [list(row) for row in m]  # type: ignore[attr-defined]
-        num, den = common_denominator(chain.from_iterable(rows))
-        flat = iter(num)
-        stored += [[list(islice(flat, len(r))) for r in rows], den]
-    return BimatrixGame(*stored)
+    and booleans raise :class:`FormatError`) as a game, each scaled by
+    :func:`~strictgames.rational.integer_rows`, which caps its common
+    denominator at 4,300 digits; :class:`BimatrixGame` checks the shapes."""
+    return BimatrixGame(
+        *integer_rows([list(row) for row in u1]),  # type: ignore[attr-defined]
+        *integer_rows([list(row) for row in u2]),  # type: ignore[attr-defined]
+    )
 
 
 @dataclass(frozen=True, init=False)

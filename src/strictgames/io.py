@@ -7,30 +7,24 @@ that are not UTF-8, wrong shapes, float entries, or malformed rationals
 raise :class:`FormatError`, and parse(serialize(g)) reproduces ``g``
 bit-exactly.
 
-Entries are read straight into the integer core in whole-matrix passes: a
-set of row types and one of row lengths check the shape, then one set of
-exact entry types keeps out booleans and floats, which hash like integers.
-Each distinct string entry is parsed once per load, by a memo, and a matrix
-with string entries is scaled to their least common denominator through one
-dict over its distinct entries; a denominator past 4,300 decimal digits is
-rejected, like an overlong literal.  Writing formats each distinct stored
-numerator once, reduced against its matrix's denominator, in the layout of
-``json.dumps(..., indent=2)``.  No ``Fraction`` is built per entry.
+The reader checks only what JSON adds: an object with the four fields,
+positive integer dimensions and arrays of arrays.  Each matrix is scaled
+into the integer core by :func:`~strictgames.rational.integer_rows`, the
+library's one scaler, :class:`BimatrixGame` checks the rectangle, and the
+game's shape must be the declared one.  Writing formats each distinct
+stored numerator once, reduced against its matrix's denominator, in the
+layout of ``json.dumps(..., indent=2)``.  No ``Fraction`` is built per
+entry.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from itertools import chain
 
 from .errors import FormatError
 from .games import BimatrixGame, IntMatrix
-from .rational import parse_literal
-
-# Python's default cap on the digits int() converts, applied to the common
-# denominator so that coprime denominators cannot blow the integers up
-_MAX_DENOMINATOR = 10**4300
+from .rational import integer_rows
 
 
 class _Memo(dict):
@@ -49,49 +43,23 @@ def _entry(v: int, den: int) -> int | str:
     return v // g if g == den else f"{v // g}/{den // g}"
 
 
-def _matrix(
-    name: str, raw: object, rows: int, cols: int, literals: _Memo
-) -> tuple[list[list[int]], int]:
-    """One payoff matrix as integer rows over their least common denominator."""
-    if not isinstance(raw, list) or len(raw) != rows:
-        raise FormatError(f"{name} must have exactly {rows} rows")
-    if set(map(type, raw)) != {list} or set(map(len, raw)) != {cols}:
-        raise FormatError(f"every row of {name} must have {cols} entries")
-    # bool is a subclass of int, so test the exact types
-    kinds = set(map(type, chain.from_iterable(raw)))
-    if not kinds <= {int, str}:
-        bad = next(v for v in chain.from_iterable(raw) if type(v) not in (int, str))
-        raise FormatError(f"not a rational literal: {bad!r}")
-    if str not in kinds:  # every entry is a JSON integer
-        return raw, 1
-    pairs = {
-        v: literals[v] if type(v) is str else (v, 1) for v in set(chain.from_iterable(raw))
-    }
-    dens, den = {d for _, d in pairs.values()}, 1
-    for d in dens:
-        den = math.lcm(den, d)
-        if den >= _MAX_DENOMINATOR:
-            raise FormatError(f"common denominator of {name} exceeds 4300 digits")
-    factor = {d: den // d for d in dens}
-    scaled = {v: n * factor[d] for v, (n, d) in pairs.items()}
-    return [list(map(scaled.__getitem__, row)) for row in raw], den
-
-
 def game_from_json_dict(data: object) -> BimatrixGame:
     if not isinstance(data, dict):
         raise FormatError("game file must be a JSON object")
     missing = {"rows", "cols", "u1", "u2"} - set(data)
     if missing:
         raise FormatError(f"missing fields: {sorted(missing)}")
-    rows, cols = data["rows"], data["cols"]
+    rows, cols, u1, u2 = data["rows"], data["cols"], data["u1"], data["u2"]
     # bool is a subclass of int, so true would otherwise read as 1
     if type(rows) is not int or type(cols) is not int or rows < 1 or cols < 1:
         raise FormatError("rows and cols must be positive integers")
-    literals = _Memo(parse_literal)  # string keys only
-    return BimatrixGame(
-        *_matrix("u1", data["u1"], rows, cols, literals),
-        *_matrix("u2", data["u2"], rows, cols, literals),
-    )
+    # a string or object row would otherwise read as its characters or keys
+    if any(type(u) is not list or not set(map(type, u)) <= {list} for u in (u1, u2)):
+        raise FormatError("u1 and u2 must be arrays of arrays")
+    game = BimatrixGame(*integer_rows(u1), *integer_rows(u2))
+    if (game.rows, game.cols) != (rows, cols):
+        raise FormatError(f"the game is {game.rows}x{game.cols}, not {rows}x{cols}")
+    return game
 
 
 def _matrix_text(num: IntMatrix, den: int) -> str:

@@ -6,10 +6,10 @@ integers, so every equality check in the package is bit-exact;
 ``fractions.Fraction`` appears only in views, certificates, witnesses and
 JSON.  This module says what a number is, in files and library calls
 alike: a ``Fraction``, an integer or a string ``"n/d"`` (d > 0) in ASCII
-digits; floats and booleans raise :class:`FormatError`.  It adds the
-conversion to a common denominator and the seeded samplers for
-bounded-denominator random weights, which return integers and consume a
-CPython ``random.Random`` exactly as ``randint``/``choice`` would.
+digits; floats and booleans raise :class:`FormatError`.  They enter the
+integer core one way, :func:`integer_rows`.  The module adds the seeded
+samplers for bounded-denominator random weights, which return integers and
+consume a CPython ``random.Random`` exactly as ``randint``/``choice`` would.
 """
 
 from __future__ import annotations
@@ -18,6 +18,7 @@ import math
 import random
 import re
 from fractions import Fraction
+from itertools import chain
 
 from .errors import FormatError
 
@@ -30,12 +31,44 @@ _RATIONAL_RE = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?")
 WEIGHT_BOUND = 64
 
 
+# Python's default cap on the digits int() converts, applied to a common
+# denominator so that coprime denominators cannot blow the integers up
+_MAX_DENOMINATOR = 10**4300
+
+
+def integer_rows(rows: list[list]) -> tuple[list[list[int]], int]:
+    """Rows of numbers (see :func:`parse_rational`), shape unchecked, as
+    integer rows over the least common multiple of their denominators as
+    written; rows of ``int`` are returned as they are.  One value of each
+    other entry type is read by :func:`parse_rational` first, so a float or
+    a boolean is refused before any value becomes a dict key (``True`` and
+    ``1.0`` hash like ``1``).  Each distinct value becomes a pair once and
+    the rows are scaled through one dict over them.  A common denominator
+    of 4,300 digits or more raises :class:`FormatError`, like an overlong
+    literal."""
+    kinds = set(map(type, chain.from_iterable(rows)))
+    if kinds <= {int}:
+        return rows, 1
+    for kind in kinds - {int, str}:
+        parse_rational(next(v for v in chain.from_iterable(rows) if type(v) is kind))
+    pairs = {
+        v: parse_literal(v) if isinstance(v, str) else (v.numerator, v.denominator)
+        for v in set(chain.from_iterable(rows))
+    }
+    dens, den = {d for _, d in pairs.values()}, 1
+    for d in dens:
+        den = math.lcm(den, d)
+        if den >= _MAX_DENOMINATOR:
+            raise FormatError("common denominator exceeds 4300 digits")
+    factor = {d: den // d for d in dens}
+    scaled = {v: n * factor[d] for v, (n, d) in pairs.items()}
+    return [list(map(scaled.__getitem__, row)) for row in rows], den
+
+
 def common_denominator(values) -> tuple[list[int], int]:
-    """Numbers (see :func:`parse_rational`) as integer numerators over their
-    least common denominator, which is in lowest terms with them."""
-    fracs = [v if type(v) is int else parse_rational(v) for v in values]
-    den = math.lcm(*(v.denominator for v in fracs))
-    return [v.numerator * (den // v.denominator) for v in fracs], den
+    """Numbers as :func:`integer_rows` scales one row of them."""
+    (row,), den = integer_rows([list(values)])
+    return row, den
 
 
 def parse_literal(value: int | str) -> tuple[int, int]:

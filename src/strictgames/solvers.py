@@ -379,7 +379,6 @@ class _Guess(_Simplex):
         self.m, self.n = m, n = len(a), len(a[0])
         self.nonbasic = list(range(n))
         self.basis = [n + i for i in range(m)]
-        self.div = 1
         self.tolerance = 1 << bits // 2
         self.line = [*map(sum, zip(*a)), *map(sum, a)]
         width = -(-(3 * bits + max(map(max, a)).bit_length()) // 8) * 8
@@ -512,10 +511,8 @@ def minimax_solve(game: BimatrixGame) -> MinimaxSolution:
             Fraction(div, total),
         )
     x, y, value_a = optimum
-    value = Fraction(
-        (low - g) * value_a.denominator + g * value_a.numerator,
-        den * value_a.denominator,
-    )
+    # alpha*u1 - beta == a, so u1's value is a's mapped back
+    value = AffineTransform(Fraction(den, g), Fraction(low - g, g)).u1_value(value_a)
 
     # sum_i x_i u1_ij >= value, cross-multiplied by the positive
     # denominators of x, u1 and value; likewise for y

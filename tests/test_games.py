@@ -86,6 +86,9 @@ def test_bimatrix_game_rejects_a_bad_denominator(den):
 def test_bimatrix_game_checks_shapes(num1, num2, error):
     with pytest.raises(error):
         BimatrixGame(num1, 1, num2, 1)
+    # a malformed shape is malformed input
+    with pytest.raises(FormatError):
+        BimatrixGame(num1, 1, num2, 1)
 
 
 def test_expected_utility_point_mass():

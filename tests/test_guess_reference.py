@@ -54,8 +54,9 @@ def list_guess(a):
 
 
 def run(guess):
-    """The pivots ``guess.solve()`` makes and how it ends: ``"optimal"``
-    or the type and message of what it raised."""
+    """The pivots ``guess.optimize()`` makes, as ``minimax_solve`` runs a
+    guess, and how it ends: ``"optimal"`` or the type and message of what
+    it raised."""
     pivots = []
     pivot = guess._pivot
 
@@ -65,7 +66,7 @@ def run(guess):
 
     guess._pivot = recording_pivot
     try:
-        guess.solve()
+        guess.optimize()
         outcome = "optimal"
     except (ArithmeticError, PivotBudgetExceeded) as error:
         outcome = (type(error), str(error))

@@ -97,6 +97,11 @@ def test_round_trip_generated():
         lambda d: d.update(u2=[[1], [2]]),
         lambda d: d.update(u1=[[1.5, 2], [3, 4]]),
         lambda d: d.update(u1=[["1/0", 2], [3, 4]]),
+        # both matrices agree with each other but not with rows = 2
+        lambda d: d.update(u1=[[1, 2]], u2=[[3, 4]]),
+        # rows that are not arrays would read as their characters or keys
+        lambda d: d.update(u1=["12", "34"]),
+        lambda d: d.update(u2=[{"1": 0, "2": 0}, {"3": 0, "4": 0}]),
     ],
 )
 def test_reject_malformed(mutate):
@@ -137,6 +142,9 @@ def test_reject_unbounded_common_denominator(tmp_path, capsys):
     text = json.dumps({"rows": 40, "cols": 40, "u1": u1, "u2": [[0] * 40] * 40})
     with pytest.raises(FormatError, match="common denominator"):
         loads_game(text)
+    # the library takes numbers by the same rule, so new_game refuses them too
+    with pytest.raises(FormatError, match="common denominator"):
+        new_game(u1, [[0] * 40] * 40)
     path = tmp_path / "coprime.json"
     path.write_text(text, encoding="utf-8")
     assert run_cli(["check", str(path)]) == 2
