@@ -52,7 +52,8 @@ class BimatrixGame:
     den2: int
 
     def __post_init__(self) -> None:
-        for num, den in (("num1", "den1"), ("num2", "den2")):
+        shapes = {}
+        for u, num, den in (("u1", "num1", "den1"), ("u2", "num2", "den2")):
             rows, d = tuple(map(tuple, getattr(self, num))), getattr(self, den)
             if type(d) is not int or d < 1:
                 raise FormatError(f"{den} must be a positive int, not {d!r}")
@@ -60,12 +61,15 @@ class BimatrixGame:
                 rows, d = tuple(tuple(v // g for v in r) for r in rows), d // g
             object.__setattr__(self, num, rows)
             object.__setattr__(self, den, d)
-        a, b = self.num1, self.num2
-        widths = {len(r) for r in a + b}
-        if not a or not b or 0 in widths:
+            shapes[u] = len(rows), sorted({len(r) for r in rows})
+        if any(not height or 0 in widths for height, widths in shapes.values()):
             raise EmptyGame("payoff matrices must be nonempty")
-        if len(widths) != 1 or len(a) != len(b):
-            raise ShapeMismatch(f"{len(a)}, {len(b)} rows of widths {sorted(widths)}")
+        for u, (_, widths) in shapes.items():
+            if len(widths) > 1:
+                raise ShapeMismatch(f"{u} has rows of widths {widths}")
+        (h1, (w1,)), (h2, (w2,)) = shapes.values()
+        if (h1, w1) != (h2, w2):
+            raise ShapeMismatch(f"u1 is {h1}x{w1} but u2 is {h2}x{w2}")
 
     @cached_property
     def u1(self) -> Matrix:

@@ -8,9 +8,10 @@ Each mechanism is described once, where it is implemented:
 - :class:`_Guess` is the guess, the simplex's own pivot loop in fixed point
   on a packed tableau; :func:`_certify` accepts only a unique optimum, so
   every answer is the exact simplex's.
-- :class:`_Simplex` is the exact fraction-free simplex; its pivot also
-  solves the square systems of the certificate and of
-  :func:`support_enumeration`, which cross-checks small games.
+- :class:`_Simplex` is the exact fraction-free simplex.
+- :func:`_solve_square` is the one square-system solver, by fraction-free
+  elimination; it serves the certificate and :func:`support_enumeration`,
+  which cross-checks small games.
 
 No float enters any path.
 """
@@ -21,7 +22,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from operator import neg
+from operator import mul, neg
 
 from .detection import AffineTransform, detect_affine, to_zero_sum
 from .errors import NotZeroSum, PivotBudgetExceeded, TooLarge
@@ -98,40 +99,29 @@ class EquilibriumSet:
 
 class _Simplex:
     """Exact simplex for max c*v subject to A v <= b, v >= 0, with integer
-    data and b >= 0; :meth:`solve_square` reuses its pivot to solve a
-    square system A v = b.
+    data and b >= 0.
 
     The slack basis is immediately feasible, so no phase-one is needed.
 
     Tableau: compact (Tucker) form, one column per nonbasic variable plus
     the right-hand side, with ``nonbasic`` and ``basis`` holding variable
     labels (structural ``0..n-1``, slack ``n+i`` for row ``i``).  The ``m``
-    constraint rows come first; the objective row ``-c``, when ``c`` is
-    given, is the last row, so a square solve carries none.  It is kept
-    fraction-free by integer pivoting (Bareiss): every entry is the true
-    tableau entry times the common divisor ``div``, and each update divides
-    exactly by the previous pivot, so entries stay integers.  A pivot at
-    ``(r, c)`` with pivot ``p`` and divisor ``d`` maps every other column
-    entry of every other row to ``(p*v - f*w) // d``, leaves row ``r`` as
-    it is, and turns column ``c`` into the leaving variable's column:
-    ``-a_ic`` in each other row ``i`` and ``d`` in row ``r``.
+    constraint rows come first and the objective row ``-c`` last.  It is
+    kept fraction-free by integer pivoting (Bareiss): every entry is the
+    true tableau entry times the common divisor ``div``, and each update
+    divides exactly by the previous pivot, so entries stay integers.  A
+    pivot at ``(r, c)`` with pivot ``p`` and divisor ``d`` maps every other
+    column entry of every other row to ``(p*v - f*w) // d``, leaves row
+    ``r`` as it is, and turns column ``c`` into the leaving variable's
+    column: ``-a_ic`` in each other row ``i`` and ``d`` in row ``r``.
 
     Exact division: by Cramer's rule each true entry is a determinant of
     the current basis matrix with one column replaced by an original
     column, divided by the basis determinant, and ``div`` is that basis
     determinant, so every stored entry is the determinant of an integer
     matrix.  The update forms ``p*v - f*w == d * new`` (Sylvester's
-    identity), so ``// d`` divides exactly.  This needs each pivot to be
-    nonzero, not positive: the LP's ratio test pivots on positive entries,
-    ``solve_square`` on any nonzero one, which may leave ``div`` negative.
-
-    Inverse: after :meth:`solve_square` on a nonsingular ``A``, every
-    structural is basic and every slack nonbasic, and the tableau holds
-    ``A``'s inverse times ``div``: ``rows[i][c] / div`` is the inverse's
-    entry at ``(basis[i], nonbasic[c] - n)``, whatever the sign of
-    ``div``, since ``v = A^-1 (b - s)`` is the basic solution in terms of
-    the slacks ``s``.  :func:`_certify` reads the row player's weights off
-    this.
+    identity), so ``// d`` divides exactly.  The ratio test pivots only on
+    positive entries, so ``div`` stays positive.
 
     Entering variable: Dantzig's rule per unit of ``line``, the most
     negative reduced cost divided by the variable's entry of ``line``
@@ -151,21 +141,14 @@ class _Simplex:
     (Bland 1977), so every degenerate run ends.  :meth:`solve` still counts
     its pivots and raises :class:`PivotBudgetExceeded` past
     ``PIVOTS_PER_DIMENSION * (m + n)``, so a tableau whose invariants were
-    broken fails fast instead of spinning; :meth:`solve_square` makes at
-    most ``n`` pivots and needs no budget.
+    broken fails fast instead of spinning.
     """
 
-    def __init__(
-        self,
-        a: list[list[int]],
-        b: list[int],
-        c: list[int] | None = None,
-    ) -> None:
+    def __init__(self, a: list[list[int]], b: list[int], c: list[int]) -> None:
         self.m = len(a)
         self.n = len(a[0])
         self.rows = [[*ai, bi] for ai, bi in zip(a, b)]
-        if c is not None:
-            self.rows.append([-cj for cj in c] + [0])
+        self.rows.append([-cj for cj in c] + [0])
         self.nonbasic = list(range(self.n))
         self.basis = [self.n + i for i in range(self.m)]
         self.div = 1
@@ -267,28 +250,6 @@ class _Simplex:
             run = run + 1 if rhs[row] == 0 else 0
             self._pivot(row, col, column)
 
-    def solve_square(self) -> tuple[int, list[int]] | None:
-        """Solve the square system ``A v = b``: ``(div, primal)`` with
-        ``v_j = primal[j] / div``, or None when ``A`` is singular.
-
-        Each structural variable in turn enters the basis on the first
-        slack row with a nonzero entry in its column; the sign of ``b``
-        plays no part.  When no slack row has one, the column lies in the
-        span of the structural columns already basic, so ``A`` is singular.
-        Afterwards every slack is nonbasic, that is zero.
-        """
-        # column ``col`` still holds structural variable ``col``: the pivots
-        # so far only replaced the columns before it
-        for col in range(self.n):
-            column = [row[col] for row in self.rows]
-            for row, var in enumerate(self.basis):
-                if var >= self.n and column[row]:
-                    break
-            else:
-                return None
-            self._pivot(row, col, column)
-        return self.div, self._primal()
-
     def _primal(self) -> list[int]:
         # any column comes with the right-hand side
         primal = [0] * self.n
@@ -358,10 +319,10 @@ class _Guess(_Simplex):
     pivot makes on a list of one integer per entry.
 
     Guard: a pivot raises ``OverflowError`` when it would store an entry
-    outside the value region, and exactly then.  :meth:`_pack` checks each
-    column it packs: every column when the tableau is built, and the pivot
-    column at each pivot.  Each other field of ``t`` must lie in
-    ``[0, 2**(F+B))``.  A pivot-row entry with
+    outside the value region, and exactly then.  Building the tableau
+    checks ``max(a) << B`` once, which bounds every starting entry, and
+    :meth:`_pack` checks the pivot column at each pivot.  Each other field
+    of ``t`` must lie in ``[0, 2**(F+B))``.  A pivot-row entry with
     ``|w| * max|R|`` above ``2**(F+B+7)`` is refused first (some field of
     its column then lies far outside); below that every field of ``t``
     stays within ``255 * 2**(F+B)`` of zero, so none wraps by a whole
@@ -391,10 +352,15 @@ class _Guess(_Simplex):
         self.values = ones * ((1 << self.value_bits) - 1) << bits
         self.guard = ones * ((1 << width) - (1 << self.value_bits + bits))
         # a's columns, each with objective entry -1, then the right-hand
-        # side, 1 in each row and 0 in the objective, in units of 2**-B
-        one = 1 << bits
-        self.cols = [self._pack([e << bits for e in col] + [-one]) for col in zip(*a)]
-        self.cols.append(self._pack([one] * m + [0]))
+        # side, 1 in each row and 0 in the objective, in units of 2**-B: a
+        # column's bare entries, packed as bytes, shifted into place, plus
+        # the offsets and the entries that every such column shares
+        if max(map(max, a)) << bits >= self.offset:  # bounds every entry, as a >= 1
+            raise OverflowError("a fixed-point entry does not fit its field")
+        start = self.offsets - (1 << m * width + 2 * bits)
+        joined = (b"".join(e.to_bytes(size, "little") for e in col) for col in zip(*a))
+        self.cols = [(int.from_bytes(raw, "little") << 2 * bits) + start for raw in joined]
+        self.cols.append(self.offsets + (ones - (1 << m * width) << 2 * bits))
 
     def _pack(self, entries: list[int]) -> int:
         """The stored column int of ``entries``, the objective last; raises
@@ -466,13 +432,11 @@ def minimax_solve(game: BimatrixGame) -> MinimaxSolution:
     pivot loop on ``a`` in fixed point and reads the row support ``R`` (the
     nonbasic slacks) and the column support ``S`` (the basic structurals)
     off its last basis.  :func:`_certify` then solves the column player's
-    indifference system on ``a[R][S]`` exactly and reads the row player's
-    weights off the same tableau, since the row player's system is minus
-    the transpose of the column player's (Shapley & Snow 1950).  It
-    accepts only when ``|R| == |S|``, the system is nonsingular, every
-    weight is positive and complementarity is strict: rows outside ``R``
-    earn strictly less than the value and columns outside ``S`` concede
-    strictly more.  Such a pair
+    system on the square ``a[R][S]`` and the row player's on its transpose
+    exactly (Shapley & Snow 1950).  It accepts only when ``|R| == |S|``,
+    ``a[R][S]`` is nonsingular, every weight is positive and
+    complementarity is strict: rows outside ``R`` earn strictly less than
+    the value and columns outside ``S`` concede strictly more.  Such a pair
     is the game's only optimum (Kaplansky 1945; Bohnenblust, Karlin &
     Shapley 1950), so it is what the exact simplex would return.  When the
     guess stops on a false unbounded column or its pivot budget, or the
@@ -551,66 +515,97 @@ def _certify(
     payoffs, all positive) when it has exactly one optimal strategy pair
     and its supports are ``rows`` and ``cols``; None otherwise.
 
-    One exact solve answers for both players (Shapley & Snow 1950).  The
-    column player's indifference system on ``a[rows][cols]`` is the
-    bordered system ``M [y; v] = e_last`` with ``M = [[a[rows][cols], -1],
-    [1...1, 0]]``, and :meth:`_Simplex.solve_square` leaves ``M``'s inverse
-    in its tableau.  The row player's system, with ``-a`` transposed as its
-    payoffs, is ``-M^T [x; -v] = e_last``, so ``[x; -v]`` is minus the
-    last row of that inverse, read off the row where the value variable is
-    basic.  ``M`` is singular exactly when ``-M^T`` is, so a singular
-    system rejects both players at once.
+    Each player's weights solve one system on the square ``A =
+    a[rows][cols]`` (Shapley & Snow 1950): :func:`_solve_square` gives
+    ``Y = d A^-1 1`` for the column player and, on ``A^T``, ``X = d A^-T 1``
+    for the row player, with ``d = |det A|``.  Every row of ``rows`` then
+    earns ``d`` against ``Y`` and every column of ``cols`` concedes ``d``
+    against ``X``; both sum to ``d 1^T A^-1 1``, so the strategies are
+    ``Y`` and ``X`` over that sum and the value is ``d / sum(Y)``.  A
+    singular ``A`` is rejected.
 
     The solution is accepted only with positive weights and strict
     complementarity.  Any optimal ``y`` then concedes the value on every
     row of ``rows`` (``x`` is positive there) and puts no weight outside
-    ``cols`` (``x`` earns more there), so it solves the same system; that
-    system has one solution, since ``M`` is nonsingular and the value of a
-    positive matrix is not 0, which makes ``a[rows][cols]`` nonsingular
-    too.  Likewise for ``x``.
+    ``cols`` (``x`` earns more there), so it solves ``A y = value 1``,
+    which has one solution as ``A`` is nonsingular.  Likewise for ``x``.
+
+    This accepts exactly what the bordered system ``M [y; v] = e_last``,
+    ``M = [[A, -1], [1...1, 0]]``, accepts under the same checks.  An
+    accepted pair has ``v > 0``, as ``a`` is positive, and with ``M``
+    nonsingular that forces ``A`` to be nonsingular: a null vector ``z``
+    of ``A`` with weights summing to 1 would solve ``M [z; 0] = e_last``
+    too.  A nonsingular ``A`` with a singular ``M`` has ``sum(Y) == 0``,
+    which positive weights rule out.
     """
     k = len(rows)
     if len(cols) != k:
         return None
-    system = _indifference_system(a, rows, cols)
-    solved = system.solve_square()
+    square = [[a[i][j] for j in cols] for i in rows]
+    solved = _solve_square(square, [1] * k)
     if solved is None:
         return None
-    div, (*y, value) = solved
-    # entry (i, c) of the tableau is div times the inverse's entry at
-    # (basis[i], nonbasic[c] - (k+1)), and the slacks k+1.. are nonbasic;
-    # x is minus the inverse's last row, the value variable k's
-    last = system.rows[system.basis.index(k)]
-    x = [0] * k
-    for c, var in enumerate(system.nonbasic):
-        if var <= 2 * k:
-            x[var - k - 1] = -last[c]
-    if div < 0:
-        div, value, y, x = -div, -value, [-w for w in y], [-w for w in x]
-    # x and y both sum to div, so both players' payoffs are value / div
+    d, y = solved
+    _, x = _solve_square(list(zip(*square)), [1] * k)
     if min(y) <= 0 or min(x) <= 0:
         return None
-    # a column concedes at least value exactly when, against the weights
-    # -x, it earns the column player at most -value
-    for payoff, other, weights, bound in (
-        (a, cols, y, value),
-        (zip(*a), rows, [-w for w in x], -value),
-    ):
-        ties = _best_reply_ties(payoff, other, weights, bound)
+    x, y = _spread(rows, x, len(a)), _spread(cols, y, len(a[0]))
+    # a column concedes at least d exactly when, against the weights -x,
+    # it earns the column player at most -d
+    for payoff, weights, bound in ((a, y, d), (zip(*a), [-w for w in x], -d)):
+        ties = _best_reply_ties(payoff, weights, bound)
         if ties is None or ties > k:
             return None
-    x_mix = MixedStrategy.from_weights(_spread(rows, x, len(a)))
-    y_mix = MixedStrategy.from_weights(_spread(cols, y, len(a[0])))
-    return x_mix, y_mix, Fraction(value, div)
+    x_mix, y_mix = MixedStrategy.from_weights(x), MixedStrategy.from_weights(y)
+    return x_mix, y_mix, Fraction(d, sum(y))
+
+
+def _solve_square(a: list[list[int]], b: list[int]) -> tuple[int, list[int]] | None:
+    """``(d, v)`` with ``d = |det a|`` and ``v = d a^-1 b`` in integers,
+    for a square integer matrix ``a``; None exactly when ``a`` is singular.
+
+    Forward elimination on ``[a | b]`` is fraction-free (Bareiss 1968).
+    Step ``k`` pivots on the first row at or below the diagonal whose
+    entry in column ``k`` is not 0, and maps each entry ``v`` of a row
+    below to ``(p*v - f*w) // q``, where ``p`` is the pivot, ``f`` the
+    row's entry in column ``k``, ``w`` the pivot row's entry in ``v``'s
+    column and ``q`` the previous step's pivot (1 at first).  Each entry is
+    then a minor of the row-permuted ``[a | b]`` (Sylvester's identity), so
+    ``// q`` divides exactly, and the last pivot is ``det a`` up to the
+    permutation's sign.  A column with no nonzero pivot lies in the span
+    of the columns before it, so ``a`` is singular.
+
+    Back-substitution runs upward on the triangular rows: with ``D`` the
+    last pivot, each ``D x_i`` is an integer by Cramer's rule, so ``v_i =
+    (D c_i - sum_{j>i} u_ij v_j) // u_ii`` divides exactly too.
+    """
+    rows = [[*row, bi] for row, bi in zip(a, b)]
+    upper, q = [], 1  # the pivot rows, each from its diagonal entry on
+    while rows:
+        p = next((i for i, row in enumerate(rows) if row[0]), None)
+        if p is None:
+            return None
+        rows[0], rows[p] = rows[p], rows[0]
+        top, *rows = rows
+        pivot, tail = top[0], top[1:]
+        for i, row in enumerate(rows):
+            f = row[0]
+            rows[i] = [(pivot * v - f * w) // q for v, w in zip(row[1:], tail)]
+        upper.append(top)
+        q = pivot
+    v: list[int] = []
+    for top in reversed(upper):
+        v.insert(0, (q * top[-1] - sum(map(mul, top[1:-1], v))) // top[0])
+    return (q, v) if q > 0 else (-q, [-e for e in v])
 
 
 def support_enumeration(game: BimatrixGame) -> EquilibriumSet:
     """All equilibria found by equal-size support enumeration.
 
     For each support pair the two indifference systems are solved exactly
-    by :meth:`_Simplex.solve_square`, the same fraction-free pivot as the
-    LP; candidates must put strictly positive weight on their support and
-    survive the exact best-response inequalities, all checked in integers.
+    by :func:`_solve_square`, as the certificate's are; candidates must put
+    strictly positive weight on their support and survive the exact
+    best-response inequalities, all checked in integers.
     Singular systems are skipped, so completeness is claimed only for
     nondegenerate games.  A game with more than :data:`MAX_ENUM_DIM` rows
     or columns raises :class:`TooLarge`.
@@ -694,54 +689,40 @@ def _indifference(
     meets opponent action ``b``.  Returns the opponent's strategy and the
     owner's payoff against it.  None when the system is singular, a weight
     is not positive, or some own action earns more than that payoff.
+
+    The system is bordered, ``[[payoff[own][other], -1], [1...1, 0]]``
+    times the weights and the payoff ``v`` equals ``e_last``: each action
+    of ``own`` earns ``v`` and the weights sum to 1.  The payoffs need not
+    be positive, so ``v`` may be 0 and cannot be divided out.
     """
-    solved = _indifference_system(payoff, own, other).solve_square()
+    k = len(own)
+    system = [[payoff[i][j] for j in other] + [-1] for i in own]
+    system.append([1] * k + [0])
+    solved = _solve_square(system, [0] * k + [1])
     if solved is None:
         return None
-    # the opponent plays other[t] with probability weights[t] / div (the
-    # weights sum to div, the last equation) for a payoff of value / div
-    div, (*weights, value) = solved
-    if div < 0:
-        div, value, weights = -div, -value, [-w for w in weights]
+    # the opponent plays other[t] with probability weights[t] / d (the
+    # weights sum to d, the last equation) for a payoff of value / d
+    d, (*weights, value) = solved
     if min(weights) <= 0:
         return None
-    if _best_reply_ties(payoff, other, weights, value) is None:
+    weights = _spread(other, weights, len(payoff[0]))
+    if _best_reply_ties(payoff, weights, value) is None:
         return None
-    mix = MixedStrategy.from_weights(_spread(other, weights, len(payoff[0])))
-    return mix, Fraction(value, div * den)
+    return MixedStrategy.from_weights(weights), Fraction(value, d * den)
 
 
-def _indifference_system(
-    payoff: list[list[int]], own: tuple[int, ...], other: tuple[int, ...]
-) -> _Simplex:
-    """The square system for the opponent weights on ``other`` and the
-    owner's payoff ``v``: each action of ``own`` earns ``v``, and the
-    weights sum to 1.  Its matrix is ``[[payoff[own][other], -1],
-    [1...1, 0]]``."""
-    k = len(own)
-    a = [[payoff[i][j] for j in other] + [-1] for i in own]
-    a.append([1] * k + [0])
-    return _Simplex(a, [0] * k + [1])
-
-
-def _best_reply_ties(
-    payoff, other: tuple[int, ...], weights: list[int], value: int
-) -> int | None:
+def _best_reply_ties(payoff, weights: list[int], value: int) -> int | None:
     """How many own actions earn exactly ``value`` against the opponent
-    weights ``weights`` on ``other``; None when one earns more.
+    weights ``weights``, one per opponent action; None when one earns more.
 
     ``payoff`` yields one row per own action, ``row[b]`` being its payoff
     against opponent action ``b``; ``value`` is on the scale of
     ``weights``.  When the ``k`` actions of a support earn ``value``
     exactly, more than ``k`` ties means an action outside it earns as much.
     """
-    ties = 0
-    for row in payoff:
-        earned = sum(row[j] * w for j, w in zip(other, weights))
-        if earned > value:
-            return None
-        ties += earned == value
-    return ties
+    earned = _row_sums(payoff, weights)
+    return None if max(earned) > value else earned.count(value)
 
 
 def _spread(support: tuple[int, ...], weights: list[int], size: int) -> list[int]:

@@ -1,16 +1,15 @@
-"""The one-solve certificate against the two-solve one, and the inverse it
-reads.
+"""The certificate against a two-solve reference, and the square solver.
 
-The reference below is ``_certify`` as it was before it read both players
-off one tableau: each player's indifference system on ``a[rows][cols]``
-solved on its own, the row player's on ``-a`` transposed, each checked
-for positive weights, best responses and extra ties.  On every input the
-two must return the same strategies and value, or both None.
+The reference below works in exact ``Fraction`` arithmetic and shares no
+linear algebra with the package: each player's bordered indifference
+system on ``a[rows][cols]`` is solved on its own by Gauss-Jordan, the row
+player's on ``-a`` transposed, and each is checked for positive weights,
+best responses and extra ties.  On every input the certificate and the
+reference must return the same strategies and value, or both None.
 
-The one-solve certificate reads the row player's weights off the tableau
-:meth:`_Simplex.solve_square` leaves, which holds the inverse of the
-solved matrix times ``div``; a property checks that against a
-``Fraction`` Gauss-Jordan inverse.
+The certificate solves each player's system on the square ``a[rows][cols]``
+with :func:`_solve_square`, fraction-free elimination; a property checks
+that against a ``Fraction`` Gauss-Jordan solve.
 """
 
 from fractions import Fraction
@@ -21,19 +20,59 @@ import pytest
 
 from strictgames import solvers
 from strictgames.games import MixedStrategy
-from strictgames.solvers import _certify, _guess_supports, _Simplex
+from strictgames.solvers import _certify, _guess_supports, _solve_square
+
+
+def fraction_solve(matrix, b):
+    """The solution of ``matrix x = b`` by Gauss-Jordan over ``Fraction``,
+    or None when ``matrix`` is singular."""
+    n = len(matrix)
+    rows = [[Fraction(v) for v in row] + [Fraction(bi)] for row, bi in zip(matrix, b)]
+    for c in range(n):
+        p = next((r for r in range(c, n) if rows[r][c]), None)
+        if p is None:
+            return None
+        rows[c], rows[p] = rows[p], rows[c]
+        rows[c] = [v / rows[c][c] for v in rows[c]]
+        for r in range(n):
+            if r != c and rows[r][c]:
+                f = rows[r][c]
+                rows[r] = [v - f * w for v, w in zip(rows[r], rows[c])]
+    return [row[n] for row in rows]
+
+
+def fraction_inverse(matrix):
+    """The inverse of a square matrix, one ``Fraction`` solve per column,
+    or None when it is singular."""
+    n = len(matrix)
+    columns = [fraction_solve(matrix, [int(i == j) for i in range(n)]) for j in range(n)]
+    return None if columns[0] is None else [list(row) for row in zip(*columns)]
+
+
+def fraction_det(matrix):
+    """The determinant of a square matrix by elimination over ``Fraction``."""
+    rows = [[Fraction(v) for v in row] for row in matrix]
+    det = Fraction(1)
+    for c in range(len(rows)):
+        p = next((r for r in range(c, len(rows)) if rows[r][c]), None)
+        if p is None:
+            return Fraction(0)
+        if p != c:
+            rows[c], rows[p], det = rows[p], rows[c], -det
+        det *= rows[c][c]
+        for r in range(c + 1, len(rows)):
+            f = rows[r][c] / rows[c][c]
+            rows[r] = [v - f * w for v, w in zip(rows[r], rows[c])]
+    return det
 
 
 def reference_indifference(payoff, own, other):
     k = len(own)
-    a = [[payoff[i][j] for j in other] + [-1] for i in own]
-    a.append([1] * k + [0])
-    solved = _Simplex(a, [0] * k + [1]).solve_square()
+    system = [[payoff[i][j] for j in other] + [-1] for i in own]
+    solved = fraction_solve(system + [[1] * k + [0]], [0] * k + [1])
     if solved is None:
         return None
-    div, (*weights, value) = solved
-    if div < 0:
-        div, value, weights = -div, -value, [-w for w in weights]
+    *weights, value = solved
     if any(w <= 0 for w in weights):
         return None
     ties = 0
@@ -45,8 +84,7 @@ def reference_indifference(payoff, own, other):
     if ties > k:
         return None
     full = dict(zip(other, weights))
-    mix = MixedStrategy.from_weights(full.get(j, 0) for j in range(len(payoff[0])))
-    return mix, Fraction(value, div)
+    return MixedStrategy([full.get(j, 0) for j in range(len(payoff[0]))]), value
 
 
 def reference_certify(a, rows, cols):
@@ -67,27 +105,6 @@ def outcome(optimum):
         return None
     x, y, value = optimum
     return x.probs, y.probs, value
-
-
-def fraction_inverse(matrix):
-    """The inverse of a square matrix by Gauss-Jordan over ``Fraction``, or
-    None when it is singular."""
-    n = len(matrix)
-    rows = [
-        [Fraction(v) for v in row] + [Fraction(i == j) for j in range(n)]
-        for i, row in enumerate(matrix)
-    ]
-    for c in range(n):
-        p = next((r for r in range(c, n) if rows[r][c]), None)
-        if p is None:
-            return None
-        rows[c], rows[p] = rows[p], rows[c]
-        rows[c] = [v / rows[c][c] for v in rows[c]]
-        for r in range(n):
-            if r != c and rows[r][c]:
-                f = rows[r][c]
-                rows[r] = [v - f * w for v, w in zip(rows[r], rows[c])]
-    return [row[n:] for row in rows]
 
 
 @st.composite
@@ -189,52 +206,67 @@ def test_an_accepted_certificate():
     assert outcome(reference_certify(a, (0, 1), (0, 1))) == outcome((x, y, value))
 
 
-@pytest.mark.parametrize(
-    "rows, cols, solves",
-    [((0, 1), (0, 1), 1), ((0,), (2,), 1), ((0, 1), (0, 1, 2), 0), ((1,), (0, 3), 0)],
-)
-def test_the_certificate_solves_one_system(monkeypatch, rows, cols, solves):
-    calls = 0
-    solve_square = _Simplex.solve_square
+def test_a_singular_support_with_a_nonsingular_border():
+    # the bordered system of [[1, 2], [2, 4]] is nonsingular, with value 0
+    # and weights (2, -1); the square support itself is singular
+    a, rows, cols = [[1, 2], [2, 4]], (0, 1), (0, 1)
+    assert fraction_inverse([[1, 2, -1], [2, 4, -1], [1, 1, 0]]) is not None
+    assert fraction_inverse(a) is None
+    assert _certify(a, rows, cols) is None
+    assert reference_certify(a, rows, cols) is None
 
-    def counting_solve_square(self):
+
+UNIQUE = [[5, 2, 6, 4], [2, 6, 1, 5]]
+
+
+@pytest.mark.parametrize(
+    "a, rows, cols, solves",
+    [
+        (UNIQUE, (0, 1), (0, 1), 2),
+        (UNIQUE, (0,), (2,), 2),
+        ([[1, 2], [2, 4]], (0, 1), (0, 1), 1),  # a[rows][cols] is singular
+        (UNIQUE, (0, 1), (0, 1, 2), 0),
+        (UNIQUE, (1,), (0, 3), 0),
+    ],
+)
+def test_the_certificate_solves_one_system_per_player(monkeypatch, a, rows, cols, solves):
+    calls = 0
+    solve_square = solvers._solve_square
+
+    def counting_solve_square(matrix, b):
         nonlocal calls
         calls += 1
-        return solve_square(self)
+        return solve_square(matrix, b)
 
-    monkeypatch.setattr(solvers._Simplex, "solve_square", counting_solve_square)
-    _certify([[5, 2, 6, 4], [2, 6, 1, 5]], rows, cols)
+    monkeypatch.setattr(solvers, "_solve_square", counting_solve_square)
+    _certify(a, rows, cols)
     assert calls == solves
 
 
-def assert_tableau_holds_the_inverse(matrix):
-    n = len(matrix)
-    inverse = fraction_inverse(matrix)
-    system = _Simplex(matrix, [0] * n)
-    solved = system.solve_square()
-    assert (solved is None) == (inverse is None)
-    if solved is None:
-        return None
-    assert sorted(system.basis) == list(range(n))
-    assert sorted(system.nonbasic) == list(range(n, 2 * n))
-    for i, row in enumerate(system.rows):
-        for c in range(n):
-            entry = inverse[system.basis[i]][system.nonbasic[c] - n]
-            assert Fraction(row[c], system.div) == entry
-    return system.div
+def assert_solves_like_fractions(matrix, b):
+    """``_solve_square`` returns ``|det|`` and ``|det|`` times the
+    ``Fraction`` solution, or None exactly when that solve finds the
+    matrix singular."""
+    expected = fraction_solve(matrix, b)
+    solved = _solve_square(matrix, b)
+    assert (solved is None) == (expected is None)
+    if solved is not None:
+        d, v = solved
+        assert d == abs(fraction_det(matrix)) > 0
+        assert [Fraction(e, d) for e in v] == expected
 
 
 @st.composite
-def square_matrices(draw):
+def square_systems(draw):
     n = draw(st.integers(1, 7))
     entry = st.integers(-20, 20)
-    return [[draw(entry) for _ in range(n)] for _ in range(n)]
+    return [[draw(entry) for _ in range(n)] for _ in range(n)], [draw(entry) for _ in range(n)]
 
 
 @settings(max_examples=300, deadline=None)
-@given(square_matrices())
-def test_solved_tableau_holds_the_inverse(matrix):
-    assert_tableau_holds_the_inverse(matrix)
+@given(square_systems())
+def test_solve_square_matches_a_fraction_solve(system):
+    assert_solves_like_fractions(*system)
 
 
 @pytest.mark.parametrize(
@@ -248,4 +280,25 @@ def test_solved_tableau_holds_the_inverse(matrix):
     ],
 )
 def test_the_inverse_survives_a_negative_divisor(matrix):
-    assert assert_tableau_holds_the_inverse(matrix) < 0
+    # elimination ends on a negative pivot for each of these matrices; the
+    # solves against the unit vectors are still |det| times the columns of
+    # the inverse
+    n, inverse = len(matrix), fraction_inverse(matrix)
+    for j in range(n):
+        d, v = _solve_square(matrix, [int(i == j) for i in range(n)])
+        assert d == abs(fraction_det(matrix))
+        assert [Fraction(e, d) for e in v] == [row[j] for row in inverse]
+
+
+@pytest.mark.parametrize(
+    "matrix, b",
+    [
+        ([[0, 2], [3, 0]], [4, 9]),  # a zero leading pivot: rows 0 and 1 swap
+        ([[0, 0, 1], [0, 2, 0], [3, 0, 0]], [1, 1, 1]),
+        ([[1, 1, -1], [1, 1, 2], [3, -4, 1]], [1, 0, 0]),  # a zero second pivot
+        ([[0, 1], [0, 2]], [1, 2]),  # no pivot in column 0: singular
+        ([[1, 2, 3], [2, 4, 6], [1, 0, 1]], [1, 2, 3]),
+    ],
+)
+def test_solve_square_swaps_past_a_zero_pivot(matrix, b):
+    assert_solves_like_fractions(matrix, b)

@@ -98,14 +98,14 @@ def test_pruning_solves_only_undominated_pairs(monkeypatch):
         row[3] = 10
     game = new_game(u1, u2)
     calls = 0
-    solve_square = solvers._Simplex.solve_square
+    solve_square = solvers._solve_square
 
-    def counting_solve_square(self):
+    def counting_solve_square(a, b):
         nonlocal calls
         calls += 1
-        return solve_square(self)
+        return solve_square(a, b)
 
-    monkeypatch.setattr(solvers._Simplex, "solve_square", counting_solve_square)
+    monkeypatch.setattr(solvers, "_solve_square", counting_solve_square)
     eqs = support_enumeration(game)
     assert calls == 2
     assert [(e.x.probs, e.y.probs, e.payoffs) for e in eqs] == [

@@ -1,5 +1,6 @@
 import math
 import random
+import re
 from fractions import Fraction as F
 
 import pytest
@@ -47,12 +48,12 @@ def test_new_game_single_cell():
 
 
 def test_new_game_shape_mismatch():
-    with pytest.raises(ShapeMismatch):
+    with pytest.raises(ShapeMismatch, match="u1 is 2x2 but u2 is 2x3"):
         new_game([[1, 2], [3, 4]], [[1, 2, 3], [4, 5, 6]])
 
 
 def test_new_game_ragged_rows():
-    with pytest.raises(ShapeMismatch):
+    with pytest.raises(ShapeMismatch, match="u1 has rows of widths"):
         new_game([[1, 2], [3]], [[1, 2], [3, 4]])
 
 
@@ -88,6 +89,20 @@ def test_bimatrix_game_checks_shapes(num1, num2, error):
         BimatrixGame(num1, 1, num2, 1)
     # a malformed shape is malformed input
     with pytest.raises(FormatError):
+        BimatrixGame(num1, 1, num2, 1)
+
+
+@pytest.mark.parametrize(
+    "num1, num2, message",
+    [
+        (((1, 2), (3,)), ((1, 2), (3, 4)), "u1 has rows of widths [1, 2]"),
+        (((1, 2), (3, 4)), ((1, 2), (3,)), "u2 has rows of widths [1, 2]"),
+        (((1, 2),), ((1, 2, 3),), "u1 is 1x2 but u2 is 1x3"),
+        (((1,), (2,)), ((1,),), "u1 is 2x1 but u2 is 1x1"),
+    ],
+)
+def test_a_shape_error_names_the_matrix(num1, num2, message):
+    with pytest.raises(ShapeMismatch, match=f"^{re.escape(message)}$"):
         BimatrixGame(num1, 1, num2, 1)
 
 

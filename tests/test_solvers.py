@@ -653,14 +653,14 @@ def test_support_enumeration_single_cell():
 
 def test_support_enumeration_skips_singular_system(monkeypatch):
     solved = []
-    solve_square = solvers._Simplex.solve_square
+    solve_square = solvers._solve_square
 
-    def recording_solve_square(self):
-        result = solve_square(self)
+    def recording_solve_square(a, b):
+        result = solve_square(a, b)
         solved.append(result)
         return result
 
-    monkeypatch.setattr(solvers._Simplex, "solve_square", recording_solve_square)
+    monkeypatch.setattr(solvers, "_solve_square", recording_solve_square)
     half = F(1, 2)
     # matching pennies with row 0 duplicated: the indifference system over
     # rows {0, 1} has two equal rows, but on those rows u2's column 1
