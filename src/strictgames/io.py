@@ -10,11 +10,11 @@ bit-exactly.
 The reader checks only what JSON adds: an object with the four fields,
 positive integer dimensions and arrays of arrays.  Each matrix is scaled
 into the integer core by :func:`~strictgames.rational.integer_rows`, the
-library's one scaler, :class:`BimatrixGame` checks the rectangle, and the
-game's shape must be the declared one.  Writing formats each distinct
-stored numerator once, reduced against its matrix's denominator, in the
-layout of ``json.dumps(..., indent=2)``.  No ``Fraction`` is built per
-entry.
+library's one scaler, :class:`BimatrixGame` checks the rectangle, its
+errors naming the declared shape, and the game's shape must be the
+declared one.  Writing formats each distinct stored numerator once,
+reduced against its matrix's denominator, in the layout of
+``json.dumps(..., indent=2)``.  No ``Fraction`` is built per entry.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from __future__ import annotations
 import json
 import math
 
-from .errors import FormatError
+from .errors import EmptyGame, FormatError, ShapeMismatch
 from .games import BimatrixGame, IntMatrix
 from .rational import integer_rows
 
@@ -56,7 +56,11 @@ def game_from_json_dict(data: object) -> BimatrixGame:
     # a string or object row would otherwise read as its characters or keys
     if any(type(u) is not list or not set(map(type, u)) <= {list} for u in (u1, u2)):
         raise FormatError("u1 and u2 must be arrays of arrays")
-    game = BimatrixGame(*integer_rows(u1), *integer_rows(u2))
+    scaled = *integer_rows(u1), *integer_rows(u2)
+    try:
+        game = BimatrixGame(*scaled)
+    except (EmptyGame, ShapeMismatch) as e:
+        raise type(e)(f"{e} (file declares {rows}x{cols})") from None
     if (game.rows, game.cols) != (rows, cols):
         raise FormatError(f"the game is {game.rows}x{game.cols}, not {rows}x{cols}")
     return game

@@ -9,7 +9,8 @@ Each mechanism is described once, where it is implemented:
   on a packed tableau; :func:`_certify` accepts only a unique optimum, so
   every answer is the exact simplex's.
 - :class:`_Simplex` is the exact fraction-free simplex.
-- :func:`_solve_square` is the one square-system solver, by fraction-free
+- :func:`_indifference` is the one support-system kernel, on a player's
+  own positive payoffs, over :func:`_solve_square`, fraction-free
   elimination; it serves the certificate and :func:`support_enumeration`,
   which cross-checks small games.
 
@@ -515,49 +516,33 @@ def _certify(
     payoffs, all positive) when it has exactly one optimal strategy pair
     and its supports are ``rows`` and ``cols``; None otherwise.
 
-    Each player's weights solve one system on the square ``A =
-    a[rows][cols]`` (Shapley & Snow 1950): :func:`_solve_square` gives
-    ``Y = d A^-1 1`` for the column player and, on ``A^T``, ``X = d A^-T 1``
-    for the row player, with ``d = |det A|``.  Every row of ``rows`` then
-    earns ``d`` against ``Y`` and every column of ``cols`` concedes ``d``
-    against ``X``; both sum to ``d 1^T A^-1 1``, so the strategies are
-    ``Y`` and ``X`` over that sum and the value is ``d / sum(Y)``.  A
-    singular ``A`` is rejected.
+    Each player's weights come from :func:`_indifference` on the square
+    ``A = a[rows][cols]`` (Shapley & Snow 1950): the column player's ``Y``
+    on ``a`` itself, and the row player's ``X`` on the column player's own
+    positive payoffs ``top - a^T``, ``top = max(a) + 1``, which shift
+    ``-a^T`` by a constant and so leave its solutions alone.  Every row of
+    ``rows`` earns ``d`` against ``Y``, so the value is ``d / sum(Y)``.
 
-    The solution is accepted only with positive weights and strict
-    complementarity.  Any optimal ``y`` then concedes the value on every
-    row of ``rows`` (``x`` is positive there) and puts no weight outside
-    ``cols`` (``x`` earns more there), so it solves ``A y = value 1``,
-    which has one solution as ``A`` is nonsingular.  Likewise for ``x``.
-
-    This accepts exactly what the bordered system ``M [y; v] = e_last``,
-    ``M = [[A, -1], [1...1, 0]]``, accepts under the same checks.  An
-    accepted pair has ``v > 0``, as ``a`` is positive, and with ``M``
-    nonsingular that forces ``A`` to be nonsingular: a null vector ``z``
-    of ``A`` with weights summing to 1 would solve ``M [z; 0] = e_last``
-    too.  A nonsingular ``A`` with a singular ``M`` has ``sum(Y) == 0``,
-    which positive weights rule out.
+    The pair is accepted only when both systems are nonsingular with
+    positive weights and complementarity is strict: no action outside a
+    support ties the indifference payoff.  Any optimal ``y`` then concedes
+    the value on every row of ``rows`` (``x`` is positive there) and puts
+    no weight outside ``cols`` (``x`` earns more there), so it solves
+    ``A y = value 1``, which has one solution as ``A`` is nonsingular.
+    Likewise for ``x``.
     """
     k = len(rows)
     if len(cols) != k:
         return None
-    square = [[a[i][j] for j in cols] for i in rows]
-    solved = _solve_square(square, [1] * k)
-    if solved is None:
+    y = _indifference(a, rows, cols)
+    if y is None or y[2] > k:
         return None
-    d, y = solved
-    _, x = _solve_square(list(zip(*square)), [1] * k)
-    if min(y) <= 0 or min(x) <= 0:
+    top = max(map(max, a)) + 1
+    x = _indifference([[top - e for e in col] for col in zip(*a)], cols, rows)
+    if x is None or x[2] > k:
         return None
-    x, y = _spread(rows, x, len(a)), _spread(cols, y, len(a[0]))
-    # a column concedes at least d exactly when, against the weights -x,
-    # it earns the column player at most -d
-    for payoff, weights, bound in ((a, y, d), (zip(*a), [-w for w in x], -d)):
-        ties = _best_reply_ties(payoff, weights, bound)
-        if ties is None or ties > k:
-            return None
-    x_mix, y_mix = MixedStrategy.from_weights(x), MixedStrategy.from_weights(y)
-    return x_mix, y_mix, Fraction(d, sum(y))
+    x_mix, y_mix = MixedStrategy.from_weights(x[0]), MixedStrategy.from_weights(y[0])
+    return x_mix, y_mix, Fraction(y[1], sum(y[0]))
 
 
 def _solve_square(a: list[list[int]], b: list[int]) -> tuple[int, list[int]] | None:
@@ -602,10 +587,15 @@ def _solve_square(a: list[list[int]], b: list[int]) -> tuple[int, list[int]] | N
 def support_enumeration(game: BimatrixGame) -> EquilibriumSet:
     """All equilibria found by equal-size support enumeration.
 
-    For each support pair the two indifference systems are solved exactly
-    by :func:`_solve_square`, as the certificate's are; candidates must put
-    strictly positive weight on their support and survive the exact
-    best-response inequalities, all checked in integers.
+    Each player's numerators are shifted by a constant to be positive,
+    ``num1 - min(num1) + 1`` for the row player and the same on ``num2``
+    transposed for the column player, which changes no indifference
+    solution and moves the payoff by the shift.  For each support pair
+    :func:`_indifference` solves both systems, as the certificate does;
+    candidates must put strictly positive weight on their support and
+    survive the exact best-response inequalities, all checked in integers.
+    Against weights ``w`` summing to ``s`` an owner whose shifted support
+    earns ``d`` is paid ``(d + (min - 1)*s) / (s*den)``.
     Singular systems are skipped, so completeness is claimed only for
     nondegenerate games.  A game with more than :data:`MAX_ENUM_DIM` rows
     or columns raises :class:`TooLarge`.
@@ -627,10 +617,13 @@ def support_enumeration(game: BimatrixGame) -> EquilibriumSet:
             f"{game.rows}x{game.cols} exceeds the enumeration cap {MAX_ENUM_DIM}"
         )
     m, n = game.rows, game.cols
-    v2t = list(zip(*game.num2))  # the column player's own rows
+    # each player's own numerators shifted by min - 1, one row per own action
+    low1, low2 = (min(map(min, num)) - 1 for num in (game.num1, game.num2))
+    p1 = [[v - low1 for v in row] for row in game.num1]
+    p2 = [[v - low2 for v in col] for col in zip(*game.num2)]
     # bitmask of the undominated rows per column support, and vice versa
-    rows_fit = _undominated(game.num1, n)
-    cols_fit = _undominated(v2t, m)
+    rows_fit = _undominated(p1, n)
+    cols_fit = _undominated(p2, m)
     found = []
     for k in range(1, min(m, n) + 1):
         col_sups = [(sup, _bits(sup)) for sup in combinations(range(n), k)]
@@ -640,14 +633,21 @@ def support_enumeration(game: BimatrixGame) -> EquilibriumSet:
             for cols_sup, s in col_sups:
                 if s & fit != s or r & rows_fit[s] != r:
                     continue
-                y = _indifference(game.num1, game.den1, rows_sup, cols_sup)
+                y = _indifference(p1, rows_sup, cols_sup)
                 if y is None:
                     continue
-                x = _indifference(v2t, game.den2, cols_sup, rows_sup)
+                x = _indifference(p2, cols_sup, rows_sup)
                 if x is None:
                     continue
                 # at the equilibrium each player earns the indifference value
-                found.append(Equilibrium(x[0], y[0], (y[1], x[1])))
+                (wy, dy, _), (wx, dx, _) = y, x
+                sy, sx = sum(wy), sum(wx)
+                payoffs = (
+                    Fraction(dy + low1 * sy, sy * game.den1),
+                    Fraction(dx + low2 * sx, sx * game.den2),
+                )
+                x_mix, y_mix = (MixedStrategy.from_weights(w) for w in (wx, wy))
+                found.append(Equilibrium(x_mix, y_mix, payoffs))
     return EquilibriumSet(tuple(found))
 
 
@@ -659,8 +659,9 @@ def _undominated(payoff: list[list[int]], others: int) -> list[int]:
     """For each bitmask ``s`` of opponent actions, the bitmask of own
     actions that no own action beats strictly on every action in ``s``.
 
-    ``payoff[a][b]`` is the owner's payoff numerator when own action ``a``
-    meets opponent action ``b``; the common denominator plays no part.
+    ``payoff[a][b]`` is the owner's payoff when own action ``a`` meets
+    opponent action ``b``, up to a positive scale and a constant shift,
+    neither of which changes a strict comparison.
     """
     dominated = [0] * (1 << others)
     for a, row in enumerate(payoff):
@@ -677,52 +678,40 @@ def _undominated(payoff: list[list[int]], others: int) -> list[int]:
 
 
 def _indifference(
-    payoff: list[list[int]],
-    den: int,
-    own: tuple[int, ...],
-    other: tuple[int, ...],
-) -> tuple[MixedStrategy, Fraction] | None:
-    """The opponent mix on ``other`` that leaves the owner of ``payoff``
-    indifferent over ``own`` and no better off elsewhere.
+    payoff: list[list[int]], own: tuple[int, ...], other: tuple[int, ...]
+) -> tuple[list[int], int, int] | None:
+    """``(weights, d, ties)`` for the owner of the positive integer matrix
+    ``payoff``, one row per own action: opponent weights on ``other``, 0
+    elsewhere, against which each action of ``own`` earns ``d``, and how
+    many own actions earn exactly ``d``.  None when ``A =
+    payoff[own][other]`` is singular, a weight is not positive or an own
+    action earns more than ``d``.  The weights are ``d A^-1 1`` with
+    ``d = |det A|``, from :func:`_solve_square`.
 
-    ``payoff[a][b] / den`` is the owner's payoff when own action ``a``
-    meets opponent action ``b``.  Returns the opponent's strategy and the
-    owner's payoff against it.  None when the system is singular, a weight
-    is not positive, or some own action earns more than that payoff.
-
-    The system is bordered, ``[[payoff[own][other], -1], [1...1, 0]]``
-    times the weights and the payoff ``v`` equals ``e_last``: each action
-    of ``own`` earns ``v`` and the weights sum to 1.  The payoffs need not
-    be positive, so ``v`` may be 0 and cannot be divided out.
+    This accepts exactly what the bordered system ``M [y; v] = e_last``,
+    ``M = [[A, -1], [1...1, 0]]`` (each action of ``own`` earns ``v``
+    against weights ``y`` that sum to 1), accepts under the same checks.
+    ``M`` is nonsingular with ``v != 0`` exactly when ``A`` is nonsingular
+    and ``s = sum(A^-1 1) != 0``, and then ``y`` is ``A^-1 1 / s``: a null
+    vector of ``A`` summing to 1 solves ``M`` with ``v = 0``, one summing
+    to 0 is a null vector of ``M`` too, and with ``A`` nonsingular ``s`` is
+    ``M``'s Schur complement.  Positive payoffs and positive weights make
+    ``v > 0`` and ``s > 0``, so each side's accepted weights are the
+    other's times a positive number, and the best-response checks do not
+    depend on the scale.
     """
-    k = len(own)
-    system = [[payoff[i][j] for j in other] + [-1] for i in own]
-    system.append([1] * k + [0])
-    solved = _solve_square(system, [0] * k + [1])
+    square = [[payoff[i][j] for j in other] for i in own]
+    solved = _solve_square(square, [1] * len(own))
     if solved is None:
         return None
-    # the opponent plays other[t] with probability weights[t] / d (the
-    # weights sum to d, the last equation) for a payoff of value / d
-    d, (*weights, value) = solved
+    d, weights = solved
     if min(weights) <= 0:
         return None
     weights = _spread(other, weights, len(payoff[0]))
-    if _best_reply_ties(payoff, weights, value) is None:
-        return None
-    return MixedStrategy.from_weights(weights), Fraction(value, d * den)
-
-
-def _best_reply_ties(payoff, weights: list[int], value: int) -> int | None:
-    """How many own actions earn exactly ``value`` against the opponent
-    weights ``weights``, one per opponent action; None when one earns more.
-
-    ``payoff`` yields one row per own action, ``row[b]`` being its payoff
-    against opponent action ``b``; ``value`` is on the scale of
-    ``weights``.  When the ``k`` actions of a support earn ``value``
-    exactly, more than ``k`` ties means an action outside it earns as much.
-    """
     earned = _row_sums(payoff, weights)
-    return None if max(earned) > value else earned.count(value)
+    if max(earned) > d:
+        return None
+    return weights, d, earned.count(d)
 
 
 def _spread(support: tuple[int, ...], weights: list[int], size: int) -> list[int]:

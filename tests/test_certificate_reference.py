@@ -7,9 +7,11 @@ player's on ``-a`` transposed, and each is checked for positive weights,
 best responses and extra ties.  On every input the certificate and the
 reference must return the same strategies and value, or both None.
 
-The certificate solves each player's system on the square ``a[rows][cols]``
-with :func:`_solve_square`, fraction-free elimination; a property checks
-that against a ``Fraction`` Gauss-Jordan solve.
+The certificate solves each player's system unbordered with
+:func:`_solve_square`, fraction-free elimination: the column player's on
+``a[rows][cols]``, the row player's on the column player's own positive
+payoffs ``max(a) + 1 - a`` transposed.  A property checks the solver
+against a ``Fraction`` Gauss-Jordan solve.
 """
 
 from fractions import Fraction
@@ -227,6 +229,7 @@ UNIQUE = [[5, 2, 6, 4], [2, 6, 1, 5]]
         ([[1, 2], [2, 4]], (0, 1), (0, 1), 1),  # a[rows][cols] is singular
         (UNIQUE, (0, 1), (0, 1, 2), 0),
         (UNIQUE, (1,), (0, 3), 0),
+        ([[1], [1]], (0,), (0,), 1),  # rows tie: rejected before x is solved
     ],
 )
 def test_the_certificate_solves_one_system_per_player(monkeypatch, a, rows, cols, solves):

@@ -74,7 +74,8 @@ def test_check_names_the_ragged_matrix(tmp_path, capsys):
     path = tmp_path / "ragged.json"
     path.write_text('{"rows": 2, "cols": 2, "u1": [[1, 2], [3]], "u2": [[0, 0], [0, 0]]}')
     assert run_cli(["check", str(path)]) == 2
-    assert capsys.readouterr().err == "error: u1 has rows of widths [1, 2]\n"
+    err = capsys.readouterr().err
+    assert err == "error: u1 has rows of widths [1, 2] (file declares 2x2)\n"
 
 
 def test_bad_usage_exits_2(capsys):

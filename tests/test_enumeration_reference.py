@@ -6,22 +6,60 @@ column support, goes through both indifference systems.  Pruning skips
 only pairs that hold a conditionally dominated action, which the
 best-response check rejects anyway, so the two must return the same
 equilibria in the same order, degenerate games included.
+
+The reference shares no linear algebra with the package: each system is
+bordered, ``[[payoff[own][other], -1], [1...1, 0]]`` times the weights and
+the payoff equal to ``e_last``, on the unshifted payoffs, and solved by
+Gauss-Jordan over ``Fraction``.
 """
 
 from fractions import Fraction
 from itertools import combinations
+from operator import mul
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from strictgames import solvers
-from strictgames.games import new_game
-from strictgames.solvers import (
-    Equilibrium,
-    EquilibriumSet,
-    _indifference,
-    support_enumeration,
-)
+from strictgames.games import MixedStrategy, new_game
+from strictgames.solvers import Equilibrium, EquilibriumSet, support_enumeration
+
+
+def fraction_solve(matrix, b):
+    """The solution of ``matrix x = b`` by Gauss-Jordan over ``Fraction``,
+    or None when ``matrix`` is singular."""
+    n = len(matrix)
+    rows = [[Fraction(v) for v in row] + [Fraction(bi)] for row, bi in zip(matrix, b)]
+    for c in range(n):
+        p = next((r for r in range(c, n) if rows[r][c]), None)
+        if p is None:
+            return None
+        rows[c], rows[p] = rows[p], rows[c]
+        rows[c] = [v / rows[c][c] for v in rows[c]]
+        for r in range(n):
+            if r != c and rows[r][c]:
+                f = rows[r][c]
+                rows[r] = [v - f * w for v, w in zip(rows[r], rows[c])]
+    return [row[n] for row in rows]
+
+
+def reference_indifference(payoff, den, own, other):
+    """The opponent's strategy and the owner's payoff, ``payoff / den``,
+    from the bordered system; None when it is singular, a weight is not
+    positive or some own action earns more."""
+    k = len(own)
+    system = [[payoff[i][j] for j in other] + [-1] for i in own] + [[1] * k + [0]]
+    solved = fraction_solve(system, [0] * k + [1])
+    if solved is None:
+        return None
+    *weights, value = solved
+    if min(weights) <= 0:
+        return None
+    full = dict(zip(other, weights))
+    probs = [full.get(j, 0) for j in range(len(payoff[0]))]
+    if any(sum(map(mul, row, probs)) > value for row in payoff):
+        return None
+    return MixedStrategy(probs), value / den
 
 
 def reference_enumeration(game):
@@ -31,10 +69,10 @@ def reference_enumeration(game):
     for k in range(1, min(m, n) + 1):
         for rows_sup in combinations(range(m), k):
             for cols_sup in combinations(range(n), k):
-                y = _indifference(game.num1, game.den1, rows_sup, cols_sup)
+                y = reference_indifference(game.num1, game.den1, rows_sup, cols_sup)
                 if y is None:
                     continue
-                x = _indifference(v2t, game.den2, cols_sup, rows_sup)
+                x = reference_indifference(v2t, game.den2, cols_sup, rows_sup)
                 if x is None:
                     continue
                 found.append(Equilibrium(x[0], y[0], (y[1], x[1])))
@@ -98,14 +136,16 @@ def test_pruning_solves_only_undominated_pairs(monkeypatch):
         row[3] = 10
     game = new_game(u1, u2)
     calls = 0
-    solve_square = solvers._solve_square
 
-    def counting_solve_square(a, b):
-        nonlocal calls
-        calls += 1
-        return solve_square(a, b)
+    def counting(solve):
+        def counted(matrix, b):
+            nonlocal calls
+            calls += 1
+            return solve(matrix, b)
 
-    monkeypatch.setattr(solvers, "_solve_square", counting_solve_square)
+        return counted
+
+    monkeypatch.setattr(solvers, "_solve_square", counting(solvers._solve_square))
     eqs = support_enumeration(game)
     assert calls == 2
     assert [(e.x.probs, e.y.probs, e.payoffs) for e in eqs] == [
@@ -116,5 +156,6 @@ def test_pruning_solves_only_undominated_pairs(monkeypatch):
         )
     ]
     calls = 0
+    monkeypatch.setitem(globals(), "fraction_solve", counting(fraction_solve))
     assert reference_enumeration(game).to_json_dict() == eqs.to_json_dict()
     assert calls == 256

@@ -1,11 +1,12 @@
 import json
 import random
+import re
 from fractions import Fraction as F
 
 import pytest
 
 from strictgames.cli import run_cli
-from strictgames.errors import FormatError
+from strictgames.errors import EmptyGame, FormatError, ShapeMismatch
 from strictgames.detection import AffineTransform
 from strictgames.games import MixedStrategy, mix, new_game
 from strictgames.generators import Family, GenSpec, gen
@@ -108,6 +109,27 @@ def test_reject_malformed(mutate):
     d = json.loads(dumps_game(new_game([[1, 2], [3, 4]], [[4, 3], [2, 1]])))
     mutate(d)
     with pytest.raises(FormatError):
+        game_from_json_dict(d)
+
+
+@pytest.mark.parametrize(
+    "u1, u2, error, message",
+    [
+        ([[1, 2], [3]], [[0] * 2] * 2, ShapeMismatch, "u1 has rows of widths [1, 2]"),
+        ([[1, 2], [3, 4]], [[0], [0]], ShapeMismatch, "u1 is 2x2 but u2 is 2x1"),
+        ([[1, 2], [3, 4]], [[], []], EmptyGame, "payoff matrices must be nonempty"),
+        ([], [], EmptyGame, "payoff matrices must be nonempty"),
+    ],
+)
+def test_shape_errors_name_the_declared_shape(u1, u2, error, message):
+    d = {"rows": 2, "cols": 2, "u1": u1, "u2": u2}
+    with pytest.raises(error, match=f"^{re.escape(message)} \\(file declares 2x2\\)$"):
+        game_from_json_dict(d)
+
+
+def test_literal_errors_keep_their_text():
+    d = {"rows": 1, "cols": 2, "u1": [["1/0", 1]], "u2": [[0, 0]]}
+    with pytest.raises(FormatError, match=r"^zero denominator: '1/0'$"):
         game_from_json_dict(d)
 
 

@@ -651,6 +651,24 @@ def test_support_enumeration_single_cell():
     assert eqs.equilibria[0].payoffs == (F(2), F(9))
 
 
+def test_support_enumeration_at_value_zero():
+    # rock-paper-scissors: the 3x3 support matrix is skew-symmetric, so it
+    # is singular before each player's payoffs are shifted to be positive
+    third = (F(1, 3),) * 3
+    eqs = support_enumeration(zero_sum([[0, -1, 1], [1, 0, -1], [-1, 1, 0]]))
+    assert [(e.x.probs, e.y.probs, e.payoffs) for e in eqs] == [
+        (third, third, (F(0), F(0)))
+    ]
+
+
+def test_support_enumeration_on_negative_payoffs():
+    # every payoff is negative; the only equilibrium is pure, at (0, 0)
+    eqs = support_enumeration(new_game([[-3, -5], [-6, -2]], [[-1, -9], [-4, -7]]))
+    assert [(e.x.probs, e.y.probs, e.payoffs) for e in eqs] == [
+        ((F(1), F(0)), (F(1), F(0)), (F(-3), F(-1)))
+    ]
+
+
 def test_support_enumeration_skips_singular_system(monkeypatch):
     solved = []
     solve_square = solvers._solve_square
