@@ -20,6 +20,8 @@ No float enters any path.
 from __future__ import annotations
 
 import math
+import sys
+from array import array
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
@@ -44,6 +46,14 @@ PIVOTS_PER_DIMENSION = 50
 #: The basis guess stores each tableau entry as an integer count of
 #: units of ``2**-GUESS_BITS``.
 GUESS_BITS = 32
+
+#: The basis guess runs on the LP matrix rounded to entries of at most
+#: ``2**GUESS_DATA_BITS``, so that its data always fits int64.
+GUESS_DATA_BITS = 12
+
+# the native 64-bit words of a packed column that hold its entries, field 0
+# first: the low word of each 128-bit field
+_VALUE_WORDS = slice(None, None, 2 if sys.byteorder == "little" else -2)
 
 
 @dataclass(frozen=True)
@@ -297,43 +307,41 @@ class _Guess(_Simplex):
     the unique optimum, which the exact simplex would return.
 
     Storage: one integer per column, the right-hand side last.  Field
-    ``i`` of a column, ``W`` bits at bit ``i*W``, holds row ``i``'s entry
-    plus ``2**(F-1)``, shifted up by ``B``: its low ``B`` bits are 0, the
-    ``F = W - B - 8`` bits above them the value region, so it holds entries
-    in ``[-2**(F-1), 2**(F-1))``, and the top 8 bits a guard, zero in every
-    stored column.  The ``m`` constraint rows come first and the objective
-    is the top field, read off with one shift.  ``W`` is ``3*B`` plus the
-    bit length of ``max(a)``, rounded up to whole bytes, which leaves
-    entries ``B - 8`` bits or more beyond the data's.  That is enough
-    because of the tolerance, which keeps every ratio ``f/p`` below
-    ``2**(B//2)`` times ``f``: over the 1,224 ``solve-lp`` benchmark LPs
-    of four seeds the longest entry has 48 bits, in a 64-bit value region.
+    ``i`` of a column, 128 bits at bit ``128*i``, holds row ``i``'s entry
+    plus ``2**63``, shifted up by ``B``: ``B`` zero bits, a 64-bit value
+    region, which holds exactly the int64 entries, and a guard, zero in
+    every stored column.  The ``m`` constraint rows come first and the
+    objective is the top field, read off with one shift.  Shifted down by
+    ``B`` and XORed with ``flip``, bit 63 of each field, a column holds its
+    entries in two's complement in the even 64-bit words, so an ``array``
+    packs it and a ``memoryview`` unpacks it, in C.  The LPs that
+    ``minimax_solve`` builds stay far inside: their data is rounded to
+    ``GUESS_DATA_BITS`` bits, and the tolerance keeps every ratio ``f/p``
+    below ``2**(B//2)`` times ``f``; over the 1,224 ``solve-lp`` benchmark
+    LPs of four seeds the longest entry has 48 bits.
 
     A pivot updates each column ``C`` whose pivot-row entry ``w`` is not 0
     in one pass: ``t = C - w*R`` and then ``t & VALUES``, where ``R`` holds
     ``ratio`` in each field and ``2**B - inv`` in field ``r``, and
     ``VALUES`` masks every value region.  Field ``i != r`` of ``t`` is
-    ``(v + 2**(F-1))*2**B - ratio*w``, and clearing its low ``B`` bits
-    leaves ``v + (-(ratio*w) >> B)`` plus the offset, shifted; field ``r``
-    is ``(w + 2**(F-1))*2**B - w*(2**B - inv)``, which leaves
-    ``w*inv >> B`` plus the offset.  These are exactly the entries the same
-    pivot makes on a list of one integer per entry.
+    ``(v + 2**63)*2**B - ratio*w``, and clearing its low ``B`` bits leaves
+    ``v + (-(ratio*w) >> B)`` plus the offset, shifted; field ``r`` is
+    ``(w + 2**63)*2**B - w*(2**B - inv)``, which leaves ``w*inv >> B`` plus
+    the offset.  These are exactly the entries the same pivot makes on a
+    list of one integer per entry.
 
     Guard: a pivot raises ``OverflowError`` when it would store an entry
-    outside the value region, and exactly then.  Building the tableau
-    checks ``max(a) << B`` once, which bounds every starting entry, and
-    :meth:`_pack` checks the pivot column at each pivot.  Each other field
-    of ``t`` must lie in ``[0, 2**(F+B))``.  A pivot-row entry with
-    ``|w| * max|R|`` above ``2**(F+B+7)`` is refused first (some field of
-    its column then lies far outside); below that every field of ``t``
-    stays within ``255 * 2**(F+B)`` of zero, so none wraps by a whole
-    ``2**W``, whose borrow would vanish in the low bits the mask clears.
-    The lowest field out of range, negative or not, then shows a set guard
-    bit, Python's ``&`` reading a negative ``t`` in two's complement, so
-    ``t & GUARD`` sees every overflow and every borrow between fields.
-    ``_guess_supports`` takes the error as a failed guess, and the exact
-    simplex answers; correctness rests on the certificate, not on the
-    guard.
+    outside int64, and exactly then.  :meth:`_pack` refuses such an entry
+    in the starting columns and in the pivot column at each pivot.  So
+    ``|w|``, every ``|ratio|`` and ``|inv|`` are at most ``2**63``, and
+    each field of ``t``, which must lie in ``[0, 2**(64+B))``, lies within
+    ``2**127`` of zero: none wraps by a whole ``2**128``, whose borrow
+    would vanish in the low bits the mask clears.  The lowest field out of
+    range, negative or not, then shows a set guard bit, Python's ``&``
+    reading a negative ``t`` in two's complement, so ``t & GUARD`` sees
+    every overflow and every borrow between fields.  ``_guess_supports``
+    takes the error as a failed guess, and the exact simplex answers;
+    correctness rests on the certificate, not on the guard.
     """
 
     def __init__(self, a: list[list[int]]) -> None:
@@ -343,44 +351,31 @@ class _Guess(_Simplex):
         self.basis = [n + i for i in range(m)]
         self.tolerance = 1 << bits // 2
         self.line = [*map(sum, zip(*a)), *map(sum, a)]
-        width = -(-(3 * bits + max(map(max, a)).bit_length()) // 8) * 8
-        self.width, self.value_bits = width, width - bits - 8
-        self.offset = 1 << self.value_bits - 1
-        size = width // 8
-        self._fields = [slice(k, k + size) for k in range(0, size * (m + 1), size)]
-        ones = ((1 << width * (m + 1)) - 1) // ((1 << width) - 1)  # 1 in each field
-        self.offsets = ones * self.offset << bits
-        self.values = ones * ((1 << self.value_bits) - 1) << bits
-        self.guard = ones * ((1 << width) - (1 << self.value_bits + bits))
+        ones = ((1 << 128 * (m + 1)) - 1) // ((1 << 128) - 1)  # 1 in each field
+        self.flip = ones << 63
+        self.values = ones * ((1 << 64) - 1) << bits
+        self.guard = ones * ((1 << 128) - (1 << 64 + bits))
+        self.words = array("q", bytes(16 * (m + 1)))
         # a's columns, each with objective entry -1, then the right-hand
-        # side, 1 in each row and 0 in the objective, in units of 2**-B: a
-        # column's bare entries, packed as bytes, shifted into place, plus
-        # the offsets and the entries that every such column shares
-        if max(map(max, a)) << bits >= self.offset:  # bounds every entry, as a >= 1
-            raise OverflowError("a fixed-point entry does not fit its field")
-        start = self.offsets - (1 << m * width + 2 * bits)
-        joined = (b"".join(e.to_bytes(size, "little") for e in col) for col in zip(*a))
-        self.cols = [(int.from_bytes(raw, "little") << 2 * bits) + start for raw in joined]
-        self.cols.append(self.offsets + (ones - (1 << m * width) << 2 * bits))
+        # side, 1 in each row and 0 in the objective, in units of 2**-B
+        one = 1 << bits
+        self.cols = [self._pack([e << bits for e in col] + [-one]) for col in zip(*a)]
+        self.cols.append(self._pack([one] * m + [0]))
 
     def _pack(self, entries: list[int]) -> int:
         """The stored column int of ``entries``, the objective last; raises
-        ``OverflowError`` when an entry does not fit a field."""
-        off, size = self.offset, self.width // 8
-        if min(entries) < -off or max(entries) >= off:
-            raise OverflowError("a fixed-point entry does not fit its field")
-        fields = [(e + off).to_bytes(size, "little") for e in entries]
-        return int.from_bytes(b"".join(fields), "little") << GUESS_BITS
+        ``OverflowError`` when an entry is outside int64."""
+        self.words[_VALUE_WORDS] = array("q", entries)
+        return (int.from_bytes(self.words, sys.byteorder) ^ self.flip) << GUESS_BITS
 
     def _unpack(self, packed: int) -> list[int]:
         """The entries of a stored column int, the objective last."""
-        off = self.offset
-        raw = (packed >> GUESS_BITS).to_bytes(self.width // 8 * (self.m + 1), "little")
-        return [int.from_bytes(raw[field], "little") - off for field in self._fields]
+        raw = ((packed >> GUESS_BITS) ^ self.flip).to_bytes(16 * (self.m + 1), sys.byteorder)
+        return memoryview(raw).cast("q")[_VALUE_WORDS].tolist()
 
     def _objective(self) -> list[int]:
-        shift, off = self.m * self.width + GUESS_BITS, self.offset
-        return [(packed >> shift) - off for packed in self.cols]
+        shift = 128 * self.m + GUESS_BITS
+        return [(packed >> shift) - (1 << 63) for packed in self.cols]
 
     def _column(self, col: int) -> tuple[list[int], list[int]]:
         return self._unpack(self.cols[col]), self._unpack(self.cols[-1])
@@ -388,24 +383,16 @@ class _Guess(_Simplex):
     def _pivot(self, row: int, col: int, column: list[int]) -> None:
         bits, cols = GUESS_BITS, self.cols
         pivot = column[row]
-        inverse = (1 << 2 * bits) // pivot
-        ratios = [(f << bits) // pivot for f in column]  # R's fields
-        ratios[row] = (1 << bits) - inverse
-        new = [-ratio for ratio in ratios]
-        new[row] = inverse
+        new = [-((f << bits) // pivot) for f in column]  # -ratio
+        new[row] = (1 << 2 * bits) // pivot  # inv
         packed = self._pack(new)
-        shift = row * self.width
-        multiplier = (self.offsets - packed >> bits) + (1 << shift + bits)  # R
-        limit = (1 << self.value_bits + bits + 7) // (max(map(abs, ratios)) or 1)
+        shift = 128 * row + bits
+        multiplier = self.flip - (packed >> bits) + (1 << shift)  # R
         # w keeps its offset until it is used
-        off, field, shift = self.offset, (1 << self.value_bits) - 1, shift + bits
-        low, high = off - limit, off + limit
-        values, guard = self.values, self.guard
+        off, field, values, guard = 1 << 63, (1 << 64) - 1, self.values, self.guard
         for j, stored in enumerate(cols):
             w = stored >> shift & field
             if w != off and j != col:  # a column with w == 0 is unchanged
-                if not low <= w <= high:
-                    raise OverflowError("a fixed-point product leaves its field")
                 t = stored - (w - off) * multiplier
                 if t & guard:
                     raise OverflowError("a fixed-point entry leaves its field")
@@ -496,9 +483,15 @@ def _guess_supports(
     value LP of the positive matrix ``a``: the rows whose slack is
     nonbasic and the columns that are basic.  None when the guess raises,
     on a column that its rounding made look unbounded or on the pivot
-    budget; that is a reason to fall back, not an error.
+    budget; that is a reason to fall back, not an error.  Wider than
+    ``D = GUESS_DATA_BITS`` bits, ``a`` is guessed on as ``(e >> s) + 1``,
+    ``s = bits(max a) - D``, entries of at most ``2**D`` whose supports
+    are often ``a``'s; the certificate tests them on the exact ``a``.
     """
     n = len(a[0])
+    shift = max(map(max, a)).bit_length() - GUESS_DATA_BITS
+    if shift > 0:
+        a = [[(e >> shift) + 1 for e in row] for row in a]
     try:
         guess = _Guess(a)
         guess.optimize()

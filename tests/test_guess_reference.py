@@ -3,12 +3,13 @@
 The reference below is ``_Guess`` as it was before its tableau was packed:
 one Python integer per tableau entry, the same fixed-point pivot and pivot
 tolerance, run by the same ``_Simplex`` loop.  On the LPs ``minimax_solve``
-builds, and on 40-bit entries, the packed guess must make the same pivots
-and end on the same basis with the same entries; no entry leaves its field
-there, so the guard never fires.  Where entries do leave their fields (narrowed fields,
-or arbitrary entries for one pivot), the packed guess must raise
+builds, and on the rounded copy of 40-bit entries that ``_guess_supports``
+guesses on, the packed guess must make the same pivots and end on the same
+basis with the same entries; no entry leaves int64 there, so the guard
+never fires.  Where entries do leave int64 (entries of up to 31 bits, or
+arbitrary entries for one pivot), the packed guess must raise
 ``OverflowError`` on exactly the pivot after which the list guess holds
-an entry outside ``[-2**(F-1), 2**(F-1))``.
+an entry outside ``[-2**63, 2**63)``.
 """
 
 from hypothesis import given, settings
@@ -18,6 +19,8 @@ import pytest
 from strictgames import solvers
 from strictgames.errors import PivotBudgetExceeded
 from strictgames.solvers import _Guess, _Simplex
+
+INT64 = range(-(1 << 63), 1 << 63)
 
 
 class ListGuess(_Simplex):
@@ -110,9 +113,9 @@ def test_packed_guess_matches_the_list_guess(a):
 @settings(max_examples=300, deadline=None)
 @given(positive_matrices())
 def test_the_fields_hold_every_entry_of_the_lps_minimax_solve_builds(a):
-    # fields of 3*B bits plus the data's leave entries about B bits of
-    # room, which is enough only because the pivot tolerance keeps the
-    # guess off pivots that are rounding noise
+    # 64-bit value regions leave these entries about 20 bits of room,
+    # which is enough only because the pivot tolerance keeps the guess off
+    # pivots that are rounding noise
     try:
         _Guess(a).optimize()
     except OverflowError:
@@ -132,7 +135,16 @@ def test_the_fields_hold_every_entry_of_the_lps_minimax_solve_builds(a):
     )
 )
 def test_packed_guess_matches_the_list_guess_on_40_bit_entries(a):
-    assert_same_guess(a)
+    # the guess runs on a's rounded copy, entries of at most
+    # 2**GUESS_DATA_BITS; a itself fits int64 only when its entries,
+    # shifted up by GUESS_BITS, do
+    shift = max(map(max, a)).bit_length() - solvers.GUESS_DATA_BITS
+    assert_same_guess([[(e >> max(shift, 0)) + 1 for e in row] for row in a])
+    if max(map(max, a)) << solvers.GUESS_BITS in INT64:
+        assert_same_guess(a)
+    else:
+        with pytest.raises(OverflowError):
+            _Guess(a)
 
 
 @pytest.mark.parametrize(
@@ -151,10 +163,10 @@ def test_packed_guess_matches_the_list_guess_on_fixed_games(a):
 
 @st.composite
 def columns(draw):
-    bits = draw(st.integers(1, 41))
+    bits = draw(st.integers(1, 31))
     m = draw(st.integers(1, 12))
     guess = _Guess([[(1 << bits) - 1] * 2] * m)
-    half = 1 << guess.value_bits - 1
+    half = 1 << 63
     edges = st.sampled_from([0, 1, -1, half - 1, -half, half - 2, 1 - half])
     entry = st.one_of(edges, st.integers(-half, half - 1))
     return guess, [draw(entry) for _ in range(m + 1)]
@@ -166,67 +178,81 @@ def test_pack_round_trip(column, data):
     guess, entries = column
     assert guess._unpack(guess._pack(entries)) == entries
     # one step outside the value region raises instead of wrapping
-    half = 1 << guess.value_bits - 1
+    half = 1 << 63
     spot = data.draw(st.integers(0, len(entries) - 1))
     for outside in (half, -half - 1):
         with pytest.raises(OverflowError):
             guess._pack(entries[:spot] + [outside] + entries[spot + 1 :])
 
 
-@pytest.mark.parametrize("bits", [1, 6, 40])
-def test_field_width_follows_the_data(bits):
+@pytest.mark.parametrize("m", [1, 2, 5])
+def test_pack_round_trip_at_the_int64_ends(m):
+    guess = _Guess([[1]] * m)
+    for end in (INT64[0], INT64[-1]):
+        for spot in range(m + 1):
+            entries = [0] * spot + [end] + [-1] * (m - spot)
+            assert guess._unpack(guess._pack(entries)) == entries
+            entries[spot] += 1 if end > 0 else -1
+            with pytest.raises(OverflowError):
+                guess._pack(entries)
+
+
+@pytest.mark.parametrize("bits", [1, 6, 31])
+def test_fields_have_one_layout_whatever_the_data(bits):
+    # field i sits at bit 128*i: GUESS_BITS zero bits, then the entry plus
+    # 2**63 in a 64-bit value region, then zero guard bits
+    b = solvers.GUESS_BITS
     guess = _Guess([[1, (1 << bits) - 1]])
-    width = 3 * solvers.GUESS_BITS + bits
-    assert guess.width == width + -width % 8
-    assert guess.value_bits == guess.width - solvers.GUESS_BITS - 8
+    entries = [((1 << bits) - 1) << b, -1 << b]  # column 1, then the objective
+    assert guess.cols[1] == sum((e + (1 << 63) << b) << 128 * i for i, e in enumerate(entries))
+    assert guess._unpack(guess.cols[1]) == entries
+    assert solvers._guess_supports([[1, (1 << bits) - 1]]) == ((0,), (0,))
+
+
+@pytest.mark.parametrize("bits", [32, 40, 332])
+def test_wide_data_is_guessed_on_its_rounded_copy(bits):
+    # entries of 32 bits or more no longer fit int64 once shifted up by
+    # GUESS_BITS, but the guess runs on their rounded copy
+    with pytest.raises(OverflowError):
+        _Guess([[1, (1 << bits) - 1]])
     assert solvers._guess_supports([[1, (1 << bits) - 1]]) == ((0,), (0,))
 
 
 @st.composite
-def crowded_matrices(draw):
+def wide_matrices(draw):
+    """Matrices of entries of 28 to 31 bits, whose guess starts on entries
+    of up to 63 bits: the fields hold them, but later pivots often do not."""
     m, n = draw(st.integers(8, 12)), draw(st.integers(8, 12))
-    return [[draw(st.integers(1, 5)) for _ in range(n)] for _ in range(m)]
+    bits = draw(st.integers(28, 31))
+    return [[draw(st.integers(1, (1 << bits) - 1)) for _ in range(n)] for _ in range(m)]
 
 
 @settings(max_examples=150, deadline=None)
-@given(crowded_matrices())
+@given(wide_matrices())
 def test_guard_fires_exactly_when_a_list_entry_leaves_its_field(a):
-    # 5 fraction bits instead of 32 narrow the fields to 24 bits, and the
-    # guard fires on about a third of these games: the packed guess
+    # the guard fires on more than half of these matrices: the packed guess
     # must raise on the first pivot after which an entry of the list guess
-    # lies outside [-2**(F-1), 2**(F-1)), and match it exactly until then.
-    # When every entry is 1 the fields are 16 bits wide, too narrow for the
-    # data itself, and building the columns raises
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(solvers, "GUESS_BITS", 5)
-        reference = list_guess(a)
-        width = -(-(3 * 5 + max(map(max, a)).bit_length()) // 8) * 8
-        half = 1 << width - 5 - 8 - 1
-        if not all(-half <= v < half for r in reference.rows for v in r):
-            with pytest.raises(OverflowError):
-                _Guess(a)
-            return
-        packed = _Guess(a)
-        assert 1 << packed.value_bits - 1 == half
-        fits = []
-        pivot = reference._pivot
+    # lies outside int64, and match it exactly until then
+    reference, packed = list_guess(a), _Guess(a)
+    assert all(v in INT64 for r in reference.rows for v in r)
+    fits = []
+    pivot = reference._pivot
 
-        def checking_pivot(row, col, column):
-            pivot(row, col, column)
-            fits.append(all(-half <= v < half for r in reference.rows for v in r))
+    def checking_pivot(row, col, column):
+        pivot(row, col, column)
+        fits.append(all(v in INT64 for r in reference.rows for v in r))
 
-        reference._pivot = checking_pivot
-        pivots, outcome = run(packed)
-        expected_pivots, expected_outcome = run(reference)
-        if outcome != "optimal" and outcome[0] is OverflowError:
-            k = len(pivots)
-            assert pivots == expected_pivots[:k]
-            assert all(fits[: k - 1]) and not fits[k - 1]
-        else:
-            assert all(fits)
-            assert (pivots, outcome) == (expected_pivots, expected_outcome)
-            # the packed tableau is read at the narrowed width
-            assert tableau(packed) == tableau(reference)
+    reference._pivot = checking_pivot
+    pivots, outcome = run(packed)
+    expected_pivots, expected_outcome = run(reference)
+    if outcome != "optimal" and outcome[0] is OverflowError:
+        k = len(pivots)
+        assert pivots == expected_pivots[:k]
+        assert all(fits[: k - 1]) and not fits[k - 1]
+    else:
+        assert all(fits)
+        assert (pivots, outcome) == (expected_pivots, expected_outcome)
+        assert tableau(packed) == tableau(reference)
 
 
 @st.composite
@@ -234,8 +260,7 @@ def single_pivots(draw):
     """A tableau of entries anywhere in the value region, its shape and a
     pivot ``(row, col)`` with a positive pivot."""
     m, n = draw(st.integers(1, 6)), draw(st.integers(1, 6))
-    guess = _Guess([[1] * n] * m)
-    half = 1 << guess.value_bits - 1
+    half = 1 << 63
     entry = st.one_of(
         st.integers(-half, half - 1),
         st.integers(-(half >> 31), half >> 31),
@@ -251,18 +276,16 @@ def single_pivots(draw):
 @settings(max_examples=400, deadline=None)
 @given(single_pivots())
 def test_one_pivot_matches_the_list_pivot_or_raises(case):
-    # on arbitrary entries, at the full width: the packed pivot gives the
-    # list pivot's entries when they all fit their fields, and raises
-    # OverflowError when one does not
+    # on arbitrary entries: the packed pivot gives the list pivot's entries
+    # when they all fit int64, and raises OverflowError when one does not
     rows, row, col = case
     m, n = len(rows) - 1, len(rows[0]) - 1
     reference, packed = list_guess([[1] * n] * m), _Guess([[1] * n] * m)
     reference.rows = [list(r) for r in rows]
     packed.cols = [packed._pack(list(c)) for c in zip(*rows)]
-    half = 1 << packed.value_bits - 1
     column = [r[col] for r in rows]
     reference._pivot(row, col, column)
-    if all(-half <= v < half for r in reference.rows for v in r):
+    if all(v in INT64 for r in reference.rows for v in r):
         packed._pivot(row, col, column)
         assert tableau(packed) == reference.rows
     else:
@@ -270,20 +293,30 @@ def test_one_pivot_matches_the_list_pivot_or_raises(case):
             packed._pivot(row, col, column)
 
 
-def test_a_product_that_wraps_a_whole_field_raises():
-    # pivoting on 1.0 at (0, 0) takes w * f == 2**W away from row 1's
-    # right-hand side: that field wraps onto a value that looks valid, and
-    # its borrow from the objective field vanishes in the bits the shift
-    # drops, so only the bound on |w| * max|R| can see it
-    guess = _Guess([[1], [1]])
-    bits, width, value_bits = solvers.GUESS_BITS, guess.width, guess.value_bits
-    f, w = 1 << value_bits - 2, 1 << width - value_bits + 2
-    rows = [[1 << bits, w], [f, 0], [0, 0]]
-    reference = list_guess([[1], [1]])
+@pytest.mark.parametrize(
+    "pivot, f",
+    [(1 << 32, INT64[-1]), (1 << 32, INT64[0] + 1), (3, 1), (3, -1)],
+    ids=["ratio-max", "ratio-min", "inverse-plus", "inverse-minus"],
+)
+@pytest.mark.parametrize("w", [INT64[-1], INT64[0]], ids=["w-max", "w-min"])
+def test_the_largest_products_cannot_wrap_a_field(pivot, f, w):
+    # every R field and every w fit int64, as the pivot column is packed
+    # and w is stored, so |w * R| stays below 2**127 - 2**(64+B) and no
+    # field of C - w*R wraps by a whole 2**128 onto a value that looks
+    # valid.  The largest ratio (pivot 1.0, f at an int64 end) and the
+    # largest inverse (pivot 3 units) times w at an int64 end leave int64
+    # in the list guess, and the packed guess raises on them
+    bits = solvers.GUESS_BITS
+    assert bits == 32
+    rows = [[pivot, w], [f, 0], [0, 0]]
+    reference, guess = list_guess([[1], [1]]), _Guess([[1], [1]])
     reference.rows = [list(r) for r in rows]
     column = [r[0] for r in rows]
     reference._pivot(0, 0, column)
-    assert reference.rows[1][1] == -(1 << width - bits)
+    ratios = [(f << bits) // pivot, (1 << bits) - (1 << 2 * bits) // pivot]
+    assert all(-ratio in INT64 for ratio in ratios)
+    assert max(abs(w * ratio) for ratio in ratios) < (1 << 127) - (1 << 64 + bits)
+    assert not all(v in INT64 for r in reference.rows for v in r)
     guess.cols = [guess._pack(list(c)) for c in zip(*rows)]
     with pytest.raises(OverflowError):
         guess._pivot(0, 0, column)

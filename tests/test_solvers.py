@@ -1,5 +1,6 @@
 import math
 import random
+import time
 from fractions import Fraction as F
 
 import pytest
@@ -9,7 +10,7 @@ from hypothesis import strategies as st
 from strictgames import solvers
 from strictgames.detection import AffineTransform, detect_affine, to_zero_sum
 from strictgames.errors import FormatError, NotZeroSum, PivotBudgetExceeded, TooLarge
-from strictgames.games import BimatrixGame, new_game
+from strictgames.games import BimatrixGame, MixedStrategy, new_game
 from strictgames.generators import Family, GenSpec, disguise, gen
 from strictgames.solvers import (
     EquilibriumSet,
@@ -424,16 +425,18 @@ def test_corrupted_guess_falls_back(monkeypatch):
 
 
 def test_guard_overflow_falls_back_to_the_exact_simplex(monkeypatch):
-    # at 32 fraction bits this 10x10 game's guess certifies; at 6 its
-    # fields are 24 bits wide, an entry outgrows its field mid-run and the
-    # guard raises, so the exact simplex answers
+    # this 10x10 game's LP matrix has 41-bit entries.  Rounded to 12 bits
+    # its guess certifies; rounded to 30, its starting entries have up to
+    # 62 bits, an entry outgrows int64 mid-run and the guard raises, so
+    # the exact simplex answers
     rng = random.Random(0)
-    g = zero_sum([[rng.randint(-2, 2) for _ in range(10)] for _ in range(10)])
+    g = zero_sum([[rng.randint(-(1 << 40), 1 << 40) for _ in range(10)] for _ in range(10)])
+    assert max(map(max, lp_matrix(g))).bit_length() == 41
     exact = solve_exactly(g)
     solution, certified = solve_recording_certificate(g)
     assert certified
     assert solution.to_json_dict() == exact.to_json_dict()
-    monkeypatch.setattr(solvers, "GUESS_BITS", 6)
+    monkeypatch.setattr(solvers, "GUESS_DATA_BITS", 30)
     pivot, raised, guesses = solvers._Guess._pivot, [], []
     guess_supports = solvers._guess_supports
 
@@ -458,12 +461,15 @@ def test_guard_overflow_falls_back_to_the_exact_simplex(monkeypatch):
     assert solution.to_json_dict() == exact.to_json_dict()
 
 
-def test_false_unbounded_column_falls_back_to_the_exact_simplex():
+def test_false_unbounded_column_falls_back_to_the_exact_simplex(monkeypatch):
     # entries near 2**20 leave some true tableau entries tiny once the
     # large columns are basic: after three pivots the entering column's
     # only positive entry is 12546 units of 2**-32, below the pivot
     # tolerance of 2**16 units, so the ratio test finds no candidate and
-    # the guess stops on a column that only its fixed point made unbounded
+    # the guess stops on a column that only its fixed point made unbounded.
+    # The guess runs on these entries only when GUESS_DATA_BITS is 20 or
+    # more; at its value, 12, the guess runs on a rounded copy and its
+    # supports certify
     v1 = [
         [277795, 987922, 87047, 1023031],
         [757363, 482512, 346414, 972253],
@@ -475,14 +481,102 @@ def test_false_unbounded_column_falls_back_to_the_exact_simplex():
     assert lp_matrix(zero_sum(v1)) == a
     with pytest.raises(ArithmeticError, match="unbounded linear program"):
         solvers._Guess(a).optimize()
-    assert solvers._guess_supports(a) is None
-    solution = minimax_solve(zero_sum(v1))
-    assert solution.to_json_dict() == {
+    answer = {
         "value": "62501312924/129471",
         "row_strategy": ["0/1", "50329/258942", "0/1", "208613/258942"],
         "col_strategy": ["0/1", "0/1", "303803/388413", "84610/388413"],
     }
-    assert solution.to_json_dict() == solve_exactly(zero_sum(v1)).to_json_dict()
+    assert solve_exactly(zero_sum(v1)).to_json_dict() == answer
+    solution, certified = solve_recording_certificate(zero_sum(v1))
+    assert certified
+    assert solution.to_json_dict() == answer
+    monkeypatch.setattr(solvers, "GUESS_DATA_BITS", 20)
+    assert solvers._guess_supports(a) is None
+    solution = minimax_solve(zero_sum(v1))
+    assert solution.to_json_dict() == answer
+
+
+@pytest.mark.parametrize("bits", [1, 6, 12, 13, 40, 332])
+def test_the_guess_rounds_only_entries_wider_than_guess_data_bits(monkeypatch, bits):
+    # entries of at most GUESS_DATA_BITS bits are guessed on as they are;
+    # wider ones on (e >> s) + 1, s = bits(max a) - GUESS_DATA_BITS, whose
+    # entries are positive and at most 2**GUESS_DATA_BITS
+    rng = random.Random(bits)
+    a = [[rng.randint(1, (1 << bits) - 1) for _ in range(5)] for _ in range(4)]
+    a[0][0] = (1 << bits) - 1
+    seen, init = [], solvers._Guess.__init__
+
+    def recording_init(self, matrix):
+        seen.append(matrix)
+        init(self, matrix)
+
+    monkeypatch.setattr(solvers._Guess, "__init__", recording_init)
+    solvers._guess_supports(a)
+    shift = bits - solvers.GUESS_DATA_BITS
+    if shift <= 0:
+        assert len(seen) == 1 and seen[0] is a
+    else:
+        assert seen == [[[(e >> shift) + 1 for e in row] for row in a]]
+        top = 1 << solvers.GUESS_DATA_BITS
+        assert 1 <= min(map(min, seen[0])) <= max(map(max, seen[0])) <= top
+
+
+@st.composite
+def wide_lps(draw):
+    """Positive LP matrices up to 8x8 with entries up to 2**40, and about
+    one in eight with entries up to 100 digits."""
+    m, n = draw(st.integers(1, 8)), draw(st.integers(1, 8))
+    top = draw(st.sampled_from([1 << 40] * 7 + [10**100]))
+    return [[draw(st.integers(1, top)) for _ in range(n)] for _ in range(m)]
+
+
+@settings(max_examples=80, deadline=None)
+@given(wide_lps())
+def test_a_wide_lp_certifies_or_falls_back_to_the_exact_answer(a):
+    # the guess runs on a rounded copy, the certificate on a itself: a
+    # certified optimum is the exact simplex's, and minimax_solve always
+    # returns the exact path's answer
+    m, n = len(a), len(a[0])
+    div, total, q, p = solvers._Simplex(a, [1] * m, [1] * n).solve()
+    supports = solvers._guess_supports(a)
+    optimum = solvers._certify(a, *supports) if supports else None
+    if optimum is not None:
+        x, y, value = optimum
+        assert x.probs == MixedStrategy.from_weights(p).probs
+        assert y.probs == MixedStrategy.from_weights(q).probs
+        assert value == F(div, total)
+    g = zero_sum(a)
+    assert minimax_solve(g).to_json_dict() == solve_exactly(g).to_json_dict()
+
+
+def hostile_game(n, d):
+    """The n x n zero-sum game whose row payoffs are drawn below 10**d from
+    random.Random(n*d), row by row."""
+    rng = random.Random(n * d)
+    return zero_sum([[rng.randrange(10**d) for _ in range(n)] for _ in range(n)])
+
+
+@pytest.mark.parametrize("n, d", [(20, 100), (20, 300), (40, 100)])
+def test_hostile_wide_games_are_certified_within_two_seconds(n, d):
+    # the exact simplex alone took 0.4 s, 5 s and 31 s on these games; the
+    # guess on their rounded copies and the certificate take about 0.02,
+    # 0.1 and 0.1 s of CPU time
+    game = hostile_game(n, d)
+    start = time.process_time()
+    solution, certified = solve_recording_certificate(game)
+    assert time.process_time() - start < 2.0
+    assert certified
+    assert_guarantees(game.u1, solution.row_strategy, solution.col_strategy, solution.value)
+
+
+@pytest.mark.parametrize("n, d", [(20, 100), (12, 300), (24, 100)])
+def test_hostile_wide_games_equal_the_exact_path(n, d):
+    # the same families at sizes whose exact simplex takes about a second
+    # or less
+    game = hostile_game(n, d)
+    solution, certified = solve_recording_certificate(game)
+    assert certified
+    assert solution.to_json_dict() == solve_exactly(game).to_json_dict()
 
 
 @pytest.mark.parametrize("bound", [20, 2])
