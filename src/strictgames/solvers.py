@@ -283,11 +283,13 @@ class _Guess(_Simplex):
     Built on data multiplied by ``2**B``, ``B = GUESS_BITS``, each entry is
     its true tableau entry in units of ``2**-B``, rounded down after every
     pivot, so entries keep their size instead of growing into basis
-    determinants.  A pivot at ``(r, c)`` with pivot ``p`` maps an entry
-    ``v`` of another row to ``v - ceil(ratio*w / 2**B)``, where
-    ``ratio = (f << B) // p``, ``f`` is the row's entry in column ``c`` and
-    ``w`` the pivot row's entry in the same column as ``v``; it maps the
-    pivot row's ``w`` to ``w*inv >> B`` with ``inv = (1 << 2*B) // p``, and
+    determinants.  A pivot at ``(r, c)`` with pivot ``p`` multiplies by
+    ``inv = (1 << 2*B) // p`` instead of dividing by ``p`` (Granlund &
+    Montgomery 1994, "Division by invariant integers using multiplication"):
+    it maps an entry ``v`` of another row to ``v - ceil(ratio*w / 2**B)``,
+    where ``ratio = ceil(f*inv / 2**B)``, within a unit of ``f/p``, ``f`` is
+    the row's entry in column ``c`` and ``w`` the pivot row's entry in
+    ``v``'s column; it maps the pivot row's ``w`` to ``w*inv >> B``, and
     column ``c`` becomes ``-ratio``, ``inv`` in row ``r``.  The tolerance,
     set when the object is built, is ``2**(B//2)`` units: the ratio test
     sees an entering-column entry at or below it as 0, the pivot tolerance
@@ -318,29 +320,35 @@ class _Guess(_Simplex):
     ``minimax_solve`` builds stay far inside: their data is rounded to
     ``GUESS_DATA_BITS`` bits, and the tolerance keeps every ratio ``f/p``
     below ``2**(B//2)`` times ``f``; over the 1,224 ``solve-lp`` benchmark
-    LPs of four seeds the longest entry has 48 bits.
+    LPs of four seeds no entry reaches ``2**47`` in absolute value.
 
-    A pivot updates each column ``C`` whose pivot-row entry ``w`` is not 0
-    in one pass: ``t = C - w*R`` and then ``t & VALUES``, where ``R`` holds
-    ``ratio`` in each field and ``2**B - inv`` in field ``r``, and
-    ``VALUES`` masks every value region.  Field ``i != r`` of ``t`` is
-    ``(v + 2**63)*2**B - ratio*w``, and clearing its low ``B`` bits leaves
-    ``v + (-(ratio*w) >> B)`` plus the offset, shifted; field ``r`` is
-    ``(w + 2**63)*2**B - w*(2**B - inv)``, which leaves ``w*inv >> B`` plus
-    the offset.  These are exactly the entries the same pivot makes on a
-    list of one integer per entry.
+    A pivot builds column ``c`` from the stored one in one multiply:
+    ``t = FLIP*2**B - ((C >> B) - FLIP)*inv`` holds ``2**63*2**B - f*inv``
+    in each field, so ``t & VALUES`` holds ``-ratio`` as stored, and one
+    add writes ``inv`` into field ``r``.  It updates each other column
+    ``C`` whose pivot-row entry ``w`` is not 0 in one pass: ``t = C - w*R``
+    and then ``t & VALUES``, where ``R`` holds ``ratio`` in each field and
+    ``2**B - inv`` in field ``r``, and ``VALUES`` masks every value region.
+    Field ``i != r`` of ``t`` is ``(v + 2**63)*2**B - ratio*w``, and
+    clearing its low ``B`` bits leaves ``v + (-(ratio*w) >> B)`` plus the
+    offset, shifted; field ``r`` is ``(w + 2**63)*2**B - w*(2**B - inv)``,
+    which leaves ``w*inv >> B`` plus the offset.  These are exactly the
+    entries the same pivot makes on a list of one integer per entry.
 
     Guard: a pivot raises ``OverflowError`` when it would store an entry
     outside int64, and exactly then.  :meth:`_pack` refuses such an entry
-    in the starting columns and in the pivot column at each pivot.  So
-    ``|w|``, every ``|ratio|`` and ``|inv|`` are at most ``2**63``, and
-    each field of ``t``, which must lie in ``[0, 2**(64+B))``, lies within
-    ``2**127`` of zero: none wraps by a whole ``2**128``, whose borrow
-    would vanish in the low bits the mask clears.  The lowest field out of
-    range, negative or not, then shows a set guard bit, Python's ``&``
-    reading a negative ``t`` in two's complement, so ``t & GUARD`` sees
-    every overflow and every borrow between fields.  ``_guess_supports``
-    takes the error as a failed guess, and the exact simplex answers;
+    in the starting columns.  As ``|f| <= 2**63`` and ``p >= 1``,
+    ``inv <= 2**64``, and an ``inv >= 2**63`` sets a guard bit in field
+    ``r``; once column ``c`` fits, ``|w|``, every ``|ratio|`` and ``|inv|``
+    are at most ``2**63``.  So each field of every ``t``, which must lie in
+    ``[0, 2**(64+B))``, lies in ``(-2**127, 2**128)``: none wraps by a
+    whole ``2**128``, whose borrow would vanish in the low bits the mask
+    clears.  The lowest field out of range, negative or not, then shows a
+    set guard bit, Python's ``&`` reading a negative ``t`` in two's
+    complement.  So one test per pivot, of the OR of column ``c`` and every
+    ``t`` against ``GUARD``, sees every overflow and every borrow between
+    fields, on the same pivot as a test of each ``t`` (``|`` distributes
+    over ``&``).  ``_guess_supports`` takes the error as a failed guess;
     correctness rests on the certificate, not on the guard.
     """
 
@@ -381,22 +389,24 @@ class _Guess(_Simplex):
         return self._unpack(self.cols[col]), self._unpack(self.cols[-1])
 
     def _pivot(self, row: int, col: int, column: list[int]) -> None:
-        bits, cols = GUESS_BITS, self.cols
+        bits, cols, flip, values = GUESS_BITS, self.cols, self.flip, self.values
         pivot = column[row]
-        new = [-((f << bits) // pivot) for f in column]  # -ratio
-        new[row] = (1 << 2 * bits) // pivot  # inv
-        packed = self._pack(new)
+        inv = (1 << 2 * bits) // pivot
+        t = (flip << bits) - ((cols[col] >> bits) - flip) * inv
         shift = 128 * row + bits
-        multiplier = self.flip - (packed >> bits) + (1 << shift)  # R
+        packed = (t & values) + ((inv - (-pivot * inv >> bits)) << shift)  # inv in field r
+        multiplier = flip - (packed >> bits) + (1 << shift)  # R
+        acc = t | packed
         # w keeps its offset until it is used
-        off, field, values, guard = 1 << 63, (1 << 64) - 1, self.values, self.guard
+        off, field = 1 << 63, (1 << 64) - 1
         for j, stored in enumerate(cols):
             w = stored >> shift & field
             if w != off and j != col:  # a column with w == 0 is unchanged
                 t = stored - (w - off) * multiplier
-                if t & guard:
-                    raise OverflowError("a fixed-point entry leaves its field")
+                acc |= t
                 cols[j] = t & values
+        if acc & self.guard:
+            raise OverflowError("a fixed-point entry leaves its field")
         cols[col] = packed
         self.basis[row], self.nonbasic[col] = self.nonbasic[col], self.basis[row]
 

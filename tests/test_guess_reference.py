@@ -2,7 +2,10 @@
 
 The reference below is ``_Guess`` as it was before its tableau was packed:
 one Python integer per tableau entry, the same fixed-point pivot and pivot
-tolerance, run by the same ``_Simplex`` loop.  On the LPs ``minimax_solve``
+tolerance, run by the same ``_Simplex`` loop.  Its pivot takes the inverse
+``inv = 2**(2*B) // p`` of the pivot first and each ratio as
+``ceil(f*inv / 2**B)``, the rule the packed pivot computes for a whole
+column in one multiply.  On the LPs ``minimax_solve``
 builds, and on the rounded copy of 40-bit entries that ``_guess_supports``
 guesses on, the packed guess must make the same pivots and end on the same
 basis with the same entries; no entry leaves int64 there, so the guard
@@ -12,7 +15,7 @@ arbitrary entries for one pivot), the packed guess must raise
 an entry outside ``[-2**63, 2**63)``.
 """
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 import pytest
 
@@ -35,14 +38,14 @@ class ListGuess(_Simplex):
         prow = self.rows[row]
         pivot = prow[col]
         bits = solvers.GUESS_BITS
+        inverse = (1 << 2 * bits) // pivot
         for i, old in enumerate(self.rows):
             f = old[col]
             if i != row and f:  # a row with f == 0 is unchanged
-                ratio = (f << bits) // pivot
+                ratio = -(-(f * inverse) >> bits)
                 new = [v + (-(ratio * w) >> bits) for v, w in zip(old, prow)]
                 new[col] = -ratio
                 self.rows[i] = new
-        inverse = (1 << 2 * bits) // pivot
         new = [w * inverse >> bits for w in prow]
         new[col] = inverse
         self.rows[row] = new
@@ -275,6 +278,11 @@ def single_pivots(draw):
 
 @settings(max_examples=400, deadline=None)
 @given(single_pivots())
+# a pivot of 1 unit has inv = 2**64, which leaves int64 in field r only
+@example(([[1, 0], [0, 0]], 0, 0))
+# pivot and ratio 1.0 (B = 32): only column 1, the first one updated, leaves
+# int64, and the guard, tested once after every column, must still see it
+@example(([[1 << 32, 1 << 62, 1, 1 << 32], [1 << 32, 5 - (1 << 63), 0, 0], [-(1 << 32), 0, 0, 0]], 0, 0))
 def test_one_pivot_matches_the_list_pivot_or_raises(case):
     # on arbitrary entries: the packed pivot gives the list pivot's entries
     # when they all fit int64, and raises OverflowError when one does not
@@ -300,12 +308,14 @@ def test_one_pivot_matches_the_list_pivot_or_raises(case):
 )
 @pytest.mark.parametrize("w", [INT64[-1], INT64[0]], ids=["w-max", "w-min"])
 def test_the_largest_products_cannot_wrap_a_field(pivot, f, w):
-    # every R field and every w fit int64, as the pivot column is packed
-    # and w is stored, so |w * R| stays below 2**127 - 2**(64+B) and no
-    # field of C - w*R wraps by a whole 2**128 onto a value that looks
-    # valid.  The largest ratio (pivot 1.0, f at an int64 end) and the
-    # largest inverse (pivot 3 units) times w at an int64 end leave int64
-    # in the list guess, and the packed guess raises on them
+    # f is stored and the pivot is at least 1 unit, so |f * inv| is at
+    # most 2**127 and no field of the pivot column's 2**63*2**B - f*inv
+    # wraps.  Every R field and every w fit int64 once that column passes
+    # the guard, so |w * R| stays below 2**127 - 2**(64+B) and no field of
+    # C - w*R wraps by a whole 2**128 onto a value that looks valid.  The
+    # largest ratio (pivot 1.0, f at an int64 end) and the largest inverse
+    # (pivot 3 units) times w at an int64 end leave int64 in the list
+    # guess, and the packed guess raises on them
     bits = solvers.GUESS_BITS
     assert bits == 32
     rows = [[pivot, w], [f, 0], [0, 0]]
@@ -313,7 +323,9 @@ def test_the_largest_products_cannot_wrap_a_field(pivot, f, w):
     reference.rows = [list(r) for r in rows]
     column = [r[0] for r in rows]
     reference._pivot(0, 0, column)
-    ratios = [(f << bits) // pivot, (1 << bits) - (1 << 2 * bits) // pivot]
+    inverse = (1 << 2 * bits) // pivot
+    assert abs(f * inverse) <= 1 << 127
+    ratios = [-(-(f * inverse) >> bits), (1 << bits) - inverse]
     assert all(-ratio in INT64 for ratio in ratios)
     assert max(abs(w * ratio) for ratio in ratios) < (1 << 127) - (1 << 64 + bits)
     assert not all(v in INT64 for r in reference.rows for v in r)
