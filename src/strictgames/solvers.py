@@ -9,10 +9,12 @@ Each mechanism is described once, where it is implemented:
   on a packed tableau; :func:`_certify` accepts only a unique optimum, so
   every answer is the exact simplex's.
 - :class:`_Simplex` is the exact fraction-free simplex.
-- :func:`_indifference` is the one support-system kernel, on a player's
-  own positive payoffs, over :func:`_solve_square`, fraction-free
-  elimination; it serves the certificate and :func:`support_enumeration`,
-  which cross-checks small games.
+- :func:`_eliminate` is the one fraction-free elimination.
+  :func:`_certify` eliminates the support matrix once and reads both
+  players' weights off it, by back-substitution and by
+  :func:`_solve_transposed`.  :func:`_indifference`, a player's support
+  system on its own positive payoffs over :func:`_solve_square`, is the
+  kernel of :func:`support_enumeration`, which cross-checks small games.
 
 No float enters any path.
 """
@@ -429,18 +431,19 @@ def minimax_solve(game: BimatrixGame) -> MinimaxSolution:
     Guess, certify, fall back.  :class:`_Guess` runs the simplex's own
     pivot loop on ``a`` in fixed point and reads the row support ``R`` (the
     nonbasic slacks) and the column support ``S`` (the basic structurals)
-    off its last basis.  :func:`_certify` then solves the column player's
-    system on the square ``a[R][S]`` and the row player's on its transpose
-    exactly (Shapley & Snow 1950).  It accepts only when ``|R| == |S|``,
-    ``a[R][S]`` is nonsingular, every weight is positive and
-    complementarity is strict: rows outside ``R`` earn strictly less than
-    the value and columns outside ``S`` concede strictly more.  Such a pair
-    is the game's only optimum (Kaplansky 1945; Bohnenblust, Karlin &
-    Shapley 1950), so it is what the exact simplex would return.  When the
-    guess stops on a false unbounded column or its pivot budget, or the
-    certificate fails, the positive-matrix value LP is solved exactly, the
-    column player's optimum read off its primal and the row player's off
-    its dual prices.  Both loops have the same budget,
+    off its last basis.  :func:`_certify` then eliminates the square
+    ``a[R][S]`` once and reads off it, exactly, the column player's system
+    on it and the row player's on its transpose (Shapley & Snow 1950).  It
+    accepts only when ``|R| == |S|``, ``a[R][S]`` is nonsingular, every
+    weight is positive and complementarity is strict: rows outside ``R``
+    earn strictly less than the value and columns outside ``S`` concede
+    strictly more.  Such a pair is the game's only optimum (Kaplansky
+    1945; Bohnenblust, Karlin & Shapley 1950), so it is what the exact
+    simplex would return.  When the guess stops on a false unbounded
+    column or its pivot budget, or the certificate fails, the
+    positive-matrix value LP is solved exactly, the column player's
+    optimum read off its primal and the row player's off its dual prices.
+    Both loops have the same budget,
     ``PIVOTS_PER_DIMENSION * (m + n)`` pivots; a corrupted exact tableau
     that cannot reach an optimum raises :class:`PivotBudgetExceeded`.
     Whichever path answers, the guarantee inequalities are re-verified
@@ -519,72 +522,159 @@ def _certify(
     payoffs, all positive) when it has exactly one optimal strategy pair
     and its supports are ``rows`` and ``cols``; None otherwise.
 
-    Each player's weights come from :func:`_indifference` on the square
-    ``A = a[rows][cols]`` (Shapley & Snow 1950): the column player's ``Y``
-    on ``a`` itself, and the row player's ``X`` on the column player's own
-    positive payoffs ``top - a^T``, ``top = max(a) + 1``, which shift
-    ``-a^T`` by a constant and so leave its solutions alone.  Every row of
-    ``rows`` earns ``d`` against ``Y``, so the value is ``d / sum(Y)``.
+    One fraction-free elimination of the square ``A = a[rows][cols]``
+    gives both players' weights (Shapley & Snow 1950): the column player's
+    ``y = d A^-1 1`` by back-substitution and the row player's ``x = d
+    A^-T 1`` by :func:`_solve_transposed`, ``d = |det A|``.  Every row of
+    ``rows`` earns ``d`` against ``y``, so the value is ``d / sum(y)``.
 
-    The pair is accepted only when both systems are nonsingular with
-    positive weights and complementarity is strict: no action outside a
-    support ties the indifference payoff.  Any optimal ``y`` then concedes
-    the value on every row of ``rows`` (``x`` is positive there) and puts
-    no weight outside ``cols`` (``x`` earns more there), so it solves
-    ``A y = value 1``, which has one solution as ``A`` is nonsingular.
-    Likewise for ``x``.
+    The pair is accepted only when ``A`` is nonsingular, both weights are
+    positive and complementarity is strict on ``a`` itself: ``a y <= d``
+    with at most ``k`` ties and ``x a >= d`` with at most ``k`` ties, ``k
+    = |rows|``.  Any optimal ``y`` then concedes the value on every row of
+    ``rows`` (``x`` is positive there) and puts no weight outside ``cols``
+    (``x`` earns more there), so it solves ``A y = value 1``, which has
+    one solution as ``A`` is nonsingular.  Likewise for ``x``.
+
+    This accepts exactly what the row player's own system on the column
+    player's positive payoffs ``top - a^T``, ``top = max(a) + 1``, accepts
+    under :func:`_indifference`'s checks.  Its weights ``X`` solve ``(top
+    J - A^T) X = d' 1``, so ``X = (top s - d') A^-T 1`` with ``s =
+    sum(X)``, and ``top s - d' = (a^T X)_j`` for each ``j`` in ``cols``,
+    which is positive when ``X`` is.  With ``A`` nonsingular, ``top J -
+    A^T`` is singular only when ``top = 1 / sum(A^-T 1)``, and when ``x >
+    0`` that is a weighted mean of entries of ``a``, below ``top``.  So
+    whenever either of ``x`` and ``X`` is positive both are, one a
+    positive multiple of the other; a column earns the column player at
+    most ``d'`` against ``X`` exactly when it concedes at least ``d``
+    against ``x``, with the same ties, and both systems accept the same
+    supports.
     """
     k = len(rows)
     if len(cols) != k:
         return None
-    y = _indifference(a, rows, cols)
-    if y is None or y[2] > k:
+    eliminated = _eliminate([[a[i][j] for j in cols] for i in rows], [1] * k)
+    if eliminated is None:
         return None
-    top = max(map(max, a)) + 1
-    x = _indifference([[top - e for e in col] for col in zip(*a)], cols, rows)
-    if x is None or x[2] > k:
+    d, y = _back_substitute(eliminated[0])
+    if min(y) <= 0:
         return None
-    x_mix, y_mix = MixedStrategy.from_weights(x[0]), MixedStrategy.from_weights(y[0])
-    return x_mix, y_mix, Fraction(y[1], sum(y[0]))
+    y = _spread(cols, y, len(a[0]))
+    earned = _row_sums(a, y)
+    if max(earned) > d or earned.count(d) > k:
+        return None
+    x = _solve_transposed(*eliminated, [1] * k)
+    if min(x) <= 0:
+        return None
+    x = _spread(rows, x, len(a))
+    conceded = _row_sums(zip(*a), x)
+    if min(conceded) < d or conceded.count(d) > k:
+        return None
+    return MixedStrategy.from_weights(x), MixedStrategy.from_weights(y), Fraction(d, sum(y))
 
 
-def _solve_square(a: list[list[int]], b: list[int]) -> tuple[int, list[int]] | None:
-    """``(d, v)`` with ``d = |det a|`` and ``v = d a^-1 b`` in integers,
-    for a square integer matrix ``a``; None exactly when ``a`` is singular.
+def _eliminate(
+    a: list[list[int]], b: list[int]
+) -> tuple[list[list[int]], list[tuple[int, list[int]]]] | None:
+    """``(upper, lower)``, the fraction-free forward elimination of ``[a |
+    b]`` for a square integer matrix ``a``; None exactly when ``a`` is
+    singular.
 
-    Forward elimination on ``[a | b]`` is fraction-free (Bareiss 1968).
-    Step ``k`` pivots on the first row at or below the diagonal whose
-    entry in column ``k`` is not 0, and maps each entry ``v`` of a row
-    below to ``(p*v - f*w) // q``, where ``p`` is the pivot, ``f`` the
-    row's entry in column ``k``, ``w`` the pivot row's entry in ``v``'s
-    column and ``q`` the previous step's pivot (1 at first).  Each entry is
-    then a minor of the row-permuted ``[a | b]`` (Sylvester's identity), so
-    ``// q`` divides exactly, and the last pivot is ``det a`` up to the
-    permutation's sign.  A column with no nonzero pivot lies in the span
-    of the columns before it, so ``a`` is singular.
+    Elimination is fraction-free (Bareiss 1968).  Step ``s`` pivots on the
+    first row left, in ``a``'s order, whose entry in column ``s`` is not
+    0, and maps each entry ``v`` of every other row left to ``(p*v - f*w)
+    // q``, where ``p`` is the pivot, ``f`` the row's entry in column
+    ``s``, ``w`` the pivot row's entry in ``v``'s column and ``q`` the
+    previous step's pivot (1 at first).  Each entry is then a minor of the
+    row-permuted ``[a | b]`` (Sylvester's identity), so ``// q`` divides
+    exactly, and the last pivot is ``det a`` up to the permutation's sign.
+    A column with no nonzero pivot lies in the span of the columns before
+    it, so ``a`` is singular.
 
-    Back-substitution runs upward on the triangular rows: with ``D`` the
-    last pivot, each ``D x_i`` is an integer by Cramer's rule, so ``v_i =
-    (D c_i - sum_{j>i} u_ij v_j) // u_ii`` divides exactly too.
+    ``upper[s]`` is pivot row ``s`` from its diagonal entry on, ``b``'s
+    entry last.  ``lower[s]`` is ``(i, fs)``: the pivot row was row ``i``,
+    from 0, of the rows left, and ``fs`` holds the multiplier ``f`` of
+    each row left after it, in ``a``'s order.
     """
     rows = [[*row, bi] for row, bi in zip(a, b)]
-    upper, q = [], 1  # the pivot rows, each from its diagonal entry on
+    upper, lower, q = [], [], 1
     while rows:
         p = next((i for i, row in enumerate(rows) if row[0]), None)
         if p is None:
             return None
-        rows[0], rows[p] = rows[p], rows[0]
-        top, *rows = rows
+        top = rows.pop(p)
         pivot, tail = top[0], top[1:]
-        for i, row in enumerate(rows):
-            f = row[0]
-            rows[i] = [(pivot * v - f * w) // q for v, w in zip(row[1:], tail)]
+        fs = [row[0] for row in rows]
+        for i, f in enumerate(fs):
+            rows[i] = [(pivot * v - f * w) // q for v, w in zip(rows[i][1:], tail)]
         upper.append(top)
+        lower.append((p, fs))
         q = pivot
+    return upper, lower
+
+
+def _back_substitute(upper: list[list[int]]) -> tuple[int, list[int]]:
+    """``(d, v)`` from the pivot rows ``upper`` of an elimination of ``[a
+    | b]`` as :func:`_eliminate` leaves them: ``d = |det a|`` and ``v = d
+    a^-1 b``.
+
+    It runs upward on the triangular rows: with ``D`` the last pivot, each
+    ``D v_i`` is an integer by Cramer's rule, so ``v_i = (D c_i -
+    sum_{j>i} u_ij v_j) // u_ii`` divides exactly too.
+    """
+    q = upper[-1][0]
     v: list[int] = []
     for top in reversed(upper):
         v.insert(0, (q * top[-1] - sum(map(mul, top[1:-1], v))) // top[0])
     return (q, v) if q > 0 else (-q, [-e for e in v])
+
+
+def _solve_square(a: list[list[int]], b: list[int]) -> tuple[int, list[int]] | None:
+    """``(d, v)`` with ``d = |det a|`` and ``v = d a^-1 b`` in integers,
+    for a square integer matrix ``a``; None exactly when ``a`` is
+    singular."""
+    eliminated = _eliminate(a, b)
+    return None if eliminated is None else _back_substitute(eliminated[0])
+
+
+def _solve_transposed(
+    upper: list[list[int]], lower: list[tuple[int, list[int]]], b: list[int]
+) -> list[int]:
+    """``d A^-T b``, ``d = |det A|``, from the elimination ``(upper,
+    lower)`` of ``A`` by :func:`_eliminate`, whatever right-hand side that
+    elimination carried.
+
+    With ``P`` the elimination's row order, ``(PA)^T`` has the leading
+    minors of ``PA``, so eliminating it in order has the same pivots.  Its
+    step-``s`` entries are those of ``PA`` transposed, so its multipliers
+    are the entries of ``PA``'s pivot rows, ``upper``, and its pivot rows
+    are ``PA``'s multipliers, ``lower``, keyed by row of ``A`` and put in
+    pivot order.  Forward elimination of ``b`` is then ``c_i <- (p_s c_i -
+    U[s][i] c_s) // p_{s-1}``, exact as in :func:`_eliminate`, and
+    back-substitution on the rows ``[p_s, f_s(pivot row s+1), ...,
+    f_s(pivot row k-1), c_s]`` gives ``z = d (PA)^-T b``, its signs flipped
+    when the last pivot is negative, as for ``A^-1``.  As ``A^T = (PA)^T
+    P``, ``A^T (P^T z) = d b``: ``z_s`` belongs to pivot row ``s``'s row
+    of ``A``.  It costs ``O(k^2)`` on a ``k x k`` matrix, no second
+    elimination.
+    """
+    left, order, keyed = list(range(len(b))), [], []
+    for i, fs in lower:
+        order.append(left.pop(i))
+        keyed.append(dict(zip(left, fs)))
+    c, q = list(b), 1
+    for s, top in enumerate(upper):
+        p, cs = top[0], c[s]
+        c[s + 1 :] = [(p * ci - u * cs) // q for ci, u in zip(c[s + 1 :], top[1:])]
+        q = p
+    transposed = [
+        [top[0], *map(keyed[s].__getitem__, order[s + 1 :]), cs]
+        for s, (top, cs) in enumerate(zip(upper, c))
+    ]
+    x = [0] * len(b)
+    for w, row in zip(_back_substitute(transposed)[1], order):
+        x[row] = w
+    return x
 
 
 def support_enumeration(game: BimatrixGame) -> EquilibriumSet:

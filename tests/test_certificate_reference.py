@@ -7,11 +7,11 @@ player's on ``-a`` transposed, and each is checked for positive weights,
 best responses and extra ties.  On every input the certificate and the
 reference must return the same strategies and value, or both None.
 
-The certificate solves each player's system unbordered with
-:func:`_solve_square`, fraction-free elimination: the column player's on
-``a[rows][cols]``, the row player's on the column player's own positive
-payoffs ``max(a) + 1 - a`` transposed.  A property checks the solver
-against a ``Fraction`` Gauss-Jordan solve.
+The certificate eliminates ``A = a[rows][cols]`` once, fraction-free
+(:func:`_eliminate`): the column player's weights come from
+back-substitution, the row player's from :func:`_solve_transposed`, which
+replays the same elimination on ``A`` transposed.  Properties check both
+read-outs against ``Fraction`` Gauss-Jordan solves of ``A`` and ``A^T``.
 """
 
 from fractions import Fraction
@@ -21,8 +21,17 @@ from hypothesis import strategies as st
 import pytest
 
 from strictgames import solvers
+from strictgames.detection import detect_affine, to_zero_sum
 from strictgames.games import MixedStrategy
-from strictgames.solvers import _certify, _guess_supports, _solve_square
+from strictgames.generators import Family, GenSpec, gen
+from strictgames.solvers import (
+    _certify,
+    _eliminate,
+    _guess_supports,
+    _solve_square,
+    _solve_transposed,
+    minimax_solve,
+)
 
 
 def fraction_solve(matrix, b):
@@ -222,47 +231,59 @@ UNIQUE = [[5, 2, 6, 4], [2, 6, 1, 5]]
 
 
 @pytest.mark.parametrize(
-    "a, rows, cols, solves",
+    "a, rows, cols, eliminations",
     [
-        (UNIQUE, (0, 1), (0, 1), 2),
-        (UNIQUE, (0,), (2,), 2),
+        (UNIQUE, (0, 1), (0, 1), 1),
+        (UNIQUE, (0,), (2,), 1),
         ([[1, 2], [2, 4]], (0, 1), (0, 1), 1),  # a[rows][cols] is singular
         (UNIQUE, (0, 1), (0, 1, 2), 0),
         (UNIQUE, (1,), (0, 3), 0),
-        ([[1], [1]], (0,), (0,), 1),  # rows tie: rejected before x is solved
+        ([[1], [1]], (0,), (0,), 1),  # rows tie: rejected before x is read
     ],
 )
-def test_the_certificate_solves_one_system_per_player(monkeypatch, a, rows, cols, solves):
+def test_the_certificate_eliminates_once(monkeypatch, a, rows, cols, eliminations):
     calls = 0
-    solve_square = solvers._solve_square
+    eliminate = solvers._eliminate
 
-    def counting_solve_square(matrix, b):
+    def counting_eliminate(matrix, b):
         nonlocal calls
         calls += 1
-        return solve_square(matrix, b)
+        return eliminate(matrix, b)
 
-    monkeypatch.setattr(solvers, "_solve_square", counting_solve_square)
+    monkeypatch.setattr(solvers, "_eliminate", counting_eliminate)
     _certify(a, rows, cols)
-    assert calls == solves
+    assert calls == eliminations
+
+
+def transpose(matrix):
+    return [list(col) for col in zip(*matrix)]
 
 
 def assert_solves_like_fractions(matrix, b):
     """``_solve_square`` returns ``|det|`` and ``|det|`` times the
     ``Fraction`` solution, or None exactly when that solve finds the
-    matrix singular."""
+    matrix singular; the transposed read-out of the same elimination
+    returns ``|det|`` times the ``Fraction`` solution of ``matrix^T x =
+    b``."""
     expected = fraction_solve(matrix, b)
     solved = _solve_square(matrix, b)
     assert (solved is None) == (expected is None)
+    eliminated = _eliminate(matrix, b)
+    assert (eliminated is None) == (fraction_solve(transpose(matrix), b) is None)
     if solved is not None:
         d, v = solved
         assert d == abs(fraction_det(matrix)) > 0
         assert [Fraction(e, d) for e in v] == expected
+        x = _solve_transposed(*eliminated, b)
+        assert [Fraction(e, d) for e in x] == fraction_solve(transpose(matrix), b)
 
 
 @st.composite
 def square_systems(draw):
     n = draw(st.integers(1, 7))
-    entry = st.integers(-20, 20)
+    # about half the entries 0, so that elimination often meets a zero
+    # pivot and takes a later row, or finds the matrix singular
+    entry = st.just(0) | st.integers(-20, 20)
     return [[draw(entry) for _ in range(n)] for _ in range(n)], [draw(entry) for _ in range(n)]
 
 
@@ -285,18 +306,21 @@ def test_solve_square_matches_a_fraction_solve(system):
 def test_the_inverse_survives_a_negative_divisor(matrix):
     # elimination ends on a negative pivot for each of these matrices; the
     # solves against the unit vectors are still |det| times the columns of
-    # the inverse
+    # the inverse, and the transposed read-outs |det| times its rows
     n, inverse = len(matrix), fraction_inverse(matrix)
     for j in range(n):
-        d, v = _solve_square(matrix, [int(i == j) for i in range(n)])
+        unit = [int(i == j) for i in range(n)]
+        d, v = _solve_square(matrix, unit)
         assert d == abs(fraction_det(matrix))
         assert [Fraction(e, d) for e in v] == [row[j] for row in inverse]
+        x = _solve_transposed(*_eliminate(matrix, [1] * n), unit)
+        assert [Fraction(e, d) for e in x] == inverse[j]
 
 
 @pytest.mark.parametrize(
     "matrix, b",
     [
-        ([[0, 2], [3, 0]], [4, 9]),  # a zero leading pivot: rows 0 and 1 swap
+        ([[0, 2], [3, 0]], [4, 9]),  # a zero leading pivot: row 1 pivots first
         ([[0, 0, 1], [0, 2, 0], [3, 0, 0]], [1, 1, 1]),
         ([[1, 1, -1], [1, 1, 2], [3, -4, 1]], [1, 0, 0]),  # a zero second pivot
         ([[0, 1], [0, 2]], [1, 2]),  # no pivot in column 0: singular
@@ -305,3 +329,28 @@ def test_the_inverse_survives_a_negative_divisor(matrix):
 )
 def test_solve_square_swaps_past_a_zero_pivot(matrix, b):
     assert_solves_like_fractions(matrix, b)
+
+
+def test_the_transposed_read_out_of_a_59x59_support():
+    # the 100x100 disguised game of seed 1: its guessed supports are
+    # 59x59, and the transposed read-out of the certificate's elimination
+    # is a separate elimination of A^T's solution
+    game = gen(GenSpec(Family.DISGUISED_ZERO_SUM, 100, 100, 1))
+    certified = []
+    certify = solvers._certify
+
+    def recording_certify(a, rows, cols):
+        certified.append((a, rows, cols, certify(a, rows, cols)))
+        return certified[-1][-1]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(solvers, "_certify", recording_certify)
+        minimax_solve(to_zero_sum(game, detect_affine(game).transform))
+    ((a, rows, cols, optimum),) = certified
+    assert len(rows) == len(cols) == 59 and optimum is not None
+    square = [[a[i][j] for j in cols] for i in rows]
+    ones = [1] * 59
+    d, x = _solve_square(transpose(square), ones)
+    assert _solve_transposed(*_eliminate(square, ones), ones) == x
+    assert optimum[0] == MixedStrategy.from_weights(solvers._spread(rows, x, len(a)))
+    assert _solve_square(square, ones)[0] == d
