@@ -255,6 +255,39 @@ def test_the_certificate_eliminates_once(monkeypatch, a, rows, cols, elimination
     assert calls == eliminations
 
 
+@pytest.mark.parametrize(
+    "a, rows, cols, solves",
+    [
+        (UNIQUE, (0, 1), (0, 1), 2),
+        (UNIQUE, (0,), (2,), 2),
+        ([[1, 2], [2, 4]], (0, 1), (0, 1), 1),  # a[rows][cols] is singular
+        (UNIQUE, (0, 1), (0, 1, 2), 0),
+        (UNIQUE, (1,), (0, 3), 0),
+        ([[1], [1]], (0,), (0,), 1),  # rows tie: rejected before x is solved
+    ],
+)
+def test_the_certificate_solves_one_system_per_player(monkeypatch, a, rows, cols, solves):
+    # the column player's system is solved by the elimination and its
+    # back-substitution, the row player's by the transposed read-out of
+    # that same elimination
+    calls = {"_eliminate": 0, "_solve_transposed": 0}
+
+    def counting(name):
+        solve = getattr(solvers, name)
+
+        def counted(*args):
+            calls[name] += 1
+            return solve(*args)
+
+        monkeypatch.setattr(solvers, name, counted)
+
+    counting("_eliminate")
+    counting("_solve_transposed")
+    _certify(a, rows, cols)
+    assert calls["_eliminate"] <= 1 and calls["_solve_transposed"] <= 1
+    assert calls["_eliminate"] + calls["_solve_transposed"] == solves
+
+
 def transpose(matrix):
     return [list(col) for col in zip(*matrix)]
 
