@@ -218,16 +218,12 @@ def detect_affine(
 ) -> DetectionResult:
     """Decide adversariality of the mixed extension, with certificate.
 
-    When ``u1`` is constant the game is adversarial exactly when ``u2`` is
-    also constant; the canonical transform (alpha=1, beta=c2+c1) is reported.
-    Otherwise the unique candidate (alpha, beta) is solved from the first
-    row-major anchor pair with distinct ``u1`` values (or from ``anchors``
-    when given, mainly to exercise anchor independence), rejected if
-    alpha <= 0, and verified on every cell.  An entrywise affine relation
-    extends to all mixed profiles by linearity of expectation, so this
-    decides the mixed extension, not just the pure game.  The scan runs on
-    the flat numerators and labels only a witness's cells; anchors outside
-    the game raise ``ValueError``.
+    This is :func:`_fit_affine` on the flat numerators in row-major order,
+    labelling only a witness's cells; ``anchors``, when given (mainly to
+    exercise anchor independence), are the candidate's two cells, and
+    anchors outside the game raise ``ValueError``.  An entrywise affine
+    relation extends to all mixed profiles by linearity of expectation, so
+    this decides the mixed extension, not just the pure game.
     """
     rows, cols = game.rows, game.cols
     if anchors is not None:

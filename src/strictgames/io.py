@@ -4,8 +4,8 @@ A game file is an object with positive integer ``rows`` and ``cols`` and
 row-major ``u1`` and ``u2`` arrays whose entries are JSON integers or
 ``"n/d"`` strings with positive denominators.  Parsing is strict: bytes
 that are not UTF-8, wrong shapes, float entries, or malformed rationals
-raise :class:`FormatError`, and parse(serialize(g)) reproduces ``g``
-bit-exactly.
+raise :class:`FormatError`, as does a key given twice in one object, and
+parse(serialize(g)) reproduces ``g`` bit-exactly.
 
 The reader checks only what JSON adds: an object with the four fields,
 positive integer dimensions and arrays of arrays.  Each matrix is scaled
@@ -38,9 +38,14 @@ class _Memo(dict):
         return value
 
 
-def _entry(v: int, den: int) -> int | str:
-    g = math.gcd(v, den)
-    return v // g if g == den else f"{v // g}/{den // g}"
+def _object(pairs: list[tuple[str, object]]) -> dict:
+    """A JSON object as a dict; a key given twice raises :class:`FormatError`
+    instead of the last copy silently winning."""
+    data = dict(pairs)
+    if len(data) < len(pairs):
+        keys = [key for key, _ in pairs]
+        raise FormatError(f"duplicate key {max(keys, key=keys.count)!r} in a JSON object")
+    return data
 
 
 def game_from_json_dict(data: object) -> BimatrixGame:
@@ -70,8 +75,9 @@ def _matrix_text(num: IntMatrix, den: int) -> str:
     """A matrix as ``json.dumps(..., indent=2)`` lays it out one level deep."""
 
     def literal(v: int) -> str:
-        e = _entry(v, den)
-        return f'"{e}"' if type(e) is str else str(e)  # "n/d" needs no escape
+        g = math.gcd(v, den)
+        # an "n/d" literal needs no escape
+        return str(v // g) if g == den else f'"{v // g}/{den // g}"'
 
     text = _Memo(literal)
     rows = (",\n      ".join(map(text.__getitem__, row)) for row in num)
@@ -88,7 +94,7 @@ def dumps_game(game: BimatrixGame) -> str:
 
 def loads_game(text: str) -> BimatrixGame:
     try:
-        data = json.loads(text)
+        data = json.loads(text, object_pairs_hook=_object)
     except (ValueError, RecursionError) as e:  # malformed, overlong or too deep
         raise FormatError(f"invalid JSON: {e}") from e
     return game_from_json_dict(data)

@@ -2,19 +2,14 @@
 
 Each mechanism is described once, where it is implemented:
 
-- :func:`minimax_solve` maps the row payoffs to the smallest positive
-  integer matrix in their affine class, guesses the optimal basis of its
-  value LP, certifies it, and falls back to the exact simplex.
-- :class:`_Guess` is the guess, the simplex's own pivot loop in fixed point
-  on a packed tableau; :func:`_certify` accepts only a unique optimum, so
-  every answer is the exact simplex's.
-- :class:`_Simplex` is the exact fraction-free simplex.
-- :func:`_eliminate` is the one fraction-free elimination.
-  :func:`_certify` eliminates the support matrix once and reads both
-  players' weights off it, by back-substitution and by
-  :func:`_solve_transposed`.  :func:`_indifference`, a player's support
-  system on its own positive payoffs over :func:`_solve_square`, is the
-  kernel of :func:`support_enumeration`, which cross-checks small games.
+- :func:`_positive_class` maps a payoff matrix to the smallest positive
+  integer matrix in its positive affine class; both solvers run on it.
+- :func:`minimax_solve` guesses the optimal basis of the class's value LP
+  (:class:`_Guess`), certifies it (:func:`_certify`) and falls back to the
+  exact simplex (:class:`_Simplex`).
+- :func:`support_enumeration` solves each support pair's systems with
+  :func:`_indifference` and cross-checks small games.
+- :func:`_eliminate` is the one fraction-free elimination under both.
 
 No float enters any path.
 """
@@ -31,7 +26,7 @@ from operator import mul, neg
 
 from .detection import AffineTransform, detect_affine, to_zero_sum
 from .errors import NotZeroSum, PivotBudgetExceeded, TooLarge
-from .games import BimatrixGame, MixedStrategy, _row_sums
+from .games import BimatrixGame, IntMatrix, MixedStrategy, _row_sums
 from .rational import format_rational
 
 #: Largest row or column count :func:`support_enumeration` accepts.
@@ -418,66 +413,35 @@ def minimax_solve(game: BimatrixGame) -> MinimaxSolution:
 
     Unless ``u2 == -u1`` this raises :class:`NotZeroSum`.  Each matrix is
     in lowest terms over its unique least common denominator, so the test
-    is ``den2 == den1`` and ``num2 == -num1`` on every cell.
-    The LP runs on ``a = (v - low) / g + 1``, where ``u1 == v / den`` over
-    integers, ``low`` is the least entry of ``v`` and ``g`` the gcd of the
-    differences ``v - low`` (1 when every entry is equal).  This is the
-    smallest positive integer matrix in u1's positive affine class, so it
-    depends only on that class: every ``c*u1 + d`` with ``c > 0`` gets the
-    same LP, the same pivots and the same strategies, and a disguised game
-    is solved on its core's own integers.  The value of ``u1`` is
-    ``((low - g) + g*value(a)) / den``.
-
-    Guess, certify, fall back.  :class:`_Guess` runs the simplex's own
-    pivot loop on ``a`` in fixed point and reads the row support ``R`` (the
-    nonbasic slacks) and the column support ``S`` (the basic structurals)
-    off its last basis.  :func:`_certify` then eliminates the square
-    ``a[R][S]`` once and reads off it, exactly, the column player's system
-    on it and the row player's on its transpose (Shapley & Snow 1950).  It
-    accepts only when ``|R| == |S|``, ``a[R][S]`` is nonsingular, every
-    weight is positive and complementarity is strict: rows outside ``R``
-    earn strictly less than the value and columns outside ``S`` concede
-    strictly more.  Such a pair is the game's only optimum (Kaplansky
-    1945; Bohnenblust, Karlin & Shapley 1950), so it is what the exact
-    simplex would return.  When the guess stops on a false unbounded
-    column or its pivot budget, or the certificate fails, the
-    positive-matrix value LP is solved exactly, the column player's
-    optimum read off its primal and the row player's off its dual prices.
-    Both loops have the same budget,
-    ``PIVOTS_PER_DIMENSION * (m + n)`` pivots; a corrupted exact tableau
-    that cannot reach an optimum raises :class:`PivotBudgetExceeded`.
-    Whichever path answers, the guarantee inequalities are re-verified
-    exactly, in integers, on the original matrix before returning.
+    is ``den2 == den1`` and ``num2 == -num1`` on every cell.  The LP runs
+    on u1's :func:`_positive_class`, so every ``c*u1 + d`` with ``c > 0``
+    gets the same pivots and the same strategies.  :class:`_Guess` guesses
+    its supports, :func:`_certify` accepts them only when they carry the
+    game's unique optimum, and otherwise :class:`_Simplex` solves the LP
+    exactly.  Both loops have the same budget, ``PIVOTS_PER_DIMENSION * (m
+    + n)`` pivots: the guess then falls back, and the exact simplex raises
+    :class:`PivotBudgetExceeded`.  Whichever path answers, the guarantee
+    inequalities are re-verified exactly, in integers, on ``u1`` before
+    returning.
 
     The value is unique.  When the optimal strategy set is not a single
-    point, the certificate fails, so the exact simplex answers, and which
-    optimal strategy it returns depends on the pivoting rule and may change
-    between versions.
+    point, the exact simplex answers, and which optimal strategy it returns
+    depends on the pivoting rule and may change between versions.
     """
     minus_num1 = tuple(tuple(map(neg, row)) for row in game.num1)
     if (game.den2, game.num2) != (game.den1, minus_num1):
         raise NotZeroSum(f"u2 is not -u1: {detect_affine(game).to_json_dict()}")
-    m, n = game.rows, game.cols
     den, v = game.den1, game.num1  # u1 == v / den
-    low = min(min(row) for row in v)
-    # v == (low - g) + g*a, so u1 and a share their optima; g is 0 only
-    # when every entry equals low, and then any g > 0 will do
-    g = math.gcd(*(entry - low for row in v for entry in row)) or 1
-    a = [[(entry - low) // g + 1 for entry in row] for row in v]
-
+    a, low, g = _positive_class(v)
     supports = _guess_supports(a)
     optimum = _certify(a, *supports) if supports else None
     if optimum is None:
-        div, total, q, p = _Simplex(a, [1] * m, [1] * n).solve()
+        div, total, q, p = _Simplex(a, [1] * game.rows, [1] * game.cols).solve()
         # the LP optimum total/div is the reciprocal of the value of a
-        optimum = (
-            MixedStrategy.from_weights(p),
-            MixedStrategy.from_weights(q),
-            Fraction(div, total),
-        )
+        x, y = MixedStrategy.from_weights(p), MixedStrategy.from_weights(q)
+        optimum = x, y, Fraction(div, total)
     x, y, value_a = optimum
-    # alpha*u1 - beta == a, so u1's value is a's mapped back
-    value = AffineTransform(Fraction(den, g), Fraction(low - g, g)).u1_value(value_a)
+    value = _class_value(value_a.numerator, value_a.denominator, low, g, den)
 
     # sum_i x_i u1_ij >= value, cross-multiplied by the positive
     # denominators of x, u1 and value; likewise for y
@@ -487,6 +451,24 @@ def minimax_solve(game: BimatrixGame) -> MinimaxSolution:
     if any(s * vden > num * y.den * den for s in _row_sums(v, y.weights)):
         raise AssertionError("column guarantee certificate failed")
     return MinimaxSolution(value=value, row_strategy=x, col_strategy=y)
+
+
+def _positive_class(v: IntMatrix) -> tuple[list[list[int]], int, int]:
+    """``(a, low, g)`` with ``a = (v - low) // g + 1``, the smallest
+    positive integer matrix in the positive affine class of ``v``: ``low``
+    is the least entry of ``v`` and ``g`` the gcd of the differences ``v -
+    low``, 1 when every entry is equal.  So every ``c*v + e`` with ``c >
+    0`` has the same ``a``, and as ``v == (low - g) + g*a`` the two share
+    their best replies, indifference solutions and optima.
+    """
+    low = min(map(min, v))
+    g = math.gcd(*(entry - low for row in v for entry in row)) or 1
+    return [[(entry - low) // g + 1 for entry in row] for row in v], low, g
+
+
+def _class_value(d: int, s: int, low: int, g: int, den: int) -> Fraction:
+    """The payoff ``v / den`` whose positive class ``a`` pays ``d / s``."""
+    return Fraction(g * d + (low - g) * s, s * den)
 
 
 def _guess_supports(
@@ -531,24 +513,12 @@ def _certify(
     The pair is accepted only when ``A`` is nonsingular, both weights are
     positive and complementarity is strict on ``a`` itself: ``a y <= d``
     with at most ``k`` ties and ``x a >= d`` with at most ``k`` ties, ``k
-    = |rows|``.  Any optimal ``y`` then concedes the value on every row of
-    ``rows`` (``x`` is positive there) and puts no weight outside ``cols``
-    (``x`` earns more there), so it solves ``A y = value 1``, which has
-    one solution as ``A`` is nonsingular.  Likewise for ``x``.
-
-    This accepts exactly what the row player's own system on the column
-    player's positive payoffs ``top - a^T``, ``top = max(a) + 1``, accepts
-    under :func:`_indifference`'s checks.  Its weights ``X`` solve ``(top
-    J - A^T) X = d' 1``, so ``X = (top s - d') A^-T 1`` with ``s =
-    sum(X)``, and ``top s - d' = (a^T X)_j`` for each ``j`` in ``cols``,
-    which is positive when ``X`` is.  With ``A`` nonsingular, ``top J -
-    A^T`` is singular only when ``top = 1 / sum(A^-T 1)``, and when ``x >
-    0`` that is a weighted mean of entries of ``a``, below ``top``.  So
-    whenever either of ``x`` and ``X`` is positive both are, one a
-    positive multiple of the other; a column earns the column player at
-    most ``d'`` against ``X`` exactly when it concedes at least ``d``
-    against ``x``, with the same ties, and both systems accept the same
-    supports.
+    = |rows|``.  Then it is the game's only optimum (Kaplansky 1945;
+    Bohnenblust, Karlin & Shapley 1950), so the exact simplex would return
+    it too: any optimal ``y`` concedes the value on every row of ``rows``
+    (``x`` is positive there) and puts no weight outside ``cols`` (``x``
+    earns more there), so it solves ``A y = value 1``, which has one
+    solution as ``A`` is nonsingular.  Likewise for ``x``.
     """
     k = len(rows)
     if len(cols) != k:
@@ -680,40 +650,35 @@ def _solve_transposed(
 def support_enumeration(game: BimatrixGame) -> EquilibriumSet:
     """All equilibria found by equal-size support enumeration.
 
-    Each player's numerators are shifted by a constant to be positive,
-    ``num1 - min(num1) + 1`` for the row player and the same on ``num2``
-    transposed for the column player, which changes no indifference
-    solution and moves the payoff by the shift.  For each support pair
-    :func:`_indifference` solves both systems, as the certificate does;
-    candidates must put strictly positive weight on their support and
-    survive the exact best-response inequalities, all checked in integers.
-    Against weights ``w`` summing to ``s`` an owner whose shifted support
-    earns ``d`` is paid ``(d + (min - 1)*s) / (s*den)``.
-    Singular systems are skipped, so completeness is claimed only for
-    nondegenerate games.  A game with more than :data:`MAX_ENUM_DIM` rows
-    or columns raises :class:`TooLarge`.
+    Each player's payoffs are solved in their :func:`_positive_class`,
+    ``num1`` for the row player and ``num2`` transposed for the column
+    player, which changes no indifference solution, and each payoff is
+    mapped back by :func:`_class_value`.  For each support pair
+    :func:`_indifference` solves both systems; candidates must put strictly
+    positive weight on their support and survive the exact best-response
+    inequalities, all checked in integers.  Singular systems are skipped,
+    so completeness is claimed only for nondegenerate games.  A game with
+    more than :data:`MAX_ENUM_DIM` rows or columns raises :class:`TooLarge`.
 
     Pruning (Porter, Nudelman & Shoham 2008): a pair ``(R, S)`` is not
     solved when some row in ``R`` earns the row player strictly less than
     some other row on every column of ``S``, or some column in ``S`` earns
     the column player strictly less than some other column on every row of
-    ``R``.  A solution with
-    positive weights would pay the dominated action exactly the
-    indifference value and its dominator strictly more, so the
+    ``R``.  A solution with positive weights would pay the dominated action
+    exactly the indifference value and its dominator strictly more, so the
     best-response check would reject the pair; without one it yields
-    nothing either.  The pairs run in the same order, so the equilibria
-    and their order are those of the unpruned loop, degenerate games
-    included; singular systems are met only among the pairs still solved.
+    nothing either.  The pairs run in the same order, so the equilibria and
+    their order are those of the unpruned loop, degenerate games included;
+    singular systems are met only among the pairs still solved.
     """
     if game.rows > MAX_ENUM_DIM or game.cols > MAX_ENUM_DIM:
         raise TooLarge(
             f"{game.rows}x{game.cols} exceeds the enumeration cap {MAX_ENUM_DIM}"
         )
     m, n = game.rows, game.cols
-    # each player's own numerators shifted by min - 1, one row per own action
-    low1, low2 = (min(map(min, num)) - 1 for num in (game.num1, game.num2))
-    p1 = [[v - low1 for v in row] for row in game.num1]
-    p2 = [[v - low2 for v in col] for col in zip(*game.num2)]
+    # each player's positive class, one row per own action
+    p1, low1, g1 = _positive_class(game.num1)
+    p2, low2, g2 = _positive_class(tuple(zip(*game.num2)))
     # bitmask of the undominated rows per column support, and vice versa
     rows_fit = _undominated(p1, n)
     cols_fit = _undominated(p2, m)
@@ -733,11 +698,10 @@ def support_enumeration(game: BimatrixGame) -> EquilibriumSet:
                 if x is None:
                     continue
                 # at the equilibrium each player earns the indifference value
-                (wy, dy, _), (wx, dx, _) = y, x
-                sy, sx = sum(wy), sum(wx)
+                (wy, dy), (wx, dx) = y, x
                 payoffs = (
-                    Fraction(dy + low1 * sy, sy * game.den1),
-                    Fraction(dx + low2 * sx, sx * game.den2),
+                    _class_value(dy, sum(wy), low1, g1, game.den1),
+                    _class_value(dx, sum(wx), low2, g2, game.den2),
                 )
                 x_mix, y_mix = (MixedStrategy.from_weights(w) for w in (wx, wy))
                 found.append(Equilibrium(x_mix, y_mix, payoffs))
@@ -772,26 +736,13 @@ def _undominated(payoff: list[list[int]], others: int) -> list[int]:
 
 def _indifference(
     payoff: list[list[int]], own: tuple[int, ...], other: tuple[int, ...]
-) -> tuple[list[int], int, int] | None:
-    """``(weights, d, ties)`` for the owner of the positive integer matrix
+) -> tuple[list[int], int] | None:
+    """``(weights, d)`` for the owner of the positive integer matrix
     ``payoff``, one row per own action: opponent weights on ``other``, 0
-    elsewhere, against which each action of ``own`` earns ``d``, and how
-    many own actions earn exactly ``d``.  None when ``A =
-    payoff[own][other]`` is singular, a weight is not positive or an own
-    action earns more than ``d``.  The weights are ``d A^-1 1`` with
-    ``d = |det A|``, from :func:`_solve_square`.
-
-    This accepts exactly what the bordered system ``M [y; v] = e_last``,
-    ``M = [[A, -1], [1...1, 0]]`` (each action of ``own`` earns ``v``
-    against weights ``y`` that sum to 1), accepts under the same checks.
-    ``M`` is nonsingular with ``v != 0`` exactly when ``A`` is nonsingular
-    and ``s = sum(A^-1 1) != 0``, and then ``y`` is ``A^-1 1 / s``: a null
-    vector of ``A`` summing to 1 solves ``M`` with ``v = 0``, one summing
-    to 0 is a null vector of ``M`` too, and with ``A`` nonsingular ``s`` is
-    ``M``'s Schur complement.  Positive payoffs and positive weights make
-    ``v > 0`` and ``s > 0``, so each side's accepted weights are the
-    other's times a positive number, and the best-response checks do not
-    depend on the scale.
+    elsewhere, against which each action of ``own`` earns ``d``.  None
+    when ``A = payoff[own][other]`` is singular, a weight is not positive
+    or an own action earns more than ``d``.  The weights are ``d A^-1 1``
+    with ``d = |det A|``, from :func:`_solve_square`.
     """
     square = [[payoff[i][j] for j in other] for i in own]
     solved = _solve_square(square, [1] * len(own))
@@ -801,10 +752,9 @@ def _indifference(
     if min(weights) <= 0:
         return None
     weights = _spread(other, weights, len(payoff[0]))
-    earned = _row_sums(payoff, weights)
-    if max(earned) > d:
+    if max(_row_sums(payoff, weights)) > d:
         return None
-    return weights, d, earned.count(d)
+    return weights, d
 
 
 def _spread(support: tuple[int, ...], weights: list[int], size: int) -> list[int]:

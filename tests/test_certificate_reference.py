@@ -6,6 +6,8 @@ system on ``a[rows][cols]`` is solved on its own by Gauss-Jordan, the row
 player's on ``-a`` transposed, and each is checked for positive weights,
 best responses and extra ties.  On every input the certificate and the
 reference must return the same strategies and value, or both None.
+``tests/test_enumeration_reference.py`` argues why a bordered system
+accepts what the package's ``A y = d 1`` accepts.
 
 The certificate eliminates ``A = a[rows][cols]`` once, fraction-free
 (:func:`_eliminate`): the column player's weights come from

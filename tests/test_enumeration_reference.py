@@ -11,6 +11,18 @@ The reference shares no linear algebra with the package: each system is
 bordered, ``[[payoff[own][other], -1], [1...1, 0]]`` times the weights and
 the payoff equal to ``e_last``, on the unshifted payoffs, and solved by
 Gauss-Jordan over ``Fraction``.
+
+Why the two accept the same candidates.  As the weights sum to 1, a
+positive affine map of the payoffs keeps the bordered system's
+nonsingularity and weights and maps its payoff alike, so it may be posed
+on the package's positive class ``A``.  There ``M = [[A, -1], [1...1,
+0]]`` is nonsingular with ``v != 0`` exactly when ``A`` is nonsingular and
+``s = sum(A^-1 1) != 0``, and then its weights are ``A^-1 1 / s``: a null
+vector of ``A`` summing to 1 solves ``M`` with ``v = 0``, one summing to 0
+is a null vector of ``M`` too, and with ``A`` nonsingular ``s`` is ``M``'s
+Schur complement.  Positive payoffs and positive weights make ``v > 0``
+and ``s > 0``, so each side's accepted weights are the other's times a
+positive number, and the best-response checks do not depend on the scale.
 """
 
 from fractions import Fraction

@@ -184,6 +184,26 @@ def test_reject_non_object():
         loads_game("not json")
 
 
+@pytest.mark.parametrize(
+    "key, text",
+    [
+        ("u1", '{"rows": 1, "cols": 1, "u1": [[1]], "u1": [[2]], "u2": [[-1]]}'),
+        ("rows", '{"rows": 2, "rows": 1, "cols": 1, "u1": [[1]], "u2": [[-1]]}'),
+    ],
+    ids=["u1", "rows"],
+)
+def test_reject_duplicate_keys(key, text, tmp_path, capsys):
+    """JSON lets a key repeat and json.loads keeps its last value; a game
+    file that gives a field twice is malformed input (exit 2), and the
+    error names the key."""
+    with pytest.raises(FormatError, match=f"duplicate key '{key}'"):
+        loads_game(text)
+    path = tmp_path / "twice.json"
+    path.write_text(text, encoding="utf-8")
+    assert run_cli(["check", str(path)]) == 2
+    assert f"'{key}'" in capsys.readouterr().err
+
+
 def test_deeply_nested_file_is_malformed_input(tmp_path, capsys):
     """json.loads raises RecursionError, not ValueError, past its nesting
     limit; that is malformed input (exit 2), not a negative verdict."""

@@ -814,16 +814,31 @@ offset = st.fractions(min_value=-9, max_value=9, max_denominator=9)
 def test_support_enumeration_invariant_under_positive_affine_maps(
     matrices, a1, b1, a2, b2
 ):
-    # a positive affine map of one player's payoffs keeps every best
-    # response, and maps each indifference system to an equivalent one
+    # a positive affine map of one player's payoffs keeps its positive
+    # class, so the game and its image solve the same square systems, in
+    # the same order, and find the same equilibria
     u1, u2 = matrices
-    base = support_enumeration(new_game(u1, u2))
-    mapped = support_enumeration(
+    solve_square = solvers._solve_square
+
+    def enumerate_recording(game):
+        systems = []
+
+        def recording_solve_square(a, b):
+            systems.append((a, b))
+            return solve_square(a, b)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(solvers, "_solve_square", recording_solve_square)
+            return support_enumeration(game), systems
+
+    base, base_systems = enumerate_recording(new_game(u1, u2))
+    mapped, mapped_systems = enumerate_recording(
         new_game(
             [[a1 * v + b1 for v in row] for row in u1],
             [[a2 * v + b2 for v in row] for row in u2],
         )
     )
+    assert mapped_systems == base_systems
     assert mapped.strategy_set() == base.strategy_set()
     assert len(mapped) == len(base)
     for e, f in zip(base, mapped):
