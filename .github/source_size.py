@@ -11,7 +11,6 @@ gates nothing; it only reports.
 """
 
 import io
-import sys
 import tokenize
 from pathlib import Path
 
@@ -35,9 +34,9 @@ def code_lines(text: str) -> int:
     return len(lines)
 
 
-def main(root: str = "src/strictgames") -> None:
+def main() -> None:
     total_lines = total_code = 0
-    for path in sorted(Path(root).glob("*.py")):
+    for path in sorted(Path("src/strictgames").glob("*.py")):
         text = path.read_text(encoding="utf-8")
         lines, code = text.count("\n"), code_lines(text)
         total_lines += lines
@@ -47,4 +46,4 @@ def main(root: str = "src/strictgames") -> None:
 
 
 if __name__ == "__main__":
-    main(*sys.argv[1:])
+    main()

@@ -43,8 +43,9 @@ def _object(pairs: list[tuple[str, object]]) -> dict:
     instead of the last copy silently winning."""
     data = dict(pairs)
     if len(data) < len(pairs):
-        keys = [key for key, _ in pairs]
-        raise FormatError(f"duplicate key {max(keys, key=keys.count)!r} in a JSON object")
+        seen: set[str] = set()  # set.add returns None, so this finds the first repeat
+        key = next(k for k, _ in pairs if k in seen or seen.add(k))
+        raise FormatError(f"duplicate key {key!r} in a JSON object")
     return data
 
 

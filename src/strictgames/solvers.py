@@ -233,11 +233,14 @@ class _Simplex:
         """
         self.optimize()
         obj = self._objective()
-        dual = [0] * self.m
+        primal, dual = [0] * self.n, [0] * self.m
         for col, var in enumerate(self.nonbasic):
             if var >= self.n:
                 dual[var - self.n] = obj[col]
-        return self.div, obj[-1], self._primal(), dual
+        for var, row in zip(self.basis, self.rows):
+            if var < self.n:
+                primal[var] = row[-1]
+        return self.div, obj[-1], primal, dual
 
     def optimize(self) -> None:
         """Pivot until no reduced cost is negative; the optimal basis is
@@ -257,14 +260,6 @@ class _Simplex:
             row = self._leaving(column, rhs)
             run = run + 1 if rhs[row] == 0 else 0
             self._pivot(row, col, column)
-
-    def _primal(self) -> list[int]:
-        # any column comes with the right-hand side
-        primal = [0] * self.n
-        for var, value in zip(self.basis, self._column(0)[1]):
-            if var < self.n:
-                primal[var] = value
-        return primal
 
 
 class _Guess(_Simplex):
@@ -431,17 +426,18 @@ def minimax_solve(game: BimatrixGame) -> MinimaxSolution:
     minus_num1 = tuple(tuple(map(neg, row)) for row in game.num1)
     if (game.den2, game.num2) != (game.den1, minus_num1):
         raise NotZeroSum(f"u2 is not -u1: {detect_affine(game).to_json_dict()}")
+    m, n = game.rows, game.cols
     den, v = game.den1, game.num1  # u1 == v / den
     a, low, g = _positive_class(v)
     supports = _guess_supports(a)
     optimum = _certify(a, *supports) if supports else None
     if optimum is None:
-        div, total, q, p = _Simplex(a, [1] * game.rows, [1] * game.cols).solve()
+        div, total, q, p = _Simplex(a, [1] * m, [1] * n).solve()
         # the LP optimum total/div is the reciprocal of the value of a
-        x, y = MixedStrategy.from_weights(p), MixedStrategy.from_weights(q)
-        optimum = x, y, Fraction(div, total)
-    x, y, value_a = optimum
-    value = _class_value(value_a.numerator, value_a.denominator, low, g, den)
+        optimum = p, q, div, total
+    p, q, d, s = optimum  # a's value is d / s
+    x, y = MixedStrategy.from_weights(p), MixedStrategy.from_weights(q)
+    value = _class_value(d, s, low, g, den)
 
     # sum_i x_i u1_ij >= value, cross-multiplied by the positive
     # denominators of x, u1 and value; likewise for y
@@ -499,10 +495,11 @@ def _guess_supports(
 
 def _certify(
     a: list[list[int]], rows: tuple[int, ...], cols: tuple[int, ...]
-) -> tuple[MixedStrategy, MixedStrategy, Fraction] | None:
-    """``(x, y, value)`` of the matrix game ``a`` (the row player's
-    payoffs, all positive) when it has exactly one optimal strategy pair
-    and its supports are ``rows`` and ``cols``; None otherwise.
+) -> tuple[list[int], list[int], int, int] | None:
+    """``(x, y, d, s)``, the two strategies' integer weights and the value
+    ``d / s`` of the matrix game ``a`` (the row player's payoffs, all
+    positive), when it has exactly one optimal strategy pair and its
+    supports are ``rows`` and ``cols``; None otherwise.
 
     One fraction-free elimination of the square ``A = a[rows][cols]``
     gives both players' weights (Shapley & Snow 1950): the column player's
@@ -540,7 +537,7 @@ def _certify(
     conceded = _row_sums(zip(*a), x)
     if min(conceded) < d or conceded.count(d) > k:
         return None
-    return MixedStrategy.from_weights(x), MixedStrategy.from_weights(y), Fraction(d, sum(y))
+    return x, y, d, sum(y)
 
 
 def _eliminate(

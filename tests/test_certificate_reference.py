@@ -6,8 +6,14 @@ system on ``a[rows][cols]`` is solved on its own by Gauss-Jordan, the row
 player's on ``-a`` transposed, and each is checked for positive weights,
 best responses and extra ties.  On every input the certificate and the
 reference must return the same strategies and value, or both None.
-``tests/test_enumeration_reference.py`` argues why a bordered system
-accepts what the package's ``A y = d 1`` accepts.
+``tests/test_enumeration_reference.py`` argues why a bordered system on a
+positive matrix accepts what the package's ``A y = d 1`` accepts, which
+covers the column player.  The row player's system is bordered on
+``-A^T``: negating the payoffs keeps its nonsingularity and weights and
+negates its payoff ``w``, so ``x = -w A^-T 1``, positive weights on the
+positive ``A`` force ``-w > 0``, and the same argument holds on ``A^T``
+with the sign flipped; its check on column ``j``, ``-(x a)_j <= w``, is
+the package's ``(x a)_j >= -w``.
 
 The certificate eliminates ``A = a[rows][cols]`` once, fraction-free
 (:func:`_eliminate`): the column player's weights come from
@@ -120,6 +126,16 @@ def outcome(optimum):
     return x.probs, y.probs, value
 
 
+def certificate(a, rows, cols):
+    """:func:`_certify`'s integer answer as ``(x, y, value)``, as the
+    reference gives it."""
+    optimum = _certify(a, rows, cols)
+    if optimum is None:
+        return None
+    x, y, d, s = optimum
+    return MixedStrategy.from_weights(x), MixedStrategy.from_weights(y), Fraction(d, s)
+
+
 @st.composite
 def certificate_inputs(draw):
     """A positive matrix as ``minimax_solve`` builds it (entries in
@@ -152,7 +168,7 @@ def certificate_inputs(draw):
 @given(certificate_inputs())
 def test_one_solve_certificate_matches_the_two_solve_reference(case):
     a, rows, cols = case
-    assert outcome(_certify(a, rows, cols)) == outcome(reference_certify(a, rows, cols))
+    assert outcome(certificate(a, rows, cols)) == outcome(reference_certify(a, rows, cols))
 
 
 def rejections(a, rows, cols):
@@ -209,7 +225,7 @@ def test_an_accepted_certificate():
     # positive matrix of UNIQUE_2X4 in tests/test_solvers.py
     a = [[5, 2, 6, 4], [2, 6, 1, 5]]
     assert rejections(a, (0, 1), (0, 1)) == set()
-    x, y, value = _certify(a, (0, 1), (0, 1))
+    x, y, value = certificate(a, (0, 1), (0, 1))
     seven = Fraction(1, 7)
     assert (x.probs, y.probs, value) == (
         (4 * seven, 3 * seven),
@@ -387,5 +403,5 @@ def test_the_transposed_read_out_of_a_59x59_support():
     ones = [1] * 59
     d, x = _solve_square(transpose(square), ones)
     assert _solve_transposed(*_eliminate(square, ones), ones) == x
-    assert optimum[0] == MixedStrategy.from_weights(solvers._spread(rows, x, len(a)))
+    assert optimum[0] == solvers._spread(rows, x, len(a))
     assert _solve_square(square, ones)[0] == d

@@ -10,7 +10,9 @@ from strictgames.errors import EmptyGame, FormatError, ShapeMismatch
 from strictgames.detection import AffineTransform
 from strictgames.games import MixedStrategy, mix, new_game
 from strictgames.generators import Family, GenSpec, gen
-from strictgames.io import dumps_game, game_from_json_dict, load_game, loads_game
+from strictgames.io import (
+    _object, dumps_game, game_from_json_dict, load_game, loads_game,
+)
 from strictgames.rational import format_rational, parse_rational
 
 
@@ -202,6 +204,26 @@ def test_reject_duplicate_keys(key, text, tmp_path, capsys):
     path.write_text(text, encoding="utf-8")
     assert run_cli(["check", str(path)]) == 2
     assert f"'{key}'" in capsys.readouterr().err
+
+
+def test_duplicate_key_search_is_linear():
+    """Naming the repeated key compares each key a bounded number of times,
+    so a file with many distinct keys and one repeat fails at once instead
+    of in time quadratic in the number of keys."""
+
+    class Key(str):
+        compared = 0
+
+        def __eq__(self, other):
+            Key.compared += 1
+            return str.__eq__(self, other)
+
+        __hash__ = str.__hash__
+
+    pairs = [(Key(f"k{i}"), i) for i in range(1000)] + [(Key("k7"), 0)]
+    with pytest.raises(FormatError, match="duplicate key 'k7'"):
+        _object(pairs)
+    assert Key.compared <= len(pairs)
 
 
 def test_deeply_nested_file_is_malformed_input(tmp_path, capsys):

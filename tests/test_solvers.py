@@ -541,10 +541,10 @@ def test_a_wide_lp_certifies_or_falls_back_to_the_exact_answer(a):
     supports = solvers._guess_supports(a)
     optimum = solvers._certify(a, *supports) if supports else None
     if optimum is not None:
-        x, y, value = optimum
-        assert x.probs == MixedStrategy.from_weights(p).probs
-        assert y.probs == MixedStrategy.from_weights(q).probs
-        assert value == F(div, total)
+        x, y, d, s = optimum
+        assert MixedStrategy.from_weights(x) == MixedStrategy.from_weights(p)
+        assert MixedStrategy.from_weights(y) == MixedStrategy.from_weights(q)
+        assert F(d, s) == F(div, total)
     g = zero_sum(a)
     assert minimax_solve(g).to_json_dict() == solve_exactly(g).to_json_dict()
 
