@@ -56,10 +56,14 @@ class Lens(enum.Enum):
 class InducedPreference:
     """Profile preference represented by a bilinear utility of the game:
     ``x @ M @ y / (dx * dy * den)`` for weights ``x``, ``y`` with sums ``dx``,
-    ``dy``, the lens matrix ``M`` (``-num1`` or ``num2``) and its ``den``."""
+    ``dy``, the lens matrix ``M`` (``-num1`` or ``num2``) and its ``den``;
+    ``lens`` may be given by its value, and any other raises ``ValueError``."""
 
     game: BimatrixGame
     lens: Lens
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "lens", Lens(self.lens))
 
     @cached_property
     def _lens(self) -> tuple[IntMatrix, IntMatrix, int]:
@@ -301,4 +305,4 @@ def audit_mixture_axioms(
         name: _audit(sample, pref, random.Random(seed * 8 + k), samples)
         for k, (name, sample) in enumerate(zip(AXIOM_NAMES, auditors))
     }
-    return AxiomReport(lens=lens, samples=samples, seed=seed, axioms=stats)
+    return AxiomReport(lens=pref.lens, samples=samples, seed=seed, axioms=stats)

@@ -46,7 +46,7 @@ class Family(enum.Enum):
 
 @dataclass(frozen=True)
 class GenSpec:
-    """Everything a generator draw depends on."""
+    """Everything a generator draw depends on; ``family`` may be a value."""
 
     family: Family
     rows: int
@@ -55,6 +55,7 @@ class GenSpec:
     value_bound: int = 20
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "family", Family(self.family))
         if self.rows < 1 or self.cols < 1:
             raise BadSpec("dimensions must be >= 1")
         if self.value_bound < 1:
@@ -144,14 +145,8 @@ def gen_strategic(rng: random.Random, spec: GenSpec) -> BimatrixGame:
     core = _random_matrix(rng, spec.rows, spec.cols, spec.value_bound)
     col_off = [rng.randint(-spec.value_bound, spec.value_bound) for _ in range(spec.cols)]
     row_off = [rng.randint(-spec.value_bound, spec.value_bound) for _ in range(spec.rows)]
-    u1 = [
-        [core[i][j] + col_off[j] for j in range(spec.cols)]
-        for i in range(spec.rows)
-    ]
-    u2 = [
-        [-core[i][j] + row_off[i] for j in range(spec.cols)]
-        for i in range(spec.rows)
-    ]
+    u1 = [[v + off for v, off in zip(row, col_off)] for row in core]
+    u2 = [[-v + off for v in row] for row, off in zip(core, row_off)]
     game = new_game(u1, u2)
     if strategically_zero_sum_detect(game) is None:
         raise AssertionError("strategic construction failed verification")

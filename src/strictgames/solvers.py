@@ -7,9 +7,9 @@ Each mechanism is described once, where it is implemented:
 - :func:`minimax_solve` guesses the optimal basis of the class's value LP
   (:class:`_Guess`), certifies it (:func:`_certify`) and falls back to the
   exact simplex (:class:`_Simplex`).
-- :func:`support_enumeration` solves each support pair's systems with
-  :func:`_indifference` and cross-checks small games.
-- :func:`_eliminate` is the one fraction-free elimination under both.
+- :func:`_indifference` solves one square support system, for the
+  certificate and for :func:`support_enumeration`, on :func:`_eliminate`,
+  the one fraction-free elimination.
 
 No float enters any path.
 """
@@ -225,11 +225,10 @@ class _Simplex:
         self.div = pivot
         self.basis[row], self.nonbasic[col] = self.nonbasic[col], self.basis[row]
 
-    def solve(self) -> tuple[int, int, list[int], list[int]]:
-        """Optimum as integer numerators over the final divisor ``div``:
-        ``(div, objective, primal, dual)``, where the optimal objective is
-        ``objective / div``, variable ``j`` is ``primal[j] / div`` and the
-        dual price of row ``i`` is ``dual[i] / div``.
+    def solve(self) -> tuple[list[int], list[int], int, int]:
+        """``(dual, primal, div, objective)``: the optimum's dual prices,
+        variables and objective as integer numerators over the final divisor
+        ``div``; on a value LP, :func:`_certify`'s ``(x, y, d, s)``.
         """
         self.optimize()
         obj = self._objective()
@@ -240,7 +239,7 @@ class _Simplex:
         for var, row in zip(self.basis, self.rows):
             if var < self.n:
                 primal[var] = row[-1]
-        return self.div, obj[-1], primal, dual
+        return dual, primal, self.div, obj[-1]
 
     def optimize(self) -> None:
         """Pivot until no reduced cost is negative; the optimal basis is
@@ -432,9 +431,7 @@ def minimax_solve(game: BimatrixGame) -> MinimaxSolution:
     supports = _guess_supports(a)
     optimum = _certify(a, *supports) if supports else None
     if optimum is None:
-        div, total, q, p = _Simplex(a, [1] * m, [1] * n).solve()
-        # the LP optimum total/div is the reciprocal of the value of a
-        optimum = p, q, div, total
+        optimum = _Simplex(a, [1] * m, [1] * n).solve()
     p, q, d, s = optimum  # a's value is d / s
     x, y = MixedStrategy.from_weights(p), MixedStrategy.from_weights(q)
     value = _class_value(d, s, low, g, den)
@@ -501,11 +498,10 @@ def _certify(
     positive), when it has exactly one optimal strategy pair and its
     supports are ``rows`` and ``cols``; None otherwise.
 
-    One fraction-free elimination of the square ``A = a[rows][cols]``
-    gives both players' weights (Shapley & Snow 1950): the column player's
-    ``y = d A^-1 1`` by back-substitution and the row player's ``x = d
-    A^-T 1`` by :func:`_solve_transposed`, ``d = |det A|``.  Every row of
-    ``rows`` earns ``d`` against ``y``, so the value is ``d / sum(y)``.
+    :func:`_indifference` solves the column player's system on ``A =
+    a[rows][cols]``, and :func:`_solve_transposed` reads the row player's
+    ``x = d A^-T 1`` off its elimination (Shapley & Snow 1950); each row
+    of ``rows`` earns ``d`` against ``y``, so the value is ``d / sum(y)``.
 
     The pair is accepted only when ``A`` is nonsingular, both weights are
     positive and complementarity is strict on ``a`` itself: ``a y <= d``
@@ -520,15 +516,11 @@ def _certify(
     k = len(rows)
     if len(cols) != k:
         return None
-    eliminated = _eliminate([[a[i][j] for j in cols] for i in rows], [1] * k)
-    if eliminated is None:
+    solved = _indifference(a, rows, cols)
+    if solved is None:
         return None
-    d, y = _back_substitute(eliminated[0])
-    if min(y) <= 0:
-        return None
-    y = _spread(cols, y, len(a[0]))
-    earned = _row_sums(a, y)
-    if max(earned) > d or earned.count(d) > k:
+    y, d, ties, eliminated = solved
+    if ties > k:
         return None
     x = _solve_transposed(*eliminated, [1] * k)
     if min(x) <= 0:
@@ -596,14 +588,6 @@ def _back_substitute(upper: list[list[int]]) -> tuple[int, list[int]]:
     return (q, v) if q > 0 else (-q, [-e for e in v])
 
 
-def _solve_square(a: list[list[int]], b: list[int]) -> tuple[int, list[int]] | None:
-    """``(d, v)`` with ``d = |det a|`` and ``v = d a^-1 b`` in integers,
-    for a square integer matrix ``a``; None exactly when ``a`` is
-    singular."""
-    eliminated = _eliminate(a, b)
-    return None if eliminated is None else _back_substitute(eliminated[0])
-
-
 def _solve_transposed(
     upper: list[list[int]], lower: list[tuple[int, list[int]]], b: list[int]
 ) -> list[int]:
@@ -668,11 +652,9 @@ def support_enumeration(game: BimatrixGame) -> EquilibriumSet:
     their order are those of the unpruned loop, degenerate games included;
     singular systems are met only among the pairs still solved.
     """
-    if game.rows > MAX_ENUM_DIM or game.cols > MAX_ENUM_DIM:
-        raise TooLarge(
-            f"{game.rows}x{game.cols} exceeds the enumeration cap {MAX_ENUM_DIM}"
-        )
     m, n = game.rows, game.cols
+    if m > MAX_ENUM_DIM or n > MAX_ENUM_DIM:
+        raise TooLarge(f"{m}x{n} exceeds the enumeration cap {MAX_ENUM_DIM}")
     # each player's positive class, one row per own action
     p1, low1, g1 = _positive_class(game.num1)
     p2, low2, g2 = _positive_class(tuple(zip(*game.num2)))
@@ -695,7 +677,7 @@ def support_enumeration(game: BimatrixGame) -> EquilibriumSet:
                 if x is None:
                     continue
                 # at the equilibrium each player earns the indifference value
-                (wy, dy), (wx, dx) = y, x
+                (wy, dy, *_), (wx, dx, *_) = y, x
                 payoffs = (
                     _class_value(dy, sum(wy), low1, g1, game.den1),
                     _class_value(dx, sum(wx), low2, g2, game.den2),
@@ -733,25 +715,27 @@ def _undominated(payoff: list[list[int]], others: int) -> list[int]:
 
 def _indifference(
     payoff: list[list[int]], own: tuple[int, ...], other: tuple[int, ...]
-) -> tuple[list[int], int] | None:
-    """``(weights, d)`` for the owner of the positive integer matrix
-    ``payoff``, one row per own action: opponent weights on ``other``, 0
-    elsewhere, against which each action of ``own`` earns ``d``.  None
-    when ``A = payoff[own][other]`` is singular, a weight is not positive
-    or an own action earns more than ``d``.  The weights are ``d A^-1 1``
-    with ``d = |det A|``, from :func:`_solve_square`.
+) -> tuple[list[int], int, int, tuple] | None:
+    """``(weights, d, ties, eliminated)`` for the owner of the positive
+    integer matrix ``payoff``, one row per own action: opponent weights
+    ``d A^-1 1`` on ``other``, 0 elsewhere, with ``A = payoff[own][other]``
+    and ``d = |det A|``, against which each action of ``own`` earns ``d``;
+    ``ties`` actions earn exactly ``d``, and ``eliminated`` is
+    :func:`_eliminate` of ``A``.  None when ``A`` is singular, a weight is not
+    positive or an action earns more than ``d``.
     """
     square = [[payoff[i][j] for j in other] for i in own]
-    solved = _solve_square(square, [1] * len(own))
-    if solved is None:
+    eliminated = _eliminate(square, [1] * len(own))
+    if eliminated is None:
         return None
-    d, weights = solved
+    d, weights = _back_substitute(eliminated[0])
     if min(weights) <= 0:
         return None
     weights = _spread(other, weights, len(payoff[0]))
-    if max(_row_sums(payoff, weights)) > d:
+    earned = _row_sums(payoff, weights)
+    if max(earned) > d:
         return None
-    return weights, d
+    return weights, d, earned.count(d), eliminated
 
 
 def _spread(support: tuple[int, ...], weights: list[int], size: int) -> list[int]:
@@ -785,7 +769,8 @@ def equilibrium_invariance_check(game: BimatrixGame, t: AffineTransform) -> bool
     exactly its support pair, so each ``(x, y)`` occurs at most once per
     list.  When neither enumeration finds an equilibrium (only a degenerate
     game allows that) nothing is compared, and it returns True trivially;
-    callers counting agreements must check.
+    callers counting agreements must check.  Above :data:`MAX_ENUM_DIM`
+    rows or columns it raises :class:`TooLarge`, as enumeration does.
     """
     original = support_enumeration(game)
     normalized = support_enumeration(to_zero_sum(game, t))

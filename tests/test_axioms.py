@@ -127,3 +127,19 @@ def test_random_games_both_lenses():
         g = new_game(u1, u2)
         for lens in (Lens.NEG_U1, Lens.U2):
             assert audit_mixture_axioms(g, lens, 40, seed=rng.randint(0, 999)).overall_pass
+
+
+@pytest.mark.parametrize("lens", list(Lens))
+def test_a_lens_given_by_its_value_audits_that_lens(lens):
+    game = new_game([[1, 2], [3, 4]], [[0, 5], [7, 1]])
+    pref = InducedPreference(game, lens.value)
+    assert pref.lens is lens
+    expected = {Lens.NEG_U1: F(-5, 2), Lens.U2: F(13, 4)}[lens]
+    assert pref.utility(uniform_profile(game)) == expected
+    report = audit_mixture_axioms(game, lens.value, 20, seed=1)
+    assert report.to_json_dict() == audit_mixture_axioms(game, lens, 20, seed=1).to_json_dict()
+
+
+def test_a_value_naming_no_lens_is_refused():
+    with pytest.raises(ValueError):
+        InducedPreference(MATCHING_PENNIES, "neg-u1")

@@ -16,10 +16,11 @@ with the sign flipped; its check on column ``j``, ``-(x a)_j <= w``, is
 the package's ``(x a)_j >= -w``.
 
 The certificate eliminates ``A = a[rows][cols]`` once, fraction-free
-(:func:`_eliminate`): the column player's weights come from
-back-substitution, the row player's from :func:`_solve_transposed`, which
-replays the same elimination on ``A`` transposed.  Properties check both
-read-outs against ``Fraction`` Gauss-Jordan solves of ``A`` and ``A^T``.
+(:func:`_eliminate`, called by ``_indifference``): the column player's
+weights come from back-substitution, the row player's from
+:func:`_solve_transposed`, which replays the same elimination on ``A``
+transposed.  Properties check both read-outs against ``Fraction``
+Gauss-Jordan solves (``tests/fraction_linalg.py``) of ``A`` and ``A^T``.
 """
 
 from fractions import Fraction
@@ -28,36 +29,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 import pytest
 
+from fraction_linalg import fraction_solve
 from strictgames import solvers
 from strictgames.detection import detect_affine, to_zero_sum
 from strictgames.games import MixedStrategy
 from strictgames.generators import Family, GenSpec, gen
 from strictgames.solvers import (
+    _back_substitute,
     _certify,
     _eliminate,
     _guess_supports,
-    _solve_square,
     _solve_transposed,
     minimax_solve,
 )
-
-
-def fraction_solve(matrix, b):
-    """The solution of ``matrix x = b`` by Gauss-Jordan over ``Fraction``,
-    or None when ``matrix`` is singular."""
-    n = len(matrix)
-    rows = [[Fraction(v) for v in row] + [Fraction(bi)] for row, bi in zip(matrix, b)]
-    for c in range(n):
-        p = next((r for r in range(c, n) if rows[r][c]), None)
-        if p is None:
-            return None
-        rows[c], rows[p] = rows[p], rows[c]
-        rows[c] = [v / rows[c][c] for v in rows[c]]
-        for r in range(n):
-            if r != c and rows[r][c]:
-                f = rows[r][c]
-                rows[r] = [v - f * w for v, w in zip(rows[r], rows[c])]
-    return [row[n] for row in rows]
 
 
 def fraction_inverse(matrix):
@@ -310,14 +294,22 @@ def transpose(matrix):
     return [list(col) for col in zip(*matrix)]
 
 
+def solve_square(matrix, b):
+    """``(|det|, |det| matrix^-1 b)`` by :func:`_eliminate` and
+    :func:`_back_substitute`, as the package solves a support system, or
+    None when the elimination finds ``matrix`` singular."""
+    eliminated = _eliminate(matrix, b)
+    return None if eliminated is None else _back_substitute(eliminated[0])
+
+
 def assert_solves_like_fractions(matrix, b):
-    """``_solve_square`` returns ``|det|`` and ``|det|`` times the
+    """:func:`solve_square` returns ``|det|`` and ``|det|`` times the
     ``Fraction`` solution, or None exactly when that solve finds the
     matrix singular; the transposed read-out of the same elimination
     returns ``|det|`` times the ``Fraction`` solution of ``matrix^T x =
     b``."""
     expected = fraction_solve(matrix, b)
-    solved = _solve_square(matrix, b)
+    solved = solve_square(matrix, b)
     assert (solved is None) == (expected is None)
     eliminated = _eliminate(matrix, b)
     assert (eliminated is None) == (fraction_solve(transpose(matrix), b) is None)
@@ -361,7 +353,7 @@ def test_the_inverse_survives_a_negative_divisor(matrix):
     n, inverse = len(matrix), fraction_inverse(matrix)
     for j in range(n):
         unit = [int(i == j) for i in range(n)]
-        d, v = _solve_square(matrix, unit)
+        d, v = solve_square(matrix, unit)
         assert d == abs(fraction_det(matrix))
         assert [Fraction(e, d) for e in v] == [row[j] for row in inverse]
         x = _solve_transposed(*_eliminate(matrix, [1] * n), unit)
@@ -401,7 +393,7 @@ def test_the_transposed_read_out_of_a_59x59_support():
     assert len(rows) == len(cols) == 59 and optimum is not None
     square = [[a[i][j] for j in cols] for i in rows]
     ones = [1] * 59
-    d, x = _solve_square(transpose(square), ones)
+    d, x = solve_square(transpose(square), ones)
     assert _solve_transposed(*_eliminate(square, ones), ones) == x
     assert optimum[0] == solvers._spread(rows, x, len(a))
-    assert _solve_square(square, ones)[0] == d
+    assert solve_square(square, ones)[0] == d

@@ -32,27 +32,10 @@ from operator import mul
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fraction_linalg import fraction_solve
 from strictgames import solvers
 from strictgames.games import MixedStrategy, new_game
 from strictgames.solvers import Equilibrium, EquilibriumSet, support_enumeration
-
-
-def fraction_solve(matrix, b):
-    """The solution of ``matrix x = b`` by Gauss-Jordan over ``Fraction``,
-    or None when ``matrix`` is singular."""
-    n = len(matrix)
-    rows = [[Fraction(v) for v in row] + [Fraction(bi)] for row, bi in zip(matrix, b)]
-    for c in range(n):
-        p = next((r for r in range(c, n) if rows[r][c]), None)
-        if p is None:
-            return None
-        rows[c], rows[p] = rows[p], rows[c]
-        rows[c] = [v / rows[c][c] for v in rows[c]]
-        for r in range(n):
-            if r != c and rows[r][c]:
-                f = rows[r][c]
-                rows[r] = [v - f * w for v, w in zip(rows[r], rows[c])]
-    return [row[n] for row in rows]
 
 
 def reference_indifference(payoff, den, own, other):
@@ -157,7 +140,7 @@ def test_pruning_solves_only_undominated_pairs(monkeypatch):
 
         return counted
 
-    monkeypatch.setattr(solvers, "_solve_square", counting(solvers._solve_square))
+    monkeypatch.setattr(solvers, "_eliminate", counting(solvers._eliminate))
     eqs = support_enumeration(game)
     assert calls == 2
     assert [(e.x.probs, e.y.probs, e.payoffs) for e in eqs] == [

@@ -88,3 +88,17 @@ def test_bad_specs():
         GenSpec(Family.ORDINAL_NOT_AFFINE, 1, 2, seed=1)
     with pytest.raises(BadSpec):
         GenSpec(Family.UNIFORM, 2, 2, seed=1, value_bound=0)
+
+
+@pytest.mark.parametrize("family", list(Family))
+def test_a_family_given_by_its_value_draws_that_family(family):
+    spec = GenSpec(family.value, 3, 3, 1)
+    assert spec == GenSpec(family, 3, 3, 1) and spec.family is family
+    assert gen(spec) == gen(GenSpec(family, 3, 3, 1))
+
+
+def test_a_family_given_by_its_value_is_checked():
+    with pytest.raises(BadSpec):
+        GenSpec("ordinal-not-affine", 1, 2, 1)
+    with pytest.raises(ValueError):
+        GenSpec("zero-sum", 3, 3, 1)

@@ -1,0 +1,123 @@
+"""Permutation and transposition properties of the exact solvers.
+
+Permuting the rows and columns of a zero-sum game only relabels its
+actions, so the value stays; the game ``-a^T`` swaps the players, so the
+value is negated.  A certified answer is the game's only optimum
+(``solvers._certify``), so when either game of a pair is certified the
+strategies permute, or swap, exactly with the actions.  When only the
+exact simplex answers, the optimum may not be unique and the strategies
+may differ; both guarantees are then checked exactly on each answer.
+Counting ``_Simplex.solve`` calls tells the two paths apart.
+
+``detect_affine``'s verdict and transform do not depend on the order of
+the actions either.
+"""
+
+from fractions import Fraction as F
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from strictgames import solvers
+from strictgames.detection import detect_affine
+from strictgames.games import new_game
+from strictgames.generators import disguise
+from strictgames.solvers import minimax_solve
+from test_solvers import assert_guarantees, zero_sum
+
+
+def solve_counting(v):
+    """``minimax_solve`` of the zero-sum game ``v`` and whether its guess
+    was certified, that is, whether the exact simplex never solved."""
+    calls = 0
+    solve = solvers._Simplex.solve
+
+    def counted(self):
+        nonlocal calls
+        calls += 1
+        return solve(self)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(solvers._Simplex, "solve", counted)
+        solution = minimax_solve(zero_sum(v))
+    return solution, calls == 0
+
+
+@st.composite
+def matrices(draw):
+    """Integer matrices up to 12x12 with entries in ``[-b, b]``, ``b`` in
+    {1, 2, 3, 20}: small bounds give ties and games with several optima,
+    which the exact simplex answers."""
+    m, n = draw(st.integers(1, 12)), draw(st.integers(1, 12))
+    bound = draw(st.sampled_from((1, 2, 3, 20)))
+    entry = st.integers(-bound, bound)
+    return [[draw(entry) for _ in range(n)] for _ in range(m)]
+
+
+def permuted(v, rows, cols):
+    return [[v[i][j] for j in cols] for i in rows]
+
+
+@pytest.mark.parametrize(
+    "v, certified",
+    [
+        ([[4, 1, 5, 3], [1, 5, 0, 4]], True),  # one optimum, on a 2x2 support
+        ([[0, 0], [0, 0]], False),  # every strategy is optimal
+    ],
+)
+def test_the_solve_count_tells_certified_from_fallback(v, certified):
+    assert solve_counting(v)[1] is certified
+
+
+@settings(max_examples=150, deadline=None)
+@given(matrices(), st.data())
+def test_permuting_the_actions_relabels_the_answer(v, data):
+    rows = data.draw(st.permutations(range(len(v))))
+    cols = data.draw(st.permutations(range(len(v[0]))))
+    w = permuted(v, rows, cols)
+    (base, base_certified), (image, image_certified) = solve_counting(v), solve_counting(w)
+    assert image.value == base.value
+    if base_certified or image_certified:
+        assert image.row_strategy.probs == tuple(base.row_strategy[i] for i in rows)
+        assert image.col_strategy.probs == tuple(base.col_strategy[j] for j in cols)
+    assert_guarantees(v, base.row_strategy, base.col_strategy, base.value)
+    assert_guarantees(w, image.row_strategy, image.col_strategy, image.value)
+
+
+@settings(max_examples=150, deadline=None)
+@given(matrices())
+def test_the_negated_transpose_swaps_the_players(v):
+    w = [[-e for e in col] for col in zip(*v)]
+    (base, base_certified), (image, image_certified) = solve_counting(v), solve_counting(w)
+    assert image.value == -base.value
+    if base_certified or image_certified:
+        assert image.row_strategy == base.col_strategy
+        assert image.col_strategy == base.row_strategy
+    assert_guarantees(v, base.row_strategy, base.col_strategy, base.value)
+    assert_guarantees(w, image.row_strategy, image.col_strategy, image.value)
+
+
+@st.composite
+def games(draw):
+    """A disguised zero-sum game, ``u2 = -alpha*u1 + beta``, or one with
+    an independent ``u2``, with its row and column permutations."""
+    u1 = draw(matrices())
+    m, n = len(u1), len(u1[0])
+    if draw(st.booleans()):
+        alpha = draw(st.fractions(min_value=F(1, 8), max_value=8, max_denominator=8))
+        beta = draw(st.fractions(min_value=-10, max_value=10, max_denominator=8))
+        u2 = disguise(u1, alpha, beta).u2
+    else:
+        u2 = [[draw(st.integers(-3, 3)) for _ in range(n)] for _ in range(m)]
+    return u1, u2, draw(st.permutations(range(m))), draw(st.permutations(range(n)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(games())
+def test_detection_does_not_depend_on_the_order_of_the_actions(case):
+    u1, u2, rows, cols = case
+    base = detect_affine(new_game(u1, u2))
+    image = detect_affine(new_game(permuted(u1, rows, cols), permuted(u2, rows, cols)))
+    assert image.status == base.status
+    assert image.transform == base.transform

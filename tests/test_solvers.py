@@ -537,7 +537,7 @@ def test_a_wide_lp_certifies_or_falls_back_to_the_exact_answer(a):
     # certified optimum is the exact simplex's, and minimax_solve always
     # returns the exact path's answer
     m, n = len(a), len(a[0])
-    div, total, q, p = solvers._Simplex(a, [1] * m, [1] * n).solve()
+    p, q, div, total = solvers._Simplex(a, [1] * m, [1] * n).solve()
     supports = solvers._guess_supports(a)
     optimum = solvers._certify(a, *supports) if supports else None
     if optimum is not None:
@@ -765,14 +765,14 @@ def test_support_enumeration_on_negative_payoffs():
 
 def test_support_enumeration_skips_singular_system(monkeypatch):
     solved = []
-    solve_square = solvers._solve_square
+    eliminate = solvers._eliminate
 
-    def recording_solve_square(a, b):
-        result = solve_square(a, b)
+    def recording_eliminate(a, b):
+        result = eliminate(a, b)
         solved.append(result)
         return result
 
-    monkeypatch.setattr(solvers, "_solve_square", recording_solve_square)
+    monkeypatch.setattr(solvers, "_eliminate", recording_eliminate)
     half = F(1, 2)
     # matching pennies with row 0 duplicated: the indifference system over
     # rows {0, 1} has two equal rows, but on those rows u2's column 1
@@ -818,17 +818,17 @@ def test_support_enumeration_invariant_under_positive_affine_maps(
     # class, so the game and its image solve the same square systems, in
     # the same order, and find the same equilibria
     u1, u2 = matrices
-    solve_square = solvers._solve_square
+    eliminate = solvers._eliminate
 
     def enumerate_recording(game):
         systems = []
 
-        def recording_solve_square(a, b):
+        def recording_eliminate(a, b):
             systems.append((a, b))
-            return solve_square(a, b)
+            return eliminate(a, b)
 
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(solvers, "_solve_square", recording_solve_square)
+            patch.setattr(solvers, "_eliminate", recording_eliminate)
             return support_enumeration(game), systems
 
     base, base_systems = enumerate_recording(new_game(u1, u2))
@@ -851,6 +851,8 @@ def test_support_enumeration_too_large(rows, cols):
     v1 = [[0] * cols for _ in range(rows)]
     with pytest.raises(TooLarge):
         support_enumeration(zero_sum(v1))
+    with pytest.raises(TooLarge):
+        equilibrium_invariance_check(zero_sum(v1), AffineTransform(1, 0))
 
 
 def test_lp_agrees_with_enumeration():
