@@ -125,9 +125,14 @@ class MixedStrategy:
 
     @classmethod
     def from_weights(cls, weights) -> MixedStrategy:
-        """The strategy proportional to integer ``weights``."""
+        """The strategy proportional to integer ``weights``; a weight whose
+        type is not exactly ``int``, a ``bool`` included, raises
+        :class:`FormatError`."""
+        weights = tuple(weights)
+        if any(type(w) is not int for w in weights):
+            raise FormatError(f"weights must be ints, not {weights!r}")
         self = object.__new__(cls)
-        self._store(tuple(weights))
+        self._store(weights)
         return self
 
     def _store(self, weights: tuple[int, ...]) -> None:

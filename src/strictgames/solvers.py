@@ -21,6 +21,7 @@ import sys
 from array import array
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations
 from operator import mul, neg
 
@@ -633,13 +634,49 @@ def support_enumeration(game: BimatrixGame) -> EquilibriumSet:
 
     Each player's payoffs are solved in their :func:`_positive_class`,
     ``num1`` for the row player and ``num2`` transposed for the column
-    player, which changes no indifference solution, and each payoff is
-    mapped back by :func:`_class_value`.  For each support pair
-    :func:`_indifference` solves both systems; candidates must put strictly
-    positive weight on their support and survive the exact best-response
-    inequalities, all checked in integers.  Singular systems are skipped,
-    so completeness is claimed only for nondegenerate games.  A game with
-    more than :data:`MAX_ENUM_DIM` rows or columns raises :class:`TooLarge`.
+    player, which changes no indifference solution, by
+    :func:`_class_equilibria`; each payoff is mapped back by
+    :func:`_class_value`.  A game with more than :data:`MAX_ENUM_DIM` rows
+    or columns raises :class:`TooLarge`.
+
+    Memo: :func:`_class_equilibria` keeps the integer equilibria of its
+    last few inputs, keyed by the exact pair of class matrices.  Every
+    game whose payoffs are positive affine images of another's, such as
+    its :func:`~strictgames.detection.to_zero_sum` normalization, has the
+    same key and would solve the same systems in the same order, so a hit
+    returns what solving again would.  The equilibria are built afresh
+    for each game, from its own ``low``, ``g`` and denominators.
+    """
+    m, n = game.rows, game.cols
+    if m > MAX_ENUM_DIM or n > MAX_ENUM_DIM:
+        raise TooLarge(f"{m}x{n} exceeds the enumeration cap {MAX_ENUM_DIM}")
+    p1, low1, g1 = _positive_class(game.num1)
+    p2, low2, g2 = _positive_class(tuple(zip(*game.num2)))
+    found = []
+    key = tuple(map(tuple, p1)), tuple(map(tuple, p2))  # hashable
+    for wx, dx, wy, dy in _class_equilibria(*key):
+        # at the equilibrium each player earns the indifference value
+        payoffs = (
+            _class_value(dy, sum(wy), low1, g1, game.den1),
+            _class_value(dx, sum(wx), low2, g2, game.den2),
+        )
+        x_mix, y_mix = (MixedStrategy.from_weights(w) for w in (wx, wy))
+        found.append(Equilibrium(x_mix, y_mix, payoffs))
+    return EquilibriumSet(tuple(found))
+
+
+@lru_cache(maxsize=4)
+def _class_equilibria(p1: IntMatrix, p2: IntMatrix) -> tuple[tuple, ...]:
+    """The equilibria ``(wx, dx, wy, dy)`` of the positive classes ``p1``
+    (one row per row action) and ``p2`` (one row per column action): each
+    player's integer weights, a tuple per player, and the indifference
+    value ``d`` that the opponent's weights pay over their sum.
+
+    For each support pair :func:`_indifference` solves both systems;
+    candidates must put strictly positive weight on their support and
+    survive the exact best-response inequalities, all checked in integers.
+    Singular systems are skipped, so completeness is claimed only for
+    nondegenerate games.
 
     Pruning (Porter, Nudelman & Shoham 2008): a pair ``(R, S)`` is not
     solved when some row in ``R`` earns the row player strictly less than
@@ -652,12 +689,7 @@ def support_enumeration(game: BimatrixGame) -> EquilibriumSet:
     their order are those of the unpruned loop, degenerate games included;
     singular systems are met only among the pairs still solved.
     """
-    m, n = game.rows, game.cols
-    if m > MAX_ENUM_DIM or n > MAX_ENUM_DIM:
-        raise TooLarge(f"{m}x{n} exceeds the enumeration cap {MAX_ENUM_DIM}")
-    # each player's positive class, one row per own action
-    p1, low1, g1 = _positive_class(game.num1)
-    p2, low2, g2 = _positive_class(tuple(zip(*game.num2)))
+    m, n = len(p1), len(p2)
     # bitmask of the undominated rows per column support, and vice versa
     rows_fit = _undominated(p1, n)
     cols_fit = _undominated(p2, m)
@@ -676,15 +708,9 @@ def support_enumeration(game: BimatrixGame) -> EquilibriumSet:
                 x = _indifference(p2, cols_sup, rows_sup)
                 if x is None:
                     continue
-                # at the equilibrium each player earns the indifference value
                 (wy, dy, *_), (wx, dx, *_) = y, x
-                payoffs = (
-                    _class_value(dy, sum(wy), low1, g1, game.den1),
-                    _class_value(dx, sum(wx), low2, g2, game.den2),
-                )
-                x_mix, y_mix = (MixedStrategy.from_weights(w) for w in (wx, wy))
-                found.append(Equilibrium(x_mix, y_mix, payoffs))
-    return EquilibriumSet(tuple(found))
+                found.append((tuple(wx), dx, tuple(wy), dy))
+    return tuple(found)
 
 
 def _bits(actions: tuple[int, ...]) -> int:
@@ -771,6 +797,15 @@ def equilibrium_invariance_check(game: BimatrixGame, t: AffineTransform) -> bool
     game allows that) nothing is compared, and it returns True trivially;
     callers counting agreements must check.  Above :data:`MAX_ENUM_DIM`
     rows or columns it raises :class:`TooLarge`, as enumeration does.
+
+    What it compares: both sides are enumerated on each player's
+    :func:`_positive_class`, so it tests that ``to_zero_sum`` keeps both
+    classes and that ``u1_value`` inverts the payoff map.  When it does,
+    the two enumerations share one memo entry, which a caller's own
+    ``support_enumeration(game)`` has usually filled.  A fault inside the
+    enumeration is the same on both sides and cannot show here;
+    ``tests/test_enumeration_reference.py`` checks the enumeration against
+    an independent reference.
     """
     original = support_enumeration(game)
     normalized = support_enumeration(to_zero_sum(game, t))

@@ -171,6 +171,17 @@ def test_strategy_invariants():
             MixedStrategy.from_weights(weights)
 
 
+@pytest.mark.parametrize(
+    "weights",
+    [(True, True), (1, False), (1.0, 1), ("1", 1), (F(1), 1), (F(1, 2), F(1, 2))],
+    ids=["bools", "int-and-bool", "float", "string", "integral-fraction", "fractions"],
+)
+def test_from_weights_takes_only_ints(weights):
+    # a bool is an int to isinstance, but not a weight
+    with pytest.raises(FormatError):
+        MixedStrategy.from_weights(weights)
+
+
 def test_verify_bilinearity_matching_pennies():
     assert verify_bilinearity(MATCHING_PENNIES, 100, seed=7)
 

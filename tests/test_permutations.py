@@ -10,7 +10,8 @@ may differ; both guarantees are then checked exactly on each answer.
 Counting ``_Simplex.solve`` calls tells the two paths apart.
 
 ``detect_affine``'s verdict and transform do not depend on the order of
-the actions either.
+the actions either, and nor does the strategic test's decomposition, up to
+the constant that its normalization moves between the two offset vectors.
 """
 
 from fractions import Fraction as F
@@ -24,6 +25,7 @@ from strictgames.detection import detect_affine
 from strictgames.games import new_game
 from strictgames.generators import disguise
 from strictgames.solvers import minimax_solve
+from strictgames.strategic import strategically_zero_sum_detect
 from test_solvers import assert_guarantees, zero_sum
 
 
@@ -121,3 +123,41 @@ def test_detection_does_not_depend_on_the_order_of_the_actions(case):
     image = detect_affine(new_game(permuted(u1, rows, cols), permuted(u2, rows, cols)))
     assert image.status == base.status
     assert image.transform == base.transform
+
+
+@st.composite
+def strategic_games(draw):
+    """A strategically zero-sum game, ``u1 + lambda*u2 = r_i + c_j`` with
+    ``lambda > 0``, the same with one cell of ``u2`` moved, which breaks
+    the decomposition unless the game has one row or one column, or a game
+    of :func:`games`, with its row and column permutations."""
+    if draw(st.booleans()):
+        return draw(games())
+    u1 = draw(matrices())
+    m, n = len(u1), len(u1[0])
+    lam = draw(st.fractions(min_value=F(1, 8), max_value=8, max_denominator=8))
+    r = [draw(st.integers(-5, 5)) for _ in range(m)]
+    c = [draw(st.integers(-5, 5)) for _ in range(n)]
+    u2 = [[(r[i] + c[j] - u1[i][j]) / lam for j in range(n)] for i in range(m)]
+    if draw(st.booleans()):
+        u2[draw(st.integers(0, m - 1))][draw(st.integers(0, n - 1))] += 1
+    return u1, u2, draw(st.permutations(range(m))), draw(st.permutations(range(n)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(strategic_games())
+def test_the_strategic_test_does_not_depend_on_the_order_of_the_actions(case):
+    u1, u2, rows, cols = case
+    image_game = new_game(permuted(u1, rows, cols), permuted(u2, rows, cols))
+    base = strategically_zero_sum_detect(new_game(u1, u2))
+    image = strategically_zero_sum_detect(image_game)
+    assert (image is None) == (base is None)
+    if base is None:
+        return
+    assert (image.lambda1, image.lambda2) == (base.lambda1, base.lambda2)
+    # both are normalized to a zero first row offset, so the permuted
+    # offsets differ from the base's by one constant t, and -t
+    t = image.row_offsets[0] - base.row_offsets[rows[0]]
+    assert image.row_offsets == tuple(base.row_offsets[i] + t for i in rows)
+    assert image.col_offsets == tuple(base.col_offsets[j] - t for j in cols)
+    assert image.verifies(image_game)

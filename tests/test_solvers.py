@@ -816,29 +816,34 @@ def test_support_enumeration_invariant_under_positive_affine_maps(
 ):
     # a positive affine map of one player's payoffs keeps its positive
     # class, so the game and its image solve the same square systems, in
-    # the same order, and find the same equilibria
+    # the same order, and find the same equilibria; each of the two is
+    # enumerated from a cold memo, and a warm enumeration solves nothing
     u1, u2 = matrices
     eliminate = solvers._eliminate
 
-    def enumerate_recording(game):
+    def enumerate_recording(game, cold=True):
         systems = []
 
         def recording_eliminate(a, b):
             systems.append((a, b))
             return eliminate(a, b)
 
+        if cold:
+            solvers._class_equilibria.cache_clear()
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(solvers, "_eliminate", recording_eliminate)
             return support_enumeration(game), systems
 
     base, base_systems = enumerate_recording(new_game(u1, u2))
-    mapped, mapped_systems = enumerate_recording(
-        new_game(
-            [[a1 * v + b1 for v in row] for row in u1],
-            [[a2 * v + b2 for v in row] for row in u2],
-        )
+    mapped_game = new_game(
+        [[a1 * v + b1 for v in row] for row in u1],
+        [[a2 * v + b2 for v in row] for row in u2],
     )
+    mapped, mapped_systems = enumerate_recording(mapped_game)
     assert mapped_systems == base_systems
+    warm, warm_systems = enumerate_recording(mapped_game, cold=False)
+    assert warm_systems == []
+    assert warm == mapped
     assert mapped.strategy_set() == base.strategy_set()
     assert len(mapped) == len(base)
     for e, f in zip(base, mapped):
@@ -905,6 +910,43 @@ def test_invariance_random_disguised_3x3():
         t = detect_affine(g).transform
         assert t == AffineTransform(alpha, beta)
         assert equilibrium_invariance_check(g, t)
+
+
+def eliminations(call):
+    """The number of :func:`solvers._eliminate` calls that ``call()`` makes."""
+    count = 0
+    eliminate = solvers._eliminate
+
+    def counted(a, b):
+        nonlocal count
+        count += 1
+        return eliminate(a, b)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(solvers, "_eliminate", counted)
+        call()
+    return count
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_each_class_pair_is_enumerated_once(n):
+    rng = random.Random(n)
+    core = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)]
+    core[0][0] = 10  # not constant
+    t = AffineTransform(F(3, 2), F(-7, 3))
+    g = disguise(core, t.alpha, t.beta)
+    cold = eliminations(lambda: support_enumeration(g))
+    assert cold > 0
+    # the check and the caller's enumeration of the normalization find the
+    # entry that the caller's enumeration of g left
+    assert eliminations(lambda: equilibrium_invariance_check(g, t)) == 0
+    assert eliminations(lambda: support_enumeration(to_zero_sum(g, t))) == 0
+    # from a cold memo the check solves the class pair once, not twice
+    solvers._class_equilibria.cache_clear()
+    assert eliminations(lambda: equilibrium_invariance_check(g, t)) == cold
+    # a game of another class pair is solved
+    other = disguise([[-v for v in row] for row in core], t.alpha, t.beta)
+    assert eliminations(lambda: support_enumeration(other)) > 0
 
 
 def test_invariance_compares_column_payoffs(monkeypatch):
