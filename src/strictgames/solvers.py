@@ -640,7 +640,7 @@ def support_enumeration(game: BimatrixGame) -> EquilibriumSet:
     or columns raises :class:`TooLarge`.
 
     Memo: :func:`_class_equilibria` keeps the integer equilibria of its
-    last few inputs, keyed by the exact pair of class matrices.  Every
+    last four inputs, keyed by the exact pair of class matrices.  Every
     game whose payoffs are positive affine images of another's, such as
     its :func:`~strictgames.detection.to_zero_sum` normalization, has the
     same key and would solve the same systems in the same order, so a hit
