@@ -297,8 +297,8 @@ def audit_mixture_axioms(
     game: BimatrixGame, lens: Lens, samples: int, seed: int
 ) -> AxiomReport:
     """Run the five axiom audits with an independent seed stream per axiom."""
-    if samples < 1:
-        raise ValueError("samples must be >= 1")
+    if type(samples) is not int or type(seed) is not int or samples < 1:
+        raise ValueError("samples must be an int >= 1 and seed an int")
     pref = InducedPreference(game, lens)
     auditors = (_ms1, _ms2, _ms3, _ms4, _ms5)
     stats = {

@@ -94,13 +94,7 @@ def _cmd_mv_check(args) -> int:
 
 
 def _cmd_gen(args) -> int:
-    spec = GenSpec(
-        family=Family(args.family),
-        rows=args.rows,
-        cols=args.cols,
-        seed=args.seed,
-        value_bound=args.value_bound,
-    )
+    spec = GenSpec(args.family, args.rows, args.cols, args.seed, args.value_bound)
     _write_game(args.out, gen(spec))
     return 0
 

@@ -276,8 +276,8 @@ def find_mixed_violation(
     that pure-versus-barycenter witnesses are reachable.  Returning None
     proves nothing; :func:`is_adversarial` is the decision procedure.
     """
-    if budget < 1:
-        raise ValueError("budget must be >= 1")
+    if type(budget) is not int or type(seed) is not int or budget < 1:
+        raise ValueError("budget must be an int >= 1 and seed an int")
     rng = random.Random(seed)
     cells = game.cells()
 

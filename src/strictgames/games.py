@@ -245,8 +245,8 @@ def verify_bilinearity(game: BimatrixGame, samples: int, seed: int) -> bool:
     mixing in either coordinate commutes with taking expectations, for both
     players' payoffs.  Holds identically for every game.
     """
-    if samples < 1:
-        raise ValueError("samples must be >= 1")
+    if type(samples) is not int or type(seed) is not int or samples < 1:
+        raise ValueError("samples must be an int >= 1 and seed an int")
     rng = random.Random(seed)
     for _ in range(samples):
         sigma = random_profile(rng, game)

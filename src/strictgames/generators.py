@@ -56,6 +56,8 @@ class GenSpec:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "family", Family(self.family))
+        if any(type(k) is not int for k in (self.rows, self.cols, self.seed, self.value_bound)):
+            raise BadSpec("rows, cols, seed and value bound must be ints")
         if self.rows < 1 or self.cols < 1:
             raise BadSpec("dimensions must be >= 1")
         if self.value_bound < 1:

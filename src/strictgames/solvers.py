@@ -4,12 +4,12 @@ Each mechanism is described once, where it is implemented:
 
 - :func:`_positive_class` maps a payoff matrix to the smallest positive
   integer matrix in its positive affine class; both solvers run on it.
-- :func:`minimax_solve` guesses the optimal basis of the class's value LP
-  (:class:`_Guess`), certifies it (:func:`_certify`) and falls back to the
-  exact simplex (:class:`_Simplex`).
-- :func:`_indifference` solves one square support system, for the
-  certificate and for :func:`support_enumeration`, on :func:`_eliminate`,
-  the one fraction-free elimination.
+- :func:`minimax_solve` takes an optimal basis of the class's value LP
+  from the guess (:class:`_Guess`) when :func:`_certify` accepts it, else
+  from the exact simplex (:class:`_Simplex`), and reads the answer off its
+  square support matrix, which :func:`_support_system` solves on
+  :func:`_eliminate`, for the certificate and :func:`support_enumeration`
+  too.
 
 No float enters any path.
 """
@@ -107,15 +107,14 @@ class EquilibriumSet:
 
 
 class _Simplex:
-    """Exact simplex for max c*v subject to A v <= b, v >= 0, with integer
-    data and b >= 0.
-
-    The slack basis is immediately feasible, so no phase-one is needed.
+    """Exact simplex for the value LP ``max 1*y`` subject to ``a y <= 1``,
+    ``y >= 0`` of a positive integer matrix ``a``.  It only picks an
+    optimal basis; the slack basis is feasible, so no phase one is needed.
 
     Tableau: compact (Tucker) form, one column per nonbasic variable plus
     the right-hand side, with ``nonbasic`` and ``basis`` holding variable
     labels (structural ``0..n-1``, slack ``n+i`` for row ``i``).  The ``m``
-    constraint rows come first and the objective row ``-c`` last.  It is
+    constraint rows come first and the objective row ``-1`` last.  It is
     kept fraction-free by integer pivoting (Bareiss): every entry is the
     true tableau entry times the common divisor ``div``, and each update
     divides exactly by the previous pivot, so entries stay integers.  A
@@ -147,22 +146,27 @@ class _Simplex:
     bases.  Between two nondegenerate pivots the objective is constant;
     Dantzig's rule runs for at most ``DEGENERATE_RUN_LIMIT`` of those
     pivots, then Bland's rule, which never cycles from any starting basis
-    (Bland 1977), so every degenerate run ends.  :meth:`solve` still counts
-    its pivots and raises :class:`PivotBudgetExceeded` past
-    ``PIVOTS_PER_DIMENSION * (m + n)``, so a tableau whose invariants were
-    broken fails fast instead of spinning.
+    (Bland 1977), so every degenerate run ends.  The pivot budget of
+    :meth:`optimize` makes a tableau whose invariants were broken fail fast.
+
+    Read-out: at a basis with supports ``(R, S)`` (:meth:`supports`) the
+    basic variables are the columns ``S`` and the slacks of the rows off
+    ``R``, so ``|R| = |S|``, and deleting those slacks' rows and columns
+    from the basis matrix leaves ``A = a[R][S]``: nonsingular, and ``|det
+    A| = div``.  At an optimum the rows ``R`` are tight, so the primal is
+    ``A^-1 1`` on ``S`` and the dual ``1 A^-1`` on ``R``, 0 elsewhere:
+    times ``div``, the integers the tableau holds, which :func:`_support_system`
+    and :func:`_solve_transposed` compute, zero weights allowed.
     """
 
-    def __init__(self, a: list[list[int]], b: list[int], c: list[int]) -> None:
-        self.m = len(a)
-        self.n = len(a[0])
-        self.rows = [[*ai, bi] for ai, bi in zip(a, b)]
-        self.rows.append([-cj for cj in c] + [0])
-        self.nonbasic = list(range(self.n))
-        self.basis = [self.n + i for i in range(self.m)]
+    def __init__(self, a: list[list[int]]) -> None:
+        self.m, self.n = m, n = len(a), len(a[0])
+        self.rows = [[*row, 1] for row in a] + [[-1] * n + [0]]
+        self.nonbasic = list(range(n))
+        self.basis = [n + i for i in range(m)]
         self.div = 1
         self.tolerance = 0
-        self.line = [1] * (self.n + self.m)
+        self.line = [1] * (n + m)
 
     def _objective(self) -> list[int]:
         """The objective row: one reduced cost per column, then the
@@ -226,22 +230,6 @@ class _Simplex:
         self.div = pivot
         self.basis[row], self.nonbasic[col] = self.nonbasic[col], self.basis[row]
 
-    def solve(self) -> tuple[list[int], list[int], int, int]:
-        """``(dual, primal, div, objective)``: the optimum's dual prices,
-        variables and objective as integer numerators over the final divisor
-        ``div``; on a value LP, :func:`_certify`'s ``(x, y, d, s)``.
-        """
-        self.optimize()
-        obj = self._objective()
-        primal, dual = [0] * self.n, [0] * self.m
-        for col, var in enumerate(self.nonbasic):
-            if var >= self.n:
-                dual[var - self.n] = obj[col]
-        for var, row in zip(self.basis, self.rows):
-            if var < self.n:
-                primal[var] = row[-1]
-        return dual, primal, self.div, obj[-1]
-
     def optimize(self) -> None:
         """Pivot until no reduced cost is negative; the optimal basis is
         then ``basis`` and ``nonbasic``."""
@@ -261,11 +249,16 @@ class _Simplex:
             run = run + 1 if rhs[row] == 0 else 0
             self._pivot(row, col, column)
 
+    def supports(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """The supports ``(R, S)`` of the current basis: the rows whose
+        slack is nonbasic and the columns that are basic."""
+        rows = sorted(var - self.n for var in self.nonbasic if var >= self.n)
+        return tuple(rows), tuple(sorted(var for var in self.basis if var < self.n))
+
 
 class _Guess(_Simplex):
-    """:class:`_Simplex` in fixed point, to guess the optimal basis of the
-    value LP ``max 1*y`` subject to ``a y <= 1``, ``y >= 0`` of a positive
-    integer matrix ``a``.
+    """:class:`_Simplex` in fixed point, to guess an optimal basis of the
+    value LP of ``a``.
 
     :class:`_Simplex`'s loop owns the entering rule, the leaving rule, the
     pivot tolerance, the switch to Bland's rule and the pivot budget, and
@@ -411,13 +404,14 @@ def minimax_solve(game: BimatrixGame) -> MinimaxSolution:
     is ``den2 == den1`` and ``num2 == -num1`` on every cell.  The LP runs
     on u1's :func:`_positive_class`, so every ``c*u1 + d`` with ``c > 0``
     gets the same pivots and the same strategies.  :class:`_Guess` guesses
-    its supports, :func:`_certify` accepts them only when they carry the
-    game's unique optimum, and otherwise :class:`_Simplex` solves the LP
-    exactly.  Both loops have the same budget, ``PIVOTS_PER_DIMENSION * (m
-    + n)`` pivots: the guess then falls back, and the exact simplex raises
-    :class:`PivotBudgetExceeded`.  Whichever path answers, the guarantee
-    inequalities are re-verified exactly, in integers, on ``u1`` before
-    returning.
+    an optimal basis, whose supports :func:`_certify` accepts only when
+    they carry the game's unique optimum; otherwise :class:`_Simplex` picks
+    one exactly, and its answer is read off its support matrix as that
+    class argues.  Both loops have the same budget, ``PIVOTS_PER_DIMENSION
+    * (m + n)`` pivots: the guess then falls back, and the exact simplex
+    raises :class:`PivotBudgetExceeded`.  Whichever path answers, the
+    guarantee inequalities are re-verified exactly, in integers, on ``u1``
+    before returning.
 
     The value is unique.  When the optimal strategy set is not a single
     point, the exact simplex answers, and which optimal strategy it returns
@@ -426,13 +420,17 @@ def minimax_solve(game: BimatrixGame) -> MinimaxSolution:
     minus_num1 = tuple(tuple(map(neg, row)) for row in game.num1)
     if (game.den2, game.num2) != (game.den1, minus_num1):
         raise NotZeroSum(f"u2 is not -u1: {detect_affine(game).to_json_dict()}")
-    m, n = game.rows, game.cols
     den, v = game.den1, game.num1  # u1 == v / den
     a, low, g = _positive_class(v)
     supports = _guess_supports(a)
     optimum = _certify(a, *supports) if supports else None
     if optimum is None:
-        optimum = _Simplex(a, [1] * m, [1] * n).solve()
+        exact = _Simplex(a)
+        exact.optimize()
+        rows, cols = exact.supports()
+        d, q, eliminated = _support_system(a, rows, cols)
+        p = _solve_transposed(*eliminated, [1] * len(rows))
+        optimum = _spread(rows, p, len(a)), _spread(cols, q, len(a[0])), d, sum(q)
     p, q, d, s = optimum  # a's value is d / s
     x, y = MixedStrategy.from_weights(p), MixedStrategy.from_weights(q)
     value = _class_value(d, s, low, g, den)
@@ -469,15 +467,13 @@ def _guess_supports(
     a: list[list[int]],
 ) -> tuple[tuple[int, ...], tuple[int, ...]] | None:
     """The supports ``(R, S)`` that the fixed-point simplex ends on for the
-    value LP of the positive matrix ``a``: the rows whose slack is
-    nonbasic and the columns that are basic.  None when the guess raises,
+    value LP of the positive matrix ``a``.  None when the guess raises,
     on a column that its rounding made look unbounded or on the pivot
     budget; that is a reason to fall back, not an error.  Wider than
     ``D = GUESS_DATA_BITS`` bits, ``a`` is guessed on as ``(e >> s) + 1``,
     ``s = bits(max a) - D``, entries of at most ``2**D`` whose supports
     are often ``a``'s; the certificate tests them on the exact ``a``.
     """
-    n = len(a[0])
     shift = max(map(max, a)).bit_length() - GUESS_DATA_BITS
     if shift > 0:
         a = [[(e >> shift) + 1 for e in row] for row in a]
@@ -486,9 +482,7 @@ def _guess_supports(
         guess.optimize()
     except (ArithmeticError, PivotBudgetExceeded):
         return None
-    rows = tuple(sorted(var - n for var in guess.nonbasic if var >= n))
-    cols = tuple(sorted(var for var in guess.basis if var < n))
-    return rows, cols
+    return guess.supports()
 
 
 def _certify(
@@ -531,6 +525,19 @@ def _certify(
     if min(conceded) < d or conceded.count(d) > k:
         return None
     return x, y, d, sum(y)
+
+
+def _support_system(
+    payoff: list[list[int]], own: tuple[int, ...], other: tuple[int, ...]
+) -> tuple[int, list[int], tuple] | None:
+    """``(d, weights, eliminated)``: :func:`_eliminate` of ``A =
+    payoff[own][other]`` against ``1``, ``d = |det A|`` and ``weights = d
+    A^-1 1``, one per action of ``other``; None when ``A`` is singular."""
+    square = [[payoff[i][j] for j in other] for i in own]
+    eliminated = _eliminate(square, [1] * len(own))
+    if eliminated is None:
+        return None
+    return (*_back_substitute(eliminated[0]), eliminated)
 
 
 def _eliminate(
@@ -743,20 +750,15 @@ def _indifference(
     payoff: list[list[int]], own: tuple[int, ...], other: tuple[int, ...]
 ) -> tuple[list[int], int, int, tuple] | None:
     """``(weights, d, ties, eliminated)`` for the owner of the positive
-    integer matrix ``payoff``, one row per own action: opponent weights
-    ``d A^-1 1`` on ``other``, 0 elsewhere, with ``A = payoff[own][other]``
-    and ``d = |det A|``, against which each action of ``own`` earns ``d``;
-    ``ties`` actions earn exactly ``d``, and ``eliminated`` is
-    :func:`_eliminate` of ``A``.  None when ``A`` is singular, a weight is not
-    positive or an action earns more than ``d``.
-    """
-    square = [[payoff[i][j] for j in other] for i in own]
-    eliminated = _eliminate(square, [1] * len(own))
-    if eliminated is None:
+    integer matrix ``payoff``, one row per own action: the opponent weights
+    ``d A^-1 1`` of :func:`_support_system`, 0 off ``other``, pay each
+    action of ``own`` exactly ``d``, and ``ties`` actions in all earn ``d``.
+    None when ``A`` is singular, a weight is not positive or an action
+    earns more than ``d``."""
+    solved = _support_system(payoff, own, other)
+    if solved is None or min(solved[1]) <= 0:
         return None
-    d, weights = _back_substitute(eliminated[0])
-    if min(weights) <= 0:
-        return None
+    d, weights, eliminated = solved
     weights = _spread(other, weights, len(payoff[0]))
     earned = _row_sums(payoff, weights)
     if max(earned) > d:

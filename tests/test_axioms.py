@@ -30,6 +30,16 @@ def test_matching_pennies_neg_u1():
     assert all_zero(report)
 
 
+@pytest.mark.parametrize(
+    "samples, seed",
+    [(True, 0), (2.0, 0), (20, 1.5), (20, True)],
+    ids=["bool-samples", "float-samples", "float-seed", "bool-seed"],
+)
+def test_audit_refuses_a_count_or_seed_that_is_not_an_int(samples, seed):
+    with pytest.raises(ValueError, match="must be an int"):
+        audit_mixture_axioms(MATCHING_PENNIES, Lens.U2, samples=samples, seed=seed)
+
+
 def test_cube_game_u2():
     # u2 is itself bilinear on the mixed extension, so its preference is an
     # ordered bilinear mixture space even though the game is not adversarial

@@ -169,6 +169,16 @@ def test_find_mixed_violation_matching_pennies():
     assert find_mixed_violation(MATCHING_PENNIES, budget=300, seed=5) is None
 
 
+@pytest.mark.parametrize(
+    "budget, seed",
+    [(True, 1), (2.0, 1), (300, 1.5), (300, True)],
+    ids=["bool-budget", "float-budget", "float-seed", "bool-seed"],
+)
+def test_find_mixed_violation_refuses_a_budget_or_seed_that_is_not_an_int(budget, seed):
+    with pytest.raises(ValueError, match="must be an int"):
+        find_mixed_violation(CUBE, budget=budget, seed=seed)
+
+
 def test_find_mixed_violation_prisoners():
     found = find_mixed_violation(PRISONERS, budget=2000, seed=5)
     assert found is not None

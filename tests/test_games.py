@@ -289,3 +289,13 @@ def test_bilinearity_property(game, seed):
 def test_nonpositive_counts_and_bad_player_raise(call):
     with pytest.raises(ValueError):
         call()
+
+
+@pytest.mark.parametrize(
+    "samples, seed",
+    [(True, 1), (2.0, 1), (10, 1.5), (10, True)],
+    ids=["bool-samples", "float-samples", "float-seed", "bool-seed"],
+)
+def test_bilinearity_refuses_a_count_or_seed_that_is_not_an_int(samples, seed):
+    with pytest.raises(ValueError, match="must be an int"):
+        verify_bilinearity(MATCHING_PENNIES, samples=samples, seed=seed)

@@ -90,6 +90,16 @@ def test_bad_specs():
         GenSpec(Family.UNIFORM, 2, 2, seed=1, value_bound=0)
 
 
+@pytest.mark.parametrize(
+    "rows, cols, seed, value_bound",
+    [(True, 2, 1, 20), (2, 2.0, 1, 20), (2, 2, 1.5, 20), (2, 2, 1, True)],
+    ids=["bool-rows", "float-cols", "float-seed", "bool-value-bound"],
+)
+def test_a_spec_refuses_a_size_seed_or_bound_that_is_not_an_int(rows, cols, seed, value_bound):
+    with pytest.raises(BadSpec, match="must be ints"):
+        GenSpec(Family.UNIFORM, rows, cols, seed, value_bound)
+
+
 @pytest.mark.parametrize("family", list(Family))
 def test_a_family_given_by_its_value_draws_that_family(family):
     spec = GenSpec(family.value, 3, 3, 1)

@@ -29,8 +29,10 @@ INT64 = range(-(1 << 63), 1 << 63)
 class ListGuess(_Simplex):
     """The fixed-point guess on a list of rows."""
 
-    def __init__(self, a, b, c):
-        super().__init__(a, b, c)
+    def __init__(self, a):
+        super().__init__(a)
+        # the exact value LP of a, in units of 2**-GUESS_BITS
+        self.rows = [[e << solvers.GUESS_BITS for e in row] for row in self.rows]
         # the ratio test sees an entry at or below the tolerance as 0
         self.tolerance = 1 << solvers.GUESS_BITS // 2
 
@@ -53,8 +55,7 @@ class ListGuess(_Simplex):
 
 
 def list_guess(a):
-    m, n, bits = len(a), len(a[0]), solvers.GUESS_BITS
-    guess = ListGuess([[e << bits for e in row] for row in a], [1 << bits] * m, [1 << bits] * n)
+    guess = ListGuess(a)
     guess.line = [*map(sum, zip(*a)), *map(sum, a)]  # _Guess's pricing lines
     return guess
 

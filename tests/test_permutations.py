@@ -7,7 +7,7 @@ value is negated.  A certified answer is the game's only optimum
 strategies permute, or swap, exactly with the actions.  When only the
 exact simplex answers, the optimum may not be unique and the strategies
 may differ; both guarantees are then checked exactly on each answer.
-Counting ``_Simplex.solve`` calls tells the two paths apart.
+Counting the builds of an exact ``_Simplex`` tells the two paths apart.
 
 ``detect_affine``'s verdict and transform do not depend on the order of
 the actions either, and nor does the strategic test's decomposition, up to
@@ -31,19 +31,20 @@ from test_solvers import assert_guarantees, zero_sum
 
 def solve_counting(v):
     """``minimax_solve`` of the zero-sum game ``v`` and whether its guess
-    was certified, that is, whether the exact simplex never solved."""
-    calls = 0
-    solve = solvers._Simplex.solve
+    was certified, that is, whether no exact simplex was built.  The guess,
+    a subclass with its own ``__init__``, is not counted."""
+    builds = 0
+    init = solvers._Simplex.__init__
 
-    def counted(self):
-        nonlocal calls
-        calls += 1
-        return solve(self)
+    def counted(self, a):
+        nonlocal builds
+        builds += 1
+        init(self, a)
 
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(solvers._Simplex, "solve", counted)
+        patch.setattr(solvers._Simplex, "__init__", counted)
         solution = minimax_solve(zero_sum(v))
-    return solution, calls == 0
+    return solution, builds == 0
 
 
 @st.composite

@@ -534,19 +534,18 @@ def wide_lps(draw):
 @given(wide_lps())
 def test_a_wide_lp_certifies_or_falls_back_to_the_exact_answer(a):
     # the guess runs on a rounded copy, the certificate on a itself: a
-    # certified optimum is the exact simplex's, and minimax_solve always
+    # certified optimum is the exact path's, and minimax_solve always
     # returns the exact path's answer
-    m, n = len(a), len(a[0])
-    p, q, div, total = solvers._Simplex(a, [1] * m, [1] * n).solve()
+    g = zero_sum(a)
+    exact = solve_exactly(g)  # the game's value is a's
     supports = solvers._guess_supports(a)
     optimum = solvers._certify(a, *supports) if supports else None
     if optimum is not None:
         x, y, d, s = optimum
-        assert MixedStrategy.from_weights(x) == MixedStrategy.from_weights(p)
-        assert MixedStrategy.from_weights(y) == MixedStrategy.from_weights(q)
-        assert F(d, s) == F(div, total)
-    g = zero_sum(a)
-    assert minimax_solve(g).to_json_dict() == solve_exactly(g).to_json_dict()
+        assert MixedStrategy.from_weights(x) == exact.row_strategy
+        assert MixedStrategy.from_weights(y) == exact.col_strategy
+        assert F(d, s) == exact.value
+    assert minimax_solve(g).to_json_dict() == exact.to_json_dict()
 
 
 def hostile_game(n, d):
@@ -625,9 +624,9 @@ def lp_matrix(game):
     matrices = []
     init = solvers._Simplex.__init__
 
-    def recording_init(self, a, b, c=None):
+    def recording_init(self, a):
         matrices.append(a)
-        init(self, a, b, c)
+        init(self, a)
 
     with pytest.MonkeyPatch.context() as mp:
         exact_path(mp)
