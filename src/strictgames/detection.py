@@ -15,7 +15,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain, count
+from itertools import accumulate, chain, count
 
 from .errors import AlphaNonpositiveError
 from .games import (
@@ -148,19 +148,33 @@ def witness_to_json_dict(w: Witness) -> dict:
 def pure_ordinal_competitive(game: BimatrixGame) -> bool | OrdinalViolation:
     """Check the strict-competitiveness biconditional on pure profiles only.
 
-    Scans all ordered pairs of cells in row-major order and returns the
-    first pair where ``u1(sigma) >= u1(tau)`` and ``u2(sigma) <= u2(tau)``
-    disagree, or True if none exists.  Passing this check does not imply the
-    mixed extension is adversarial.
+    Returns the first ordered pair of cells, in row-major order of
+    ``sigma`` and then of ``tau``, where ``u1(sigma) >= u1(tau)`` and
+    ``u2(sigma) <= u2(tau)`` disagree, or True if none exists.  Passing
+    this check does not imply the mixed extension is adversarial.
+
+    A cell ``sigma`` has such a ``tau`` exactly when some cell pays ``u1``
+    at most ``u1(sigma)`` and ``u2`` less than ``u2(sigma)``, or ``u1``
+    more and ``u2`` at least as much.  So one pass over the distinct
+    ``u1`` values in order, keeping the least ``u2`` at or below each and
+    the largest above it, finds the first such ``sigma`` in ``O(N log N)``
+    for ``N`` cells, and one scan finds its first ``tau``.
     """
     cells = game.cells()
-    a, b = game.num1, game.num2  # one positive denominator per matrix
-    for sigma in cells:
-        for tau in cells:
-            ge1 = a[sigma[0]][sigma[1]] >= a[tau[0]][tau[1]]
-            le2 = b[sigma[0]][sigma[1]] <= b[tau[0]][tau[1]]
-            if ge1 != le2:
-                return OrdinalViolation(sigma, tau)
+    a = [v for row in game.num1 for v in row]  # one positive denominator
+    b = [v for row in game.num2 for v in row]  # per matrix
+    low, high = {}, {}
+    for u, w in zip(a, b):
+        low[u] = min(low.get(u, w), w)
+        high[u] = max(high.get(u, w), w)
+    values = sorted(low)
+    below = dict(zip(values, accumulate(map(low.get, values), min)))
+    above = dict(zip(values[:-1], [*accumulate(map(high.get, values[:0:-1]), max)][::-1]))
+    for s, (u, w) in enumerate(zip(a, b)):
+        # nothing lies above the largest value of u1
+        if below[u] < w or above.get(u, w - 1) >= w:
+            t = next(t for t, (v, x) in enumerate(zip(a, b)) if (u >= v) != (w <= x))
+            return OrdinalViolation(cells[s], cells[t])
     return True
 
 

@@ -22,7 +22,7 @@ from array import array
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations
+from itertools import combinations, compress
 from operator import mul, neg
 
 from .detection import AffineTransform, detect_affine, to_zero_sum
@@ -70,8 +70,8 @@ class MinimaxSolution:
     def to_json_dict(self) -> dict:
         return {
             "value": format_rational(self.value),
-            "row_strategy": [format_rational(p) for p in self.row_strategy],
-            "col_strategy": [format_rational(p) for p in self.col_strategy],
+            "row_strategy": _format_strategy(self.row_strategy),
+            "col_strategy": _format_strategy(self.col_strategy),
         }
 
 
@@ -83,10 +83,20 @@ class Equilibrium:
 
     def to_json_dict(self) -> dict:
         return {
-            "row_strategy": [format_rational(p) for p in self.x],
-            "col_strategy": [format_rational(p) for p in self.y],
+            "row_strategy": _format_strategy(self.x),
+            "col_strategy": _format_strategy(self.y),
             "payoffs": [format_rational(v) for v in self.payoffs],
         }
+
+
+def _format_strategy(strategy: MixedStrategy) -> list[str]:
+    """Each probability as :func:`format_rational` writes it, reduced by
+    one ``gcd`` instead of one ``Fraction``."""
+    den, out = strategy.den, []
+    for w in strategy.weights:
+        g = math.gcd(w, den)
+        out.append(f"{w // g}/{den // g}")
+    return out
 
 
 @dataclass(frozen=True)
@@ -266,16 +276,19 @@ class _Guess(_Simplex):
     this class owns the packed codec, the pivot arithmetic and the guard.
 
     Built on data multiplied by ``2**B``, ``B = GUESS_BITS``, each entry is
-    its true tableau entry in units of ``2**-B``, rounded down after every
-    pivot, so entries keep their size instead of growing into basis
-    determinants.  A pivot at ``(r, c)`` with pivot ``p`` multiplies by
-    ``inv = (1 << 2*B) // p`` instead of dividing by ``p`` (Granlund &
-    Montgomery 1994, "Division by invariant integers using multiplication"):
-    it maps an entry ``v`` of another row to ``v - ceil(ratio*w / 2**B)``,
-    where ``ratio = ceil(f*inv / 2**B)``, within a unit of ``f/p``, ``f`` is
-    the row's entry in column ``c`` and ``w`` the pivot row's entry in
-    ``v``'s column; it maps the pivot row's ``w`` to ``w*inv >> B``, and
-    column ``c`` becomes ``-ratio``, ``inv`` in row ``r``.  The tolerance,
+    its true tableau entry in units of ``2**-B``, kept in finer units of
+    ``2**-2B``: a pivot's updates carry the fraction below a unit on to
+    the next pivot, and every read floors it away, so entries keep their
+    size instead of growing into basis determinants.  A pivot at ``(r, c)``
+    with pivot ``p`` multiplies by ``inv = (1 << 2*B) // p`` instead of
+    dividing by ``p`` (Granlund & Montgomery 1994, "Division by invariant
+    integers using multiplication").  With ``f`` the floored entry of a row
+    in column ``c`` and ``w`` the floored entry of the pivot row in another
+    column, it subtracts ``ratio*w`` units of ``2**-2B`` from that column's
+    entry in the row, where ``ratio = ceil(f*inv / 2**B)``, within a unit
+    of ``f/p``; it maps the pivot row's entry to ``w*inv`` plus the
+    fraction that entry carried; and column ``c`` becomes ``-ratio``,
+    ``inv`` in row ``r``, with no fraction.  The tolerance,
     set when the object is built, is ``2**(B//2)`` units: the ratio test
     sees an entering-column entry at or below it as 0, the pivot tolerance
     of Harris 1973 ("Pivot selection methods of the Devex LP code"): an
@@ -295,46 +308,51 @@ class _Guess(_Simplex):
 
     Storage: one integer per column, the right-hand side last.  Field
     ``i`` of a column, 128 bits at bit ``128*i``, holds row ``i``'s entry
-    plus ``2**63``, shifted up by ``B``: ``B`` zero bits, a 64-bit value
-    region, which holds exactly the int64 entries, and a guard, zero in
-    every stored column.  The ``m`` constraint rows come first and the
-    objective is the top field, read off with one shift.  Shifted down by
-    ``B`` and XORed with ``flip``, bit 63 of each field, a column holds its
-    entries in two's complement in the even 64-bit words, so an ``array``
-    packs it and a ``memoryview`` unpacks it, in C.  The LPs that
-    ``minimax_solve`` builds stay far inside: their data is rounded to
-    ``GUESS_DATA_BITS`` bits, and the tolerance keeps every ratio ``f/p``
-    below ``2**(B//2)`` times ``f``; over the 1,224 ``solve-lp`` benchmark
-    LPs of four seeds no entry reaches ``2**47`` in absolute value.
+    plus ``2**63`` in units of ``2**-2B``: ``B`` bits of carried fraction,
+    a 64-bit value region, which holds exactly the int64 floored entries,
+    and a guard, zero in every stored column.  The ``m`` constraint rows
+    come first and the objective is the top field, read off with one
+    shift.  Shifted down by ``B`` and XORed with ``flip``, bit 63 of each
+    field, a column holds its floored entries in two's complement in the
+    even 64-bit words, and each field's fraction in the odd word below
+    it, so an ``array`` packs it and a ``memoryview`` unpacks it, in C.
+    The LPs that ``minimax_solve`` builds stay far inside: their data is
+    rounded to ``GUESS_DATA_BITS`` bits, and the tolerance keeps every
+    ratio ``f/p`` below ``2**(B//2)`` times ``f``; over the 1,224
+    ``solve-lp`` benchmark LPs of four seeds no entry reaches ``2**47`` in
+    absolute value.
 
-    A pivot builds column ``c`` from the stored one in one multiply:
-    ``t = FLIP*2**B - ((C >> B) - FLIP)*inv`` holds ``2**63*2**B - f*inv``
-    in each field, so ``t & VALUES`` holds ``-ratio`` as stored, and one
-    add writes ``inv`` into field ``r``.  It updates each other column
-    ``C`` whose pivot-row entry ``w`` is not 0 in one pass: ``t = C - w*R``
-    and then ``t & VALUES``, where ``R`` holds ``ratio`` in each field and
-    ``2**B - inv`` in field ``r``, and ``VALUES`` masks every value region.
-    Field ``i != r`` of ``t`` is ``(v + 2**63)*2**B - ratio*w``, and
-    clearing its low ``B`` bits leaves ``v + (-(ratio*w) >> B)`` plus the
-    offset, shifted; field ``r`` is ``(w + 2**63)*2**B - w*(2**B - inv)``,
-    which leaves ``w*inv >> B`` plus the offset.  These are exactly the
-    entries the same pivot makes on a list of one integer per entry.
+    A pivot builds column ``c`` from the stored one, its fractions masked
+    off, in one multiply: ``t = FLIP*2**B - (((C & VALUES) >> B) -
+    FLIP)*inv`` holds ``2**63*2**B - f*inv`` in each field, where ``VALUES``
+    masks every value region, so ``t & VALUES`` holds ``-ratio`` as stored,
+    and one add writes ``inv`` into field ``r``.  Unmasked, field ``i+1``'s
+    fraction would shift into the top of field ``i`` and spoil its product.
+    It updates each other column ``C`` whose floored pivot-row entry ``w``
+    is not 0 in one pass and stores ``t = C - w*R`` as it is, where ``R``
+    holds ``ratio`` in each field and ``2**B - inv`` in field ``r``.  Field
+    ``i != r`` of ``t`` is the field of ``C`` minus ``ratio*w``; field ``r``
+    is ``(w + 2**63)*2**B + e - w*(2**B - inv)``, ``e`` its fraction,
+    which is ``w*inv + e`` plus the offset.  These are exactly the entries
+    the same pivot makes on a list that holds each entry, its fraction
+    included, as one integer in units of ``2**-2B``.
 
     Guard: a pivot raises ``OverflowError`` when it would store an entry
-    outside int64, and exactly then.  :meth:`_pack` refuses such an entry
-    in the starting columns.  As ``|f| <= 2**63`` and ``p >= 1``,
-    ``inv <= 2**64``, and an ``inv >= 2**63`` sets a guard bit in field
-    ``r``; once column ``c`` fits, ``|w|``, every ``|ratio|`` and ``|inv|``
-    are at most ``2**63``.  So each field of every ``t``, which must lie in
-    ``[0, 2**(64+B))``, lies in ``(-2**127, 2**128)``: none wraps by a
-    whole ``2**128``, whose borrow would vanish in the low bits the mask
-    clears.  The lowest field out of range, negative or not, then shows a
-    set guard bit, Python's ``&`` reading a negative ``t`` in two's
-    complement.  So one test per pivot, of the OR of column ``c`` and every
-    ``t`` against ``GUARD``, sees every overflow and every borrow between
-    fields, on the same pivot as a test of each ``t`` (``|`` distributes
-    over ``&``).  ``_guess_supports`` takes the error as a failed guess;
-    correctness rests on the certificate, not on the guard.
+    whose floor is outside int64, and exactly then.  :meth:`_pack` refuses
+    such an entry in the starting columns.  As ``|f| <= 2**63`` and ``p >=
+    1``, ``inv <= 2**64``, and an ``inv >= 2**63`` sets a guard bit in
+    field ``r``; once column ``c`` fits, ``|w|``, every ``|ratio|`` and
+    ``|inv|`` are at most ``2**63``.  A stored field, its fraction
+    included, lies in ``[0, 2**(64+B))``, so each field of every ``t``,
+    which must lie there too, lies in ``(-2**127, 2**128)``: none wraps by
+    a whole ``2**128`` onto a value that looks valid.  The lowest field out
+    of range, negative or not, then shows a set guard bit, Python's ``&``
+    reading a negative ``t`` in two's complement.  So one test per pivot,
+    of the OR of column ``c`` and every ``t`` against ``GUARD``, sees every
+    overflow and every borrow between fields, on the same pivot as a test
+    of each ``t`` (``|`` distributes over ``&``).  ``_guess_supports``
+    takes the error as a failed guess; correctness rests on the
+    certificate, not on the guard.
     """
 
     def __init__(self, a: list[list[int]]) -> None:
@@ -352,7 +370,8 @@ class _Guess(_Simplex):
         # a's columns, each with objective entry -1, then the right-hand
         # side, 1 in each row and 0 in the objective, in units of 2**-B
         one = 1 << bits
-        self.cols = [self._pack([e << bits for e in col] + [-one]) for col in zip(*a)]
+        shifted = {e: e << bits for e in set().union(*a)}
+        self.cols = [self._pack([*map(shifted.__getitem__, col), -one]) for col in zip(*a)]
         self.cols.append(self._pack([one] * m + [0]))
 
     def _pack(self, entries: list[int]) -> int:
@@ -362,7 +381,7 @@ class _Guess(_Simplex):
         return (int.from_bytes(self.words, sys.byteorder) ^ self.flip) << GUESS_BITS
 
     def _unpack(self, packed: int) -> list[int]:
-        """The entries of a stored column int, the objective last."""
+        """The floored entries of a stored column int, the objective last."""
         raw = ((packed >> GUESS_BITS) ^ self.flip).to_bytes(16 * (self.m + 1), sys.byteorder)
         return memoryview(raw).cast("q")[_VALUE_WORDS].tolist()
 
@@ -377,7 +396,7 @@ class _Guess(_Simplex):
         bits, cols, flip, values = GUESS_BITS, self.cols, self.flip, self.values
         pivot = column[row]
         inv = (1 << 2 * bits) // pivot
-        t = (flip << bits) - ((cols[col] >> bits) - flip) * inv
+        t = (flip << bits) - (((cols[col] & values) >> bits) - flip) * inv
         shift = 128 * row + bits
         packed = (t & values) + ((inv - (-pivot * inv >> bits)) << shift)  # inv in field r
         multiplier = flip - (packed >> bits) + (1 << shift)  # R
@@ -389,7 +408,7 @@ class _Guess(_Simplex):
             if w != off and j != col:  # a column with w == 0 is unchanged
                 t = stored - (w - off) * multiplier
                 acc |= t
-                cols[j] = t & values
+                cols[j] = t
         if acc & self.guard:
             raise OverflowError("a fixed-point entry leaves its field")
         cols[col] = packed
@@ -438,9 +457,9 @@ def minimax_solve(game: BimatrixGame) -> MinimaxSolution:
     # sum_i x_i u1_ij >= value, cross-multiplied by the positive
     # denominators of x, u1 and value; likewise for y
     num, vden = value.numerator, value.denominator
-    if any(s * vden < num * x.den * den for s in _row_sums(zip(*v), x.weights)):
+    if any(s * vden < num * x.den * den for s in _weighted_sums(v, x.weights)):
         raise AssertionError("row guarantee certificate failed")
-    if any(s * vden > num * y.den * den for s in _row_sums(v, y.weights)):
+    if any(s * vden > num * y.den * den for s in _weighted_sums(zip(*v), y.weights)):
         raise AssertionError("column guarantee certificate failed")
     return MinimaxSolution(value=value, row_strategy=x, col_strategy=y)
 
@@ -453,8 +472,9 @@ def _positive_class(v: IntMatrix) -> tuple[list[list[int]], int, int]:
     0`` has the same ``a``, and as ``v == (low - g) + g*a`` the two share
     their best replies, indifference solutions and optima.
     """
-    low = min(map(min, v))
-    g = math.gcd(*(entry - low for row in v for entry in row)) or 1
+    distinct = set().union(*v)
+    low = min(distinct)
+    g = math.gcd(*[entry - low for entry in distinct]) or 1
     return [[(entry - low) // g + 1 for entry in row] for row in v], low, g
 
 
@@ -520,11 +540,10 @@ def _certify(
     x = _solve_transposed(*eliminated, [1] * k)
     if min(x) <= 0:
         return None
-    x = _spread(rows, x, len(a))
-    conceded = _row_sums(zip(*a), x)
+    conceded = _row_sums(zip(*[a[i] for i in rows]), x)
     if min(conceded) < d or conceded.count(d) > k:
         return None
-    return x, y, d, sum(y)
+    return _spread(rows, x, len(a)), y, d, sum(y)
 
 
 def _support_system(
@@ -764,6 +783,15 @@ def _indifference(
     if max(earned) > d:
         return None
     return weights, d, earned.count(d), eliminated
+
+
+def _weighted_sums(matrix, weights) -> list[int]:
+    """``weights @ matrix`` in integers, one sum per column of ``matrix``,
+    taken over the rows whose weight is not 0 only."""
+    # zip gets a list, not an iterator: CPython builds the argument tuple
+    # of an iterator by resizing, and each such tuple it frees stays on
+    # the small-tuple free list, which then grows by one tuple per call
+    return _row_sums(zip(*list(compress(matrix, weights))), [w for w in weights if w])
 
 
 def _spread(support: tuple[int, ...], weights: list[int], size: int) -> list[int]:

@@ -48,6 +48,60 @@ def test_pure_ordinal_prisoners_dilemma():
     assert v == OrdinalViolation(sigma=(0, 0), tau=(1, 1))
 
 
+def scan_ordinal(game):
+    """``pure_ordinal_competitive`` as a scan of every ordered pair of
+    cells in row-major order, the reference for its sorted pass."""
+    cells = game.cells()
+    for sigma in cells:
+        for tau in cells:
+            ge1 = game.u1[sigma[0]][sigma[1]] >= game.u1[tau[0]][tau[1]]
+            le2 = game.u2[sigma[0]][sigma[1]] <= game.u2[tau[0]][tau[1]]
+            if ge1 != le2:
+                return OrdinalViolation(sigma, tau)
+    return True
+
+
+@st.composite
+def tied_rational_games(draw):
+    """Games up to 5x5 whose payoffs come from a few rationals, so that
+    ties within each matrix and between the two orders are common; half of
+    them have ``u2`` strictly decreasing in ``u1``, so that pure profiles
+    pass or fail on a single cell."""
+    m, n = draw(st.integers(1, 5)), draw(st.integers(1, 5))
+    values = st.fractions(-3, 3, max_denominator=3)
+    u1 = [[draw(values) for _ in range(n)] for _ in range(m)]
+    if draw(st.booleans()):
+        u2 = [[draw(values) for _ in range(n)] for _ in range(m)]
+    else:
+        scale = draw(st.fractions(F(1, 3), 3, max_denominator=3).filter(bool))
+        u2 = [[-scale * v * abs(v) for v in row] for row in u1]
+        if draw(st.booleans()):
+            i, j = draw(st.integers(0, m - 1)), draw(st.integers(0, n - 1))
+            u2[i][j] = draw(values)
+    return new_game(u1, u2)
+
+
+@settings(max_examples=400, deadline=None)
+@given(tied_rational_games())
+def test_pure_ordinal_returns_the_first_pair_of_the_full_scan(game):
+    assert pure_ordinal_competitive(game) == scan_ordinal(game)
+
+
+def test_pure_ordinal_on_a_100x100_game():
+    # an adversarial game passes, and one changed cell gives a pair that
+    # re-checks; a scan of every pair would make 10**8 comparisons here
+    v = [[(7 * i + 3 * j) % 41 - 20 for j in range(100)] for i in range(100)]
+    game = new_game(v, [[-e for e in row] for row in v])
+    assert pure_ordinal_competitive(game) is True
+    w = [row[:] for row in v]
+    w[99][99] = -w[99][99] + 1
+    late = new_game(v, w)
+    found = pure_ordinal_competitive(late)
+    assert found is not True
+    (i, j), (k, l) = found.sigma, found.tau
+    assert (v[i][j] >= v[k][l]) != (w[i][j] <= w[k][l])
+
+
 def test_detect_matching_pennies():
     r = detect_affine(MATCHING_PENNIES)
     assert r.status == "adversarial"

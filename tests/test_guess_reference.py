@@ -1,18 +1,20 @@
 """The packed fixed-point basis guess against the unpacked pivot loop.
 
-The reference below is ``_Guess`` as it was before its tableau was packed:
-one Python integer per tableau entry, the same fixed-point pivot and pivot
-tolerance, run by the same ``_Simplex`` loop.  Its pivot takes the inverse
-``inv = 2**(2*B) // p`` of the pivot first and each ratio as
-``ceil(f*inv / 2**B)``, the rule the packed pivot computes for a whole
-column in one multiply.  On the LPs ``minimax_solve``
-builds, and on the rounded copy of 40-bit entries that ``_guess_supports``
-guesses on, the packed guess must make the same pivots and end on the same
-basis with the same entries; no entry leaves int64 there, so the guard
-never fires.  Where entries do leave int64 (entries of up to 31 bits, or
-arbitrary entries for one pivot), the packed guess must raise
-``OverflowError`` on exactly the pivot after which the list guess holds
-an entry outside ``[-2**63, 2**63)``.
+The reference below is ``_Guess`` without its packing: one Python integer
+per tableau entry, in units of ``2**-(2*B)`` so that it carries the
+fraction each pivot leaves, the same fixed-point pivot and pivot
+tolerance, run by the same ``_Simplex`` loop, which reads every entry
+floored to units of ``2**-B``.  Its pivot takes the inverse ``inv =
+2**(2*B) // p`` of the pivot first and each ratio as ``ceil(f*inv /
+2**B)``, the rule the packed pivot computes for a whole column in one
+multiply.  On the LPs ``minimax_solve`` builds, and on the rounded copy of
+40-bit entries that ``_guess_supports`` guesses on, the packed guess must
+make the same pivots and end on the same basis with the same floored
+entries; no entry leaves int64 there, so the guard never fires.  Where
+entries do leave int64 (entries of up to 31 bits, or arbitrary entries for
+one pivot), the packed guess must raise ``OverflowError`` on exactly the
+pivot after which the list guess holds a floored entry outside
+``[-2**63, 2**63)``.
 """
 
 from hypothesis import example, given, settings
@@ -27,29 +29,41 @@ INT64 = range(-(1 << 63), 1 << 63)
 
 
 class ListGuess(_Simplex):
-    """The fixed-point guess on a list of rows."""
+    """The fixed-point guess on a list of rows, each entry in units of
+    ``2**-(2*GUESS_BITS)``: the fraction below a unit of ``2**-GUESS_BITS``
+    is carried from pivot to pivot, and every read floors it away."""
 
     def __init__(self, a):
         super().__init__(a)
-        # the exact value LP of a, in units of 2**-GUESS_BITS
-        self.rows = [[e << solvers.GUESS_BITS for e in row] for row in self.rows]
+        # the exact value LP of a, in units of 2**-(2*GUESS_BITS)
+        self.rows = [[e << 2 * solvers.GUESS_BITS for e in row] for row in self.rows]
         # the ratio test sees an entry at or below the tolerance as 0
         self.tolerance = 1 << solvers.GUESS_BITS // 2
 
-    def _pivot(self, row, col, column):
-        prow = self.rows[row]
-        pivot = prow[col]
+    def _objective(self):
+        return [e >> solvers.GUESS_BITS for e in self.rows[-1]]
+
+    def _column(self, col):
         bits = solvers.GUESS_BITS
+        return [row[col] >> bits for row in self.rows], [row[-1] >> bits for row in self.rows]
+
+    def _pivot(self, row, col, column):
+        bits = solvers.GUESS_BITS
+        prow = [e >> bits for e in self.rows[row]]
+        pivot = prow[col]
         inverse = (1 << 2 * bits) // pivot
         for i, old in enumerate(self.rows):
-            f = old[col]
-            if i != row and f:  # a row with f == 0 is unchanged
+            if i != row:
+                f = old[col] >> bits
                 ratio = -(-(f * inverse) >> bits)
-                new = [v + (-(ratio * w) >> bits) for v, w in zip(old, prow)]
-                new[col] = -ratio
+                # a row with f == 0 is unchanged but for column col, which
+                # is rebuilt from floored entries in every row
+                new = [v - ratio * w for v, w in zip(old, prow)] if f else list(old)
+                new[col] = -ratio << bits
                 self.rows[i] = new
-        new = [w * inverse >> bits for w in prow]
-        new[col] = inverse
+        # the pivot row's entries keep their fractions
+        new = [v + w * (inverse - (1 << bits)) for v, w in zip(self.rows[row], prow)]
+        new[col] = inverse << bits
         self.rows[row] = new
         self.basis[row], self.nonbasic[col] = self.nonbasic[col], self.basis[row]
 
@@ -81,9 +95,10 @@ def run(guess):
 
 
 def tableau(guess):
-    """Every entry, row by row, the objective last."""
+    """Every entry, floored to units of ``2**-GUESS_BITS``, row by row, the
+    objective last."""
     if isinstance(guess, ListGuess):
-        return guess.rows
+        return [[e >> solvers.GUESS_BITS for e in row] for row in guess.rows]
     return [list(row) for row in zip(*map(guess._unpack, guess.cols))]
 
 
@@ -238,13 +253,13 @@ def test_guard_fires_exactly_when_a_list_entry_leaves_its_field(a):
     # must raise on the first pivot after which an entry of the list guess
     # lies outside int64, and match it exactly until then
     reference, packed = list_guess(a), _Guess(a)
-    assert all(v in INT64 for r in reference.rows for v in r)
+    assert all(v in INT64 for r in tableau(reference) for v in r)
     fits = []
     pivot = reference._pivot
 
     def checking_pivot(row, col, column):
         pivot(row, col, column)
-        fits.append(all(v in INT64 for r in reference.rows for v in r))
+        fits.append(all(v in INT64 for r in tableau(reference) for v in r))
 
     reference._pivot = checking_pivot
     pivots, outcome = run(packed)
@@ -290,13 +305,13 @@ def test_one_pivot_matches_the_list_pivot_or_raises(case):
     rows, row, col = case
     m, n = len(rows) - 1, len(rows[0]) - 1
     reference, packed = list_guess([[1] * n] * m), _Guess([[1] * n] * m)
-    reference.rows = [list(r) for r in rows]
+    reference.rows = [[v << solvers.GUESS_BITS for v in r] for r in rows]
     packed.cols = [packed._pack(list(c)) for c in zip(*rows)]
     column = [r[col] for r in rows]
     reference._pivot(row, col, column)
-    if all(v in INT64 for r in reference.rows for v in r):
+    if all(v in INT64 for r in tableau(reference) for v in r):
         packed._pivot(row, col, column)
-        assert tableau(packed) == reference.rows
+        assert tableau(packed) == tableau(reference)
     else:
         with pytest.raises(OverflowError):
             packed._pivot(row, col, column)
@@ -321,7 +336,7 @@ def test_the_largest_products_cannot_wrap_a_field(pivot, f, w):
     assert bits == 32
     rows = [[pivot, w], [f, 0], [0, 0]]
     reference, guess = list_guess([[1], [1]]), _Guess([[1], [1]])
-    reference.rows = [list(r) for r in rows]
+    reference.rows = [[v << bits for v in r] for r in rows]
     column = [r[0] for r in rows]
     reference._pivot(0, 0, column)
     inverse = (1 << 2 * bits) // pivot
@@ -329,7 +344,7 @@ def test_the_largest_products_cannot_wrap_a_field(pivot, f, w):
     ratios = [-(-(f * inverse) >> bits), (1 << bits) - inverse]
     assert all(-ratio in INT64 for ratio in ratios)
     assert max(abs(w * ratio) for ratio in ratios) < (1 << 127) - (1 << 64 + bits)
-    assert not all(v in INT64 for r in reference.rows for v in r)
+    assert not all(v in INT64 for r in tableau(reference) for v in r)
     guess.cols = [guess._pack(list(c)) for c in zip(*rows)]
     with pytest.raises(OverflowError):
         guess._pivot(0, 0, column)

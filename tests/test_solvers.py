@@ -322,6 +322,45 @@ def test_certificate_accepts_generated_disguised_games(bound, seed):
     assert solution.to_json_dict() == solve_exactly(zero).to_json_dict()
 
 
+def test_the_guess_certifies_every_lp_of_a_solve_lp_like_pool(monkeypatch):
+    # 60 disguised games of the benchmark's sizes and value bounds.  A
+    # guess that certifies less often is silent: the exact simplex then
+    # gives the same answer, so only the count of exact builds shows it
+    builds = []
+    init = solvers._Simplex.__init__
+
+    def counted(self, a):
+        builds.append(len(a))
+        init(self, a)
+
+    monkeypatch.setattr(solvers._Simplex, "__init__", counted)
+    for k in range(60):
+        n, bound = (24, 32, 40)[k % 3], (20, 2)[k // 3 % 2]
+        game = gen(GenSpec(Family.DISGUISED_ZERO_SUM, n, n, k, bound))
+        minimax_solve(to_zero_sum(game, detect_affine(game).transform))
+    assert builds == []
+
+
+@pytest.mark.parametrize("side", ["row", "column"])
+def test_the_final_check_rejects_a_certified_answer_that_is_not_optimal(monkeypatch, side):
+    # rock-paper-scissors has one optimum, uniform on both sides.  Moving
+    # one player's weight from their first action onto their second, which
+    # loses to the third, keeps the value and a plausible shape; the
+    # final re-check on u1 must refuse it
+    rps = zero_sum([[0, -1, 1], [1, 0, -1], [-1, 1, 0]])
+    certify = solvers._certify
+
+    def moved(a, rows, cols):
+        x, y, d, s = certify(a, rows, cols)
+        w = x if side == "row" else y
+        w[1], w[0] = w[0] + w[1], 0
+        return x, y, d, s
+
+    monkeypatch.setattr(solvers, "_certify", moved)
+    with pytest.raises(AssertionError, match=f"{side} guarantee certificate failed"):
+        minimax_solve(rps)
+
+
 def test_pivot_tolerance_certifies_a_tie_heavy_game():
     # at value bound 1 many tableau entries are truly 0; without a pivot
     # tolerance the guess pivoted on one that rounding had left 17 units
