@@ -16,32 +16,40 @@ are counted as vacuous, separately from failures.
 The audit runs on integers: a strategy is a list of integer weights over
 their sum, and a utility a pair ``(n, d)``, d > 0, worth ``n / (d * den)``
 for the lens's game denominator, compared by cross-multiplication.  Axiom
-``k`` draws from ``random.Random(seed * 8 + k)`` in a fixed order, through
-samplers that consume it exactly as ``randint`` and ``choice`` do; adding,
-dropping or reordering a draw changes reports.
+``k`` draws from ``random.Random(seed * 8 + k)`` in a fixed order; adding,
+dropping or reordering a draw changes reports.  The draws live in
+:func:`strictgames.rational.draws`, which binds them once to the stream
+(simplex point, coordinate, weight and open weight) and consumes it
+exactly as ``randint`` and ``choice`` do.  Each axiom's sampler is a
+closure over the lens and those bound draws, and builds each lens side
+``M @ y`` or ``x @ M`` it needs once per sample.
 """
 
 from __future__ import annotations
 
 import enum
 import random
-from dataclasses import asdict, dataclass
+from collections.abc import Callable
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from operator import mul
 
 from .games import BimatrixGame, IntMatrix, MixedProfile, expected_utility
 from .games import _mix_weights, _row_sums
-from .rational import _below, random_open_weight, random_simplex_point, random_weight
+from .rational import Draws, draws
 
 AXIOM_NAMES = ("MS1", "MS2", "MS3", "MS4", "MS5")
 
 Weights = list[int]
-Profile = tuple[Weights, Weights]
 #: ``(n, d)``, d > 0: a utility ``n / (d * den)``, or a weight ``n / d``.
 Pair = tuple[int, int]
 #: ``(v, d)``: weights ``s`` of the varied coordinate are worth ``(v @ s, d * sum(s))``.
 Side = tuple[list[int], int]
+#: The lens matrix ``M``, its transpose and its denominator.
+LensMatrices = tuple[IntMatrix, IntMatrix, int]
+#: One sample of an axiom: None, ``_VACUOUS`` or a counterexample.
+Sampler = Callable[[], str | None]
 _VACUOUS = "vacuous"  # a sample whose precondition did not fire
 
 
@@ -66,33 +74,14 @@ class InducedPreference:
         object.__setattr__(self, "lens", Lens(self.lens))
 
     @cached_property
-    def _lens(self) -> tuple[IntMatrix, IntMatrix, int]:
+    def _lens(self) -> LensMatrices:
         """``M``, its transpose, and ``den``."""
-        g = self.game
+        g = self.game  # tuples from lists, as BimatrixGame builds them
         if self.lens is Lens.NEG_U1:
-            m, den = tuple(tuple(-v for v in row) for row in g.num1), g.den1
+            m, den = tuple([tuple([-v for v in row]) for row in g.num1]), g.den1
         else:
             m, den = g.num2, g.den2
-        return m, tuple(zip(*m)), den
-
-    def _strategy(self, rng: random.Random, i: int) -> Weights:
-        return random_simplex_point(rng, len(self._lens[i - 1]))
-
-    def _profile(self, rng: random.Random) -> Profile:
-        m, mt, _ = self._lens
-        return random_simplex_point(rng, len(m)), random_simplex_point(rng, len(mt))
-
-    def _side(self, prof: Profile, i: int) -> Side:
-        """What coordinate ``i`` of ``prof`` meets: the row sums ``M @ y``
-        (i == 1) or column sums ``x @ M`` (i == 2), over the other sum."""
-        other = prof[2 - i]
-        return _row_sums(self._lens[i - 1], other), sum(other)
-
-    def _value(self, prof: Profile) -> Pair:
-        return _at(self._side(prof, 1), prof[0])
-
-    def _show(self, u: Pair) -> Fraction:
-        return Fraction(u[0], u[1] * self._lens[2])
+        return m, tuple(list(zip(*m))), den
 
     def utility(self, p: MixedProfile) -> Fraction:
         if self.lens is Lens.NEG_U1:
@@ -125,8 +114,11 @@ class AxiomReport:
         return all(s.failures == 0 for s in self.axioms.values())
 
     def to_json_dict(self) -> dict:
-        out = asdict(self)
-        return {**out, "lens": self.lens.value, "overall_pass": self.overall_pass}
+        """What ``dataclasses.asdict`` gives, the lens by its value and
+        ``overall_pass`` added, without its deep copy of immutable values."""
+        axioms = {name: dict(vars(stats)) for name, stats in self.axioms.items()}
+        fields = {"samples": self.samples, "seed": self.seed, "axioms": axioms}
+        return {"lens": self.lens.value, **fields, "overall_pass": self.overall_pass}
 
 
 def _at(side: Side, s: Weights) -> Pair:
@@ -135,14 +127,18 @@ def _at(side: Side, s: Weights) -> Pair:
     return sum(map(mul, v, s)), d * sum(s)
 
 
+def _value(m: IntMatrix, x: Weights, y: Weights) -> Pair:
+    """The utility of the profile ``(x, y)`` under the lens matrix ``m``."""
+    return sum(map(mul, x, _row_sums(m, y))), sum(x) * sum(y)
+
+
 def _diff(a: Pair, b: Pair) -> int:
     """An integer with the sign of ``a - b``."""
     return a[0] * b[1] - b[0] * a[1]
 
 
-def _coordinate(rng: random.Random) -> int:
-    """Draws what ``rng.choice((1, 2))`` draws."""
-    return 1 + _below(rng, 2)
+def _show(u: Pair, den: int) -> Fraction:
+    return Fraction(u[0], u[1] * den)
 
 
 def _ms4_weights(up: Pair, uq: Pair, urp: Pair) -> tuple[Pair, Pair]:
@@ -169,69 +165,6 @@ def ms4_witness(
     return tuple(Fraction(*w) for w in _ms4_weights(*pairs))
 
 
-def _ms1(pref: InducedPreference, rng: random.Random) -> str | None:
-    a, b, c = (pref._value(pref._profile(rng)) for _ in range(3))
-    show = pref._show
-    if not (_diff(a, b) <= 0 or _diff(b, a) <= 0):
-        return f"totality broken at {show(a)} vs {show(b)}"
-    if _diff(a, b) <= 0 and _diff(b, c) <= 0 and not _diff(a, c) <= 0:
-        return f"transitivity broken at ({show(a)}, {show(b)}, {show(c)})"
-    return None
-
-
-def _ms2(pref: InducedPreference, rng: random.Random) -> str | None:
-    p, q, r = (pref._profile(rng) for _ in range(3))
-    i = _coordinate(rng)
-    a = random_weight(rng)
-    side, pi, qi = pref._side(r, i), p[i - 1], q[i - 1]
-    left = _at(side, _mix_weights(pi, qi, a))
-    right = _at(side, _mix_weights(qi, pi, (a[1] - a[0], a[1])))
-    if _diff(left, right) != 0:
-        return f"commutativity broken at weight {Fraction(*a)}, coordinate {i}"
-    return None
-
-
-def _ms3(pref: InducedPreference, rng: random.Random) -> str | None:
-    p, q, r = (pref._profile(rng) for _ in range(3))
-    i = _coordinate(rng)
-    a = random_weight(rng)
-    b = random_weight(rng)
-    side, pi, qi = pref._side(r, i), p[i - 1], q[i - 1]
-    left = _at(side, _mix_weights(_mix_weights(pi, qi, a), qi, b))
-    right = _at(side, _mix_weights(pi, qi, (a[0] * b[0], a[1] * b[1])))
-    if _diff(left, right) != 0:
-        return (
-            f"distributivity broken at weights ({Fraction(*a)}, "
-            f"{Fraction(*b)}), coordinate {i}"
-        )
-    return None
-
-
-def _ms4(pref: InducedPreference, rng: random.Random) -> str | None:
-    p = pref._profile(rng)
-    q = pref._profile(rng)
-    i = _coordinate(rng)
-    top = pref._strategy(rng, i)
-    side, base = pref._side(p, i), p[i - 1]
-    up, uq, urp = _at(side, base), pref._value(q), _at(side, top)
-    if _diff(urp, uq) < 0 < _diff(up, uq):
-        # the premise fires with the roles of p_i and r_i exchanged
-        base, top, up, urp = top, base, urp, up
-    elif not _diff(up, uq) < 0 < _diff(urp, uq):
-        return _VACUOUS
-    alpha, beta = _ms4_weights(up, uq, urp)
-    low = _at(side, _mix_weights(base, top, alpha))
-    high = _at(side, _mix_weights(base, top, beta))
-    if (
-        0 < alpha[0] < alpha[1]
-        and 0 < beta[0] < beta[1]
-        and _diff(low, uq) < 0 < _diff(high, uq)
-    ):
-        return None
-    show = pref._show
-    return f"solvability witness failed at ({show(up)}, {show(uq)}, {show(urp)})"
-
-
 def _indifferent_strategy(side: Side, target: Pair) -> Weights | None:
     """Weights worth ``target`` against ``side``, or None if unreachable:
     the utility is linear, so its range is spanned by the pure strategies
@@ -251,46 +184,104 @@ def _indifferent_strategy(side: Side, target: Pair) -> Weights | None:
     return s
 
 
-def _ms5(pref: InducedPreference, rng: random.Random) -> str | None:
-    p = pref._profile(rng)
-    q = pref._profile(rng)
-    order = _diff(pref._value(p), pref._value(q))
-    if order == 0:
-        return _VACUOUS
-    if order > 0:
-        p, q = q, p
-    i = _coordinate(rng)
-    j = _coordinate(rng)
-    ri = pref._strategy(rng, i)
-    pside, qside = pref._side(p, i), pref._side(q, j)
-    sj = _indifferent_strategy(qside, _at(pside, ri))
-    if sj is None:
-        return _VACUOUS
-    a = random_open_weight(rng)
-    left = _at(pside, _mix_weights(p[i - 1], ri, a))
-    right = _at(qside, _mix_weights(q[j - 1], sj, a))
-    if _diff(left, right) >= 0:
-        return f"independence broken at weight {Fraction(*a)}, coordinates ({i}, {j})"
-    return None
+def _samplers(lens: LensMatrices, draw: Draws) -> tuple[Sampler, ...]:
+    """The samplers of MS1 to MS5 as closures over the lens and one stream's
+    bound draws, so that a sample looks nothing up; the audit keeps the
+    sampler of the axiom whose stream it bound.  Each draws in a fixed
+    order, which the reports depend on."""
+    (m, mt, den), (_, point, coordinate, weight, open_weight) = lens, draw
+    dims = rows, cols = len(m), len(mt)
+
+    def ms1() -> str | None:
+        a, b, c = [_value(m, point(rows), point(cols)) for _ in range(3)]
+        ab = _diff(a, b)
+        if not (ab <= 0 or -ab <= 0):  # a <= b or b <= a
+            return f"totality broken at {_show(a, den)} vs {_show(b, den)}"
+        if ab <= 0 and _diff(b, c) <= 0 and not _diff(a, c) <= 0:
+            a, b, c = (_show(u, den) for u in (a, b, c))
+            return f"transitivity broken at ({a}, {b}, {c})"
+        return None
+
+    def ms2() -> str | None:
+        p, q = (point(rows), point(cols)), (point(rows), point(cols))
+        r = point(rows), point(cols)
+        i = coordinate()
+        a = weight()
+        # r's side of coordinate i, its sum left out: both mixtures meet it
+        v, pi, qi = _row_sums(lens[i - 1], r[2 - i]), p[i - 1], q[i - 1]
+        left = _mix_weights(pi, qi, a)
+        right = _mix_weights(qi, pi, (a[1] - a[0], a[1]))
+        if sum(map(mul, v, left)) * sum(right) != sum(map(mul, v, right)) * sum(left):
+            return f"commutativity broken at weight {Fraction(*a)}, coordinate {i}"
+        return None
+
+    def ms3() -> str | None:
+        p, q = (point(rows), point(cols)), (point(rows), point(cols))
+        r = point(rows), point(cols)
+        i = coordinate()
+        a, b = weight(), weight()
+        v, pi, qi = _row_sums(lens[i - 1], r[2 - i]), p[i - 1], q[i - 1]
+        left = _mix_weights(_mix_weights(pi, qi, a), qi, b)
+        right = _mix_weights(pi, qi, (a[0] * b[0], a[1] * b[1]))
+        if sum(map(mul, v, left)) * sum(right) != sum(map(mul, v, right)) * sum(left):
+            a, b = Fraction(*a), Fraction(*b)
+            return f"distributivity broken at weights ({a}, {b}), coordinate {i}"
+        return None
+
+    def ms4() -> str | None:
+        p, q = (point(rows), point(cols)), (point(rows), point(cols))
+        i = coordinate()
+        base, top, other = p[i - 1], point(dims[i - 1]), p[2 - i]
+        side = _row_sums(lens[i - 1], other), sum(other)
+        up, uq, urp = _at(side, base), _value(m, *q), _at(side, top)
+        if _diff(urp, uq) < 0 < _diff(up, uq):
+            # the premise fires with the roles of p_i and r_i exchanged
+            base, top, up, urp = top, base, urp, up
+        elif not _diff(up, uq) < 0 < _diff(urp, uq):
+            return _VACUOUS
+        alpha, beta = _ms4_weights(up, uq, urp)
+        low = _at(side, _mix_weights(base, top, alpha))
+        high = _at(side, _mix_weights(base, top, beta))
+        if 0 < alpha[0] < alpha[1] and 0 < beta[0] < beta[1]:
+            if _diff(low, uq) < 0 < _diff(high, uq):
+                return None
+        up, uq, urp = (_show(u, den) for u in (up, uq, urp))
+        return f"solvability witness failed at ({up}, {uq}, {urp})"
+
+    def ms5() -> str | None:
+        p, q = (point(rows), point(cols)), (point(rows), point(cols))
+        # the sides M @ y that the values are read off, reused for coordinate 1
+        ps, qs = (_row_sums(m, p[1]), sum(p[1])), (_row_sums(m, q[1]), sum(q[1]))
+        order = _diff(_at(ps, p[0]), _at(qs, q[0]))
+        if order == 0:
+            return _VACUOUS
+        if order > 0:
+            p, q, ps, qs = q, p, qs, ps
+        i, j = coordinate(), coordinate()
+        ri = point(dims[i - 1])
+        pside = ps if i == 1 else (_row_sums(mt, p[0]), sum(p[0]))
+        qside = qs if j == 1 else (_row_sums(mt, q[0]), sum(q[0]))
+        sj = _indifferent_strategy(qside, _at(pside, ri))
+        if sj is None:
+            return _VACUOUS
+        a = open_weight()
+        left = _at(pside, _mix_weights(p[i - 1], ri, a))
+        if _diff(left, _at(qside, _mix_weights(q[j - 1], sj, a))) >= 0:
+            a = Fraction(*a)
+            return f"independence broken at weight {a}, coordinates ({i}, {j})"
+        return None
+
+    return ms1, ms2, ms3, ms4, ms5
 
 
-def _audit(
-    sample, pref: InducedPreference, rng: random.Random, samples: int
-) -> AxiomStats:
+def _audit(sample: Sampler, samples: int) -> AxiomStats:
     """Tally ``samples`` runs of ``sample``: None when the axiom held,
     ``_VACUOUS`` when its premise did not fire, else the counterexample."""
-    checked = vacuous = failures = 0
-    first = None
-    for _ in range(samples):
-        outcome = sample(pref, rng)
-        if outcome is _VACUOUS:
-            vacuous += 1
-            continue
-        checked += 1
-        if outcome is not None:
-            failures += 1
-            first = first or outcome
-    return AxiomStats(samples, checked, vacuous, failures, first)
+    outcomes = [sample() for _ in range(samples)]
+    vacuous = outcomes.count(_VACUOUS)
+    failures = [o for o in outcomes if o is not None and o is not _VACUOUS]
+    # the first counterexample, if any, is the last field
+    return AxiomStats(samples, samples - vacuous, vacuous, len(failures), *failures[:1])
 
 
 def audit_mixture_axioms(
@@ -300,9 +291,10 @@ def audit_mixture_axioms(
     if type(samples) is not int or type(seed) is not int or samples < 1:
         raise ValueError("samples must be an int >= 1 and seed an int")
     pref = InducedPreference(game, lens)
-    auditors = (_ms1, _ms2, _ms3, _ms4, _ms5)
+    # axiom k samples from its own stream, seeded seed * 8 + k
+    streams = (draws(random.Random(seed * 8 + k)) for k in range(len(AXIOM_NAMES)))
     stats = {
-        name: _audit(sample, pref, random.Random(seed * 8 + k), samples)
-        for k, (name, sample) in enumerate(zip(AXIOM_NAMES, auditors))
+        name: _audit(_samplers(pref._lens, draw)[k], samples)
+        for k, (name, draw) in enumerate(zip(AXIOM_NAMES, streams))
     }
     return AxiomReport(lens=pref.lens, samples=samples, seed=seed, axioms=stats)

@@ -54,11 +54,15 @@ class BimatrixGame:
     def __post_init__(self) -> None:
         shapes = {}
         for u, num, den in (("u1", "num1", "den1"), ("u2", "num2", "den2")):
-            rows, d = tuple(map(tuple, getattr(self, num))), getattr(self, den)
+            # tuples built from lists, not iterators: CPython guesses the size
+            # of a tuple built from an iterator and resizes it, so a small
+            # tuple taken from one free list goes back to another, and every
+            # game built kept one more tuple alive, up to 2,000 per size
+            rows, d = tuple(list(map(tuple, getattr(self, num)))), getattr(self, den)
             if type(d) is not int or d < 1:
                 raise FormatError(f"{den} must be a positive int, not {d!r}")
             if d > 1 and (g := math.gcd(d, *chain.from_iterable(rows))) > 1:
-                rows, d = tuple(tuple(v // g for v in r) for r in rows), d // g
+                rows, d = tuple([tuple([v // g for v in r]) for r in rows]), d // g
             object.__setattr__(self, num, rows)
             object.__setattr__(self, den, d)
             shapes[u] = len(rows), sorted({len(r) for r in rows})

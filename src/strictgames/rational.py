@@ -8,8 +8,10 @@ JSON.  This module says what a number is, in files and library calls
 alike: a ``Fraction``, an integer or a string ``"n/d"`` (d > 0) in ASCII
 digits; floats and booleans raise :class:`FormatError`.  They enter the
 integer core one way, :func:`integer_rows`.  The module adds the seeded
-samplers for bounded-denominator random weights, which return integers and
-consume a CPython ``random.Random`` exactly as ``randint``/``choice`` would.
+draws of bounded-denominator random weights, which return integers and
+consume a CPython ``random.Random`` exactly as ``randint``/``choice`` would:
+:func:`draws` binds them to one generator, once per stream, and the
+one-off samplers below it go through the same binding.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ import random
 import re
 from fractions import Fraction
 from itertools import chain
+from typing import Callable, NamedTuple
 
 from .errors import FormatError
 
@@ -110,37 +113,73 @@ def format_rational(q: Fraction) -> str:
     return f"{q.numerator}/{q.denominator}"
 
 
+class Draws(NamedTuple):
+    """The package's seeded draws on one generator, as :func:`draws` binds them."""
+
+    below: Callable[[int], int]
+    point: Callable[[int], list[int]]
+    coordinate: Callable[[], int]
+    weight: Callable[[], tuple[int, int]]
+    open_weight: Callable[[], tuple[int, int]]
+
+
+def draws(rng: random.Random) -> Draws:
+    """Every draw of the package, bound once to ``rng.getrandbits``.  Each
+    consumes ``rng`` as CPython 3.10 to 3.13's ``randint`` and ``choice`` do,
+    one ``getrandbits`` per word in the same order, so seeded streams repeat:
+
+    - ``below(n)``, n >= 1: ``randint(0, n - 1)``, or ``choice`` of n items,
+      drawn as ``_randbelow`` does: a word of ``n.bit_length()`` bits, redrawn
+      until below n;
+    - ``point(n)``: n integer weights in [0, WEIGHT_BOUND], each
+      ``below(WEIGHT_BOUND + 1)`` inlined in this hot loop, redrawn until
+      not all zero;
+    - ``coordinate()``: ``choice((1, 2))``;
+    - ``weight()``: a dyadic ``(num, den)`` in [0, 1], den at most WEIGHT_BOUND;
+    - ``open_weight()``: a dyadic ``(num, den)`` strictly inside (0, 1).
+    """
+    bits, k = rng.getrandbits, (WEIGHT_BOUND + 1).bit_length()
+
+    def below(n: int) -> int:
+        while (r := bits(n.bit_length())) >= n:
+            pass
+        return r
+
+    def point(n: int) -> list[int]:
+        while True:
+            weights = []
+            for _ in range(n):
+                while (r := bits(k)) > WEIGHT_BOUND:
+                    pass
+                weights.append(r)
+            if any(weights):
+                return weights
+
+    def weight() -> tuple[int, int]:
+        den = 1 << below(WEIGHT_BOUND.bit_length())
+        return below(den + 1), den
+
+    def open_weight() -> tuple[int, int]:
+        den = 2 << below(WEIGHT_BOUND.bit_length() - 1)
+        return 1 + below(den - 1), den
+
+    return Draws(below, point, lambda: 1 + below(2), weight, open_weight)
+
+
 def _below(rng: random.Random, n: int) -> int:
-    """``rng.randint(0, n - 1)`` as CPython 3.10 to 3.13 draw it (and ``choice``
-    of n items): ``getrandbits(n.bit_length())`` until below n, ``_randbelow``."""
+    """``rng.randint(0, n - 1)``; see :func:`draws`."""
     if n < 1:
         raise ValueError("empty range for a random draw")
-    while (r := rng.getrandbits(n.bit_length())) >= n:
-        pass
-    return r
+    return draws(rng).below(n)
 
 
 def random_weight(rng: random.Random) -> tuple[int, int]:
-    """A dyadic ``(num, den)`` in [0, 1] with den at most ``WEIGHT_BOUND``."""
-    den = 1 << _below(rng, WEIGHT_BOUND.bit_length())
-    return _below(rng, den + 1), den
+    return draws(rng).weight()
 
 
 def random_open_weight(rng: random.Random) -> tuple[int, int]:
-    """A dyadic ``(num, den)`` strictly inside (0, 1)."""
-    den = 2 << _below(rng, WEIGHT_BOUND.bit_length() - 1)
-    return 1 + _below(rng, den - 1), den
+    return draws(rng).open_weight()
 
 
 def random_simplex_point(rng: random.Random, n: int) -> list[int]:
-    """Integer weights in [0, WEIGHT_BOUND], redrawn until not all zero; each
-    is ``_below(rng, WEIGHT_BOUND + 1)``, inlined in this hot loop."""
-    k, bits = (WEIGHT_BOUND + 1).bit_length(), rng.getrandbits
-    while True:
-        weights = []
-        for _ in range(n):
-            while (r := bits(k)) > WEIGHT_BOUND:
-                pass
-            weights.append(r)
-        if any(weights):
-            return weights
+    return draws(rng).point(n)

@@ -1,7 +1,11 @@
 import math
+import os
 import random
 import re
+import subprocess
+import sys
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -70,6 +74,36 @@ def test_bimatrix_game_rejects_a_bad_denominator(den):
         BimatrixGame(((1,),), den, ((-1,),), 1)
     with pytest.raises(FormatError):
         BimatrixGame(((1,),), 1, ((-1,),), den)
+
+
+@pytest.mark.parametrize(
+    "step",
+    [
+        "BimatrixGame([[1, 2, 3], [4, 5, 6], [7, 8, 10]], 2, num2, 1)",
+        "BimatrixGame([[2, 4, 6], [4, 8, 6], [2, 8, 10]], 2, num2, 1)",
+        "audit_mixture_axioms(BimatrixGame(num2, 2, num2, 1), Lens.NEG_U1, 1, k)",
+    ],
+    ids=["build", "build-and-reduce", "audit"],
+)
+def test_repeated_small_games_do_not_grow_memory(step):
+    # CPython keeps freed small tuples on per-size free lists, up to 2,000
+    # each, so a step that takes a tuple from one list and returns one to
+    # another grows memory every time; a fresh interpreter starts empty
+    code = (
+        "import sys\n"
+        "from strictgames.axioms import Lens, audit_mixture_axioms\n"
+        "from strictgames.games import BimatrixGame\n"
+        "num2 = [[1, 2, 3], [4, 5, 6], [7, 8, 9]]\n"
+        "before = sys.getallocatedblocks()\n"
+        "for k in range(3000):\n"
+        f"    {step}\n"
+        "print(sys.getallocatedblocks() - before)\n"
+    )
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, timeout=60, check=True)
+    assert int(run.stdout) < 100
 
 
 @pytest.mark.parametrize(

@@ -13,6 +13,7 @@ import pytest
 
 from strictgames.rational import (
     _below,
+    draws,
     random_open_weight,
     random_simplex_point,
     random_weight,
@@ -71,6 +72,31 @@ def test_random_weights_match_randint():
             assert random_weight(ours) == (ref.randint(0, den), den), seed
             den = 1 << ref.randint(1, 6)
             assert random_open_weight(ours) == (ref.randint(1, den - 1), den), seed
+        assert ours.getstate() == ref.getstate(), seed
+
+
+def test_bound_draws_match_randint_and_choice():
+    # the draws bound to one stream, called in a random interleaving, take
+    # what the standard library's calls take from a twin stream
+    for seed in SEEDS:
+        ours, ref = twins(seed)
+        draw, plan = draws(ours), random.Random(seed + 1)
+        for _ in range(1000):
+            kind = plan.randrange(5)
+            if kind == 0:
+                n = plan.randint(1, 8)
+                assert draw.point(n) == _reference_simplex_point(ref, n), seed
+            elif kind == 1:
+                assert draw.coordinate() == ref.choice((1, 2)), seed
+            elif kind == 2:
+                den = 1 << ref.randint(0, 6)
+                assert draw.weight() == (ref.randint(0, den), den), seed
+            elif kind == 3:
+                den = 1 << ref.randint(1, 6)
+                assert draw.open_weight() == (ref.randint(1, den - 1), den), seed
+            else:
+                n = plan.choice(BOUNDS)
+                assert draw.below(n) == ref.randint(0, n - 1), (seed, n)
         assert ours.getstate() == ref.getstate(), seed
 
 
